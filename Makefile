@@ -109,13 +109,11 @@ examples:
 	$(GO) run ./examples/convergence
 	$(GO) run ./examples/moments
 
-# Regenerate the unrolled iteration code, lattice evaluators, and fused
-# S³TTMc kernels (see docs/CODEGEN.md).
+# Regenerate the unrolled iteration code and the fused S³TTMc kernels (see
+# docs/CODEGEN.md).
 generate:
 	$(GO) run ./tools/geniterate > internal/dense/iterate_gen.go
 	gofmt -w internal/dense/iterate_gen.go
-	$(GO) run ./tools/genlattice > internal/kernels/lattice_gen.go
-	gofmt -w internal/kernels/lattice_gen.go
 	$(GO) run ./tools/genkernels > internal/kernels/fused_gen.go
 	gofmt -w internal/kernels/fused_gen.go
 

@@ -24,7 +24,6 @@ import (
 	"testing"
 
 	"github.com/symprop/symprop/internal/dense"
-	"github.com/symprop/symprop/internal/hypergraph"
 	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/spsym"
@@ -406,65 +405,6 @@ func BenchmarkUCOOBaseline(b *testing.B) {
 	b.Run("SymProp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := kernels.S3TTMcSymProp(x, u, kernels.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- CSS "between non-zeros" memoization ablation ---------------------------
-
-func BenchmarkCrossNZCache(b *testing.B) {
-	h, err := hypergraph.Planted(hypergraph.PlantedOptions{
-		Nodes: 200, Communities: 8, Edges: 2000, MinCard: 3, MaxCard: 5, PIntra: 0.9, Seed: 27,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, err := h.ToTensor(5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := benchU(x.Dim, 8, 28)
-	b.Run("Off", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := kernels.S3TTMcSymProp(x, u, kernels.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("On", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := kernels.S3TTMcSymProp(x, u, kernels.Options{CrossNZCacheBytes: 64 << 20}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// --- Lattice evaluation: generated straight-line vs plan interpreter -------
-
-func BenchmarkLatticeEvaluator(b *testing.B) {
-	x, err := spsym.Random(spsym.RandomOptions{
-		Order: 6, Dim: 100, NNZ: 500, Seed: 29, ForbidRepeats: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := benchU(100, 5, 30)
-	b.Run("Generated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := kernels.S3TTMcSymProp(x, u, kernels.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Interpreted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// Same generated outer products, but the lattice walk goes
-			// through the plan interpreter — isolating the straight-line
-			// specialization itself.
-			if _, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Iteration: kernels.IterInterpreted}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -19,7 +19,9 @@ import (
 //     index-mapped iteration;
 //  2. kernel memoization: HOQRI-SymProp vs the original HOQRI n-ary
 //     contraction (Table II rows 3/4 made executable);
-//  3. intermediate storage: HOOI-SymProp vs HOOI-CSS (Table II rows 1/2).
+//  3. intermediate storage: HOOI-SymProp vs HOOI-CSS (Table II rows 1/2);
+//  4. dense layout: the compact linear layout vs BCSS;
+//  5. HOOI SVD strategy: exact SVD vs the matrix-free HOOIRandomized.
 func Ablate(w io.Writer, p Profile) error {
 	if err := ablateIteration(w, p); err != nil {
 		return err
@@ -37,50 +39,7 @@ func Ablate(w io.Writer, p Profile) error {
 		return err
 	}
 	fmt.Fprintln(w)
-	if err := ablateCrossNZ(w, p); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-	if err := ablateRandomizedHOOI(w, p); err != nil {
-		return err
-	}
-	return ablateScheduling(w, p)
-}
-
-// ablateScheduling measures the accumulation-strategy ablation of DESIGN.md
-// §6: the identical SymProp kernel with contention-free owner-computes
-// scheduling against the historical striped-lock baseline, at one worker
-// (pure overhead comparison — no locks vs uncontended locks) and at several
-// (lock traffic vs spill-and-reduce).
-func ablateScheduling(w io.Writer, p Profile) error {
-	order, dim, nnz, rank := p.SweepBase()
-	x, err := spsym.Random(spsym.RandomOptions{Order: order, Dim: dim, NNZ: nnz, Seed: 75})
-	if err != nil {
-		return err
-	}
-	u := randomU(dim, rank, 76)
-	fmt.Fprintf(w, "Ablation 7: accumulation scheduling (order=%d dim=%d unnz=%d rank=%d)\n\n",
-		order, dim, x.NNZ(), rank)
-	var scheds kernels.ScheduleCache
-	run := func(workers int, sched kernels.Scheduling) Measurement {
-		return timeOp(p.Reps(), func() error {
-			_, err := kernels.S3TTMcSymProp(x, u, kernels.Options{
-				Guard: memguard.FromEnv(), Workers: workers,
-				Scheduling: sched, Schedules: &scheds,
-			})
-			return err
-		})
-	}
-	var rows [][]string
-	for _, workers := range []int{1, 2, 4} {
-		striped := run(workers, kernels.SchedStripedLocks)
-		owner := run(workers, kernels.SchedOwnerComputes)
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", workers), striped.Format(), owner.Format(), speedup(striped, owner),
-		})
-	}
-	table(w, []string{"workers", "striped-locks", "owner-computes", "owner speedup"}, rows)
-	return nil
+	return ablateRandomizedHOOI(w, p)
 }
 
 // ablateRandomizedHOOI compares faithful HOOI (exact SVD over the full
@@ -96,7 +55,7 @@ func ablateRandomizedHOOI(w io.Writer, p Profile) error {
 		return err
 	}
 	iters := p.TuckerIters()
-	fmt.Fprintf(w, "Ablation 6: HOOI SVD strategy on %s (order=%d rank=%d, %d iterations)\n\n",
+	fmt.Fprintf(w, "Ablation 5: HOOI SVD strategy on %s (order=%d rank=%d, %d iterations)\n\n",
 		spec.Name, spec.Order, spec.Rank, iters)
 	mExact, rExact := tuckerRun(tucker.HOOI, x, spec.Rank, iters)
 	mRand, rRand := tuckerRun(tucker.HOOIRandomized, x, spec.Rank, iters)
@@ -128,44 +87,6 @@ func ablateRandomizedHOOI(w io.Writer, p Profile) error {
 	fmt.Fprintf(w, "\non %s (%d iterations): exact HOOI %s, randomized %s — the randomized\n",
 		big.Name, shortIters, mBigExact.Format(), mBigRand.Format())
 	fmt.Fprintln(w, "variant runs where the full I x R^{N-1} unfolding cannot exist.")
-	return nil
-}
-
-// ablateCrossNZ measures the CSS format's between-non-zeros memoization
-// (value-keyed K cache) on a hypergraph stand-in, where node combinations
-// repeat across hyperedges, versus a uniform-random tensor, where they
-// rarely do.
-func ablateCrossNZ(w io.Writer, p Profile) error {
-	fmt.Fprintf(w, "Ablation 5: between-non-zeros K memoization (per-worker value cache)\n\n")
-	var rows [][]string
-	for _, name := range []string{"contact-school", "7D"} {
-		spec, err := lookupIn(p.Datasets(), name)
-		if err != nil {
-			return err
-		}
-		x, err := spec.GenerateTensor(75)
-		if err != nil {
-			return err
-		}
-		u := randomU(x.Dim, spec.Rank, 76)
-		off := timeOp(p.Reps(), func() error {
-			_, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Guard: memguard.FromEnv()})
-			return err
-		})
-		var stats kernels.CacheStats
-		on := timeOp(p.Reps(), func() error {
-			_, err := kernels.S3TTMcSymProp(x, u, kernels.Options{
-				Guard: memguard.FromEnv(), CrossNZCacheBytes: 64 << 20, Stats: &stats,
-			})
-			return err
-		})
-		rows = append(rows, []string{
-			spec.Name, off.Format(), on.Format(),
-			fmt.Sprintf("%.0f%%", 100*stats.HitRate()), speedup(off, on),
-		})
-	}
-	table(w, []string{"dataset", "no cache", "with cache", "hit rate", "speedup"}, rows)
-	fmt.Fprintln(w, "\nexpected shape: high hit rates (and wins) on hypergraph tensors with recurring node sets; low on uniform-random synthetics.")
 	return nil
 }
 

@@ -271,16 +271,11 @@ func Fig6(w io.Writer, p Profile) error {
 			XLabel: "workers", YLabel: "speedup over 1 worker",
 			Series: []plot.Series{
 				{Name: "S3TTMc", Slot: slotSymProp},
-				{Name: "S3TTMc-striped", Slot: slotCSS},
 				{Name: "S3TTMcTC", Slot: slotSymPropTC},
 			},
 		}
-		// The default S3TTMc curve runs owner-computes accumulation; the
-		// striped curve is the same kernel pinned to the pre-scheduling
-		// lock-based baseline, so the gap between the two is the scheduling
-		// contribution to the scaling story.
 		var scheds kernels.ScheduleCache
-		var base, baseStriped, baseTC float64
+		var base, baseTC float64
 		for _, workers := range workerPoints {
 			m := timeOp(p.Reps(), func() error {
 				_, err := kernels.S3TTMcSymProp(x, u, kernels.Options{
@@ -288,38 +283,28 @@ func Fig6(w io.Writer, p Profile) error {
 				})
 				return err
 			})
-			mStriped := timeOp(p.Reps(), func() error {
-				_, err := kernels.S3TTMcSymProp(x, u, kernels.Options{
-					Guard: memguard.FromEnv(), Workers: workers,
-					Scheduling: kernels.SchedStripedLocks,
-				})
-				return err
-			})
 			mTC := timeOp(p.Reps(), func() error {
 				_, err := kernels.S3TTMcTC(x, u, kernels.Options{Guard: memguard.FromEnv(), Workers: workers})
 				return err
 			})
-			if m.Status != StatusOK || mStriped.Status != StatusOK || mTC.Status != StatusOK {
-				return fmt.Errorf("bench: fig6 %s failed at %d workers: %v %v %v",
-					name, workers, m.Err, mStriped.Err, mTC.Err)
+			if m.Status != StatusOK || mTC.Status != StatusOK {
+				return fmt.Errorf("bench: fig6 %s failed at %d workers: %v %v",
+					name, workers, m.Err, mTC.Err)
 			}
 			if workers == 1 {
-				base, baseStriped, baseTC = m.Seconds, mStriped.Seconds, mTC.Seconds
+				base, baseTC = m.Seconds, mTC.Seconds
 			}
 			rows = append(rows, []string{
 				fmt.Sprint(workers), m.Format(), fmt.Sprintf("%.2fx", base/m.Seconds),
-				mStriped.Format(), fmt.Sprintf("%.2fx", baseStriped/mStriped.Seconds),
 				mTC.Format(), fmt.Sprintf("%.2fx", baseTC/mTC.Seconds),
 			})
 			chart.Series[0].X = append(chart.Series[0].X, float64(workers))
 			chart.Series[0].Y = append(chart.Series[0].Y, base/m.Seconds)
 			chart.Series[1].X = append(chart.Series[1].X, float64(workers))
-			chart.Series[1].Y = append(chart.Series[1].Y, baseStriped/mStriped.Seconds)
-			chart.Series[2].X = append(chart.Series[2].X, float64(workers))
-			chart.Series[2].Y = append(chart.Series[2].Y, baseTC/mTC.Seconds)
+			chart.Series[1].Y = append(chart.Series[1].Y, baseTC/mTC.Seconds)
 		}
 		emitTable(w, "fig6-"+spec.Name,
-			[]string{"workers", "S3TTMc", "speedup", "S3TTMc-striped", "speedup", "S3TTMcTC", "speedup"}, rows)
+			[]string{"workers", "S3TTMc", "speedup", "S3TTMcTC", "speedup"}, rows)
 		emitChart(w, chart, "fig6-"+spec.Name+".svg")
 		fmt.Fprintln(w)
 	}

@@ -62,48 +62,42 @@ func Verify(w io.Writer, trials int, seed int64) error {
 			return nil
 		}
 
-		// Every scatter kernel is swept across all three accumulation
-		// strategies with multiple workers, so the owner-computes scheduler
-		// and the striped-lock baseline are both held to the same oracle.
-		schedModes := []kernels.Scheduling{
-			kernels.SchedAuto, kernels.SchedOwnerComputes, kernels.SchedStripedLocks,
+		// Every scatter kernel runs with multiple workers, so the
+		// owner-computes scheduler is held to the oracle.
+		opts := kernels.Options{Workers: 2}
+		for _, strat := range []struct {
+			name string
+			iter kernels.IterationStrategy
+		}{
+			{"SymProp/generated", kernels.IterGenerated},
+			{"SymProp/recursive", kernels.IterRecursive},
+			{"SymProp/index-mapped", kernels.IterIndexMapped},
+		} {
+			sopts := opts
+			sopts.Iteration = strat.iter
+			yp, err := kernels.S3TTMcSymProp(x, u, sopts)
+			if err != nil {
+				return fmt.Errorf("trial %d: %s: %w", trial, strat.name, err)
+			}
+			if err := check(strat.name, kernels.ExpandCompactColumns(yp, order, r)); err != nil {
+				return err
+			}
 		}
-		for _, sched := range schedModes {
-			opts := kernels.Options{Workers: 2, Scheduling: sched}
-			for _, strat := range []struct {
-				name string
-				iter kernels.IterationStrategy
-			}{
-				{"SymProp/generated", kernels.IterGenerated},
-				{"SymProp/recursive", kernels.IterRecursive},
-				{"SymProp/index-mapped", kernels.IterIndexMapped},
-			} {
-				sopts := opts
-				sopts.Iteration = strat.iter
-				yp, err := kernels.S3TTMcSymProp(x, u, sopts)
-				if err != nil {
-					return fmt.Errorf("trial %d: %s[%v]: %w", trial, strat.name, sched, err)
-				}
-				if err := check(fmt.Sprintf("%s[%v]", strat.name, sched), kernels.ExpandCompactColumns(yp, order, r)); err != nil {
-					return err
-				}
-			}
 
-			cssY, err := kernels.S3TTMcCSS(x, u, opts)
-			if err != nil {
-				return fmt.Errorf("trial %d: CSS[%v]: %w", trial, sched, err)
-			}
-			if err := check(fmt.Sprintf("CSS[%v]", sched), cssY); err != nil {
-				return err
-			}
+		cssY, err := kernels.S3TTMcCSS(x, u, opts)
+		if err != nil {
+			return fmt.Errorf("trial %d: CSS: %w", trial, err)
+		}
+		if err := check("CSS", cssY); err != nil {
+			return err
+		}
 
-			ucooY, err := kernels.S3TTMcUCOO(x, u, opts)
-			if err != nil {
-				return fmt.Errorf("trial %d: UCOO[%v]: %w", trial, sched, err)
-			}
-			if err := check(fmt.Sprintf("UCOO[%v]", sched), ucooY); err != nil {
-				return err
-			}
+		ucooY, err := kernels.S3TTMcUCOO(x, u, opts)
+		if err != nil {
+			return fmt.Errorf("trial %d: UCOO: %w", trial, err)
+		}
+		if err := check("UCOO", ucooY); err != nil {
+			return err
 		}
 
 		splattY, err := kernels.TTMcSPLATT(x, u, kernels.Options{})
@@ -114,23 +108,21 @@ func Verify(w io.Writer, trials int, seed int64) error {
 			return err
 		}
 
-		// TTMcTC agreement: SymProp vs n-ary on A, under every scheduling
-		// mode of the n-ary scatter pass.
+		// TTMcTC agreement: SymProp vs n-ary on A, with a multi-worker
+		// n-ary scatter pass.
 		sp, err := kernels.S3TTMcTC(x, u, kernels.Options{})
 		if err != nil {
 			return fmt.Errorf("trial %d: S3TTMcTC: %w", trial, err)
 		}
-		for _, sched := range schedModes {
-			nary, err := kernels.NaryTTMcTC(x, u, kernels.Options{Workers: 2, Scheduling: sched})
-			if err != nil {
-				return fmt.Errorf("trial %d: NaryTTMcTC[%v]: %w", trial, sched, err)
-			}
-			if d := linalg.MaxAbsDiff(sp.A, nary.A); d > tol*scaleOf(sp.A) {
-				return fmt.Errorf("trial %d: TTMcTC[%v] A matrices deviate by %g", trial, sched, d)
-			}
-			if a, b := sp.CoreNormSquared(), nary.CoreNormSquared(); math.Abs(a-b) > tol*(1+math.Abs(a)) {
-				return fmt.Errorf("trial %d: core norms deviate: %g vs %g", trial, a, b)
-			}
+		nary, err := kernels.NaryTTMcTC(x, u, opts)
+		if err != nil {
+			return fmt.Errorf("trial %d: NaryTTMcTC: %w", trial, err)
+		}
+		if d := linalg.MaxAbsDiff(sp.A, nary.A); d > tol*scaleOf(sp.A) {
+			return fmt.Errorf("trial %d: TTMcTC A matrices deviate by %g", trial, d)
+		}
+		if a, b := sp.CoreNormSquared(), nary.CoreNormSquared(); math.Abs(a-b) > tol*(1+math.Abs(a)) {
+			return fmt.Errorf("trial %d: core norms deviate: %g vs %g", trial, a, b)
 		}
 	}
 	fmt.Fprintf(w, "PASS: all kernels agree with brute-force expansion on %d trials\n", trials)

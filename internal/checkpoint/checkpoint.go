@@ -48,7 +48,7 @@ var ErrCheckpointCorrupt = errors.New("checkpoint: corrupt or truncated snapshot
 
 // ErrMismatch marks a structurally valid snapshot whose fingerprint does
 // not match the run it is being resumed into (different tensor, rank,
-// worker count, scheduling, seed, or algorithm).
+// worker count, seed, or algorithm).
 var ErrMismatch = errors.New("checkpoint: snapshot does not match run configuration")
 
 const (

@@ -38,9 +38,7 @@ func FromExpanded(order, dim int, idx []int32, vals []float64, guard *memguard.G
 	if len(idx) != nnz*order {
 		return nil, fmt.Errorf("csf: index length %d != nnz*order %d", len(idx), nnz*order)
 	}
-	// Estimate: FIDs+Ptr bounded by one (int32+int64) pair per non-zero per
-	// level, plus the sort permutation and values.
-	est := int64(nnz)*int64(order)*12 + int64(nnz)*16
+	est := treeBytes(order, nnz)
 	if err := guard.Reserve(est, "CSF tree"); err != nil {
 		return nil, err
 	}
@@ -149,6 +147,17 @@ func FromSymmetric(x *spsym.Tensor, guard *memguard.Guard) (*Tensor, error) {
 	guard.Release(bytes) // the expansion buffers are temporary
 	return t, err
 }
+
+// treeBytes is the guard charge of a tree over nnz non-zeros: FIDs+Ptr
+// bounded by one (int32+int64) pair per non-zero per level, plus the sort
+// permutation and values.
+func treeBytes(order, nnz int) int64 {
+	return int64(nnz)*int64(order)*12 + int64(nnz)*16
+}
+
+// Bytes reports the guard charge FromExpanded made for t. The tree holds it
+// for as long as it lives; whoever drops the tree releases it.
+func (t *Tensor) Bytes() int64 { return treeBytes(t.Order, t.NNZ()) }
 
 // NNZ returns the stored non-zero count (after expansion).
 func (t *Tensor) NNZ() int { return len(t.Values) }

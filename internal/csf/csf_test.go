@@ -151,6 +151,29 @@ func TestFromSymmetricOOM(t *testing.T) {
 	}
 }
 
+// TestBytesMatchesCharge pins Bytes to what construction charged: the
+// guard holds exactly the tree's charge once FromSymmetric returns (the
+// temporary expansion is already released), so a caller that drops the
+// tree can return it with Release(t.Bytes()).
+func TestBytesMatchesCharge(t *testing.T) {
+	x, err := spsym.Random(spsym.RandomOptions{Order: 4, Dim: 9, NNZ: 30, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard := memguard.New(1 << 30)
+	tree, err := FromSymmetric(x, guard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Bytes() <= 0 || guard.Used() != tree.Bytes() {
+		t.Fatalf("guard holds %d bytes, tree reports %d", guard.Used(), tree.Bytes())
+	}
+	guard.Release(tree.Bytes())
+	if guard.Used() != 0 {
+		t.Errorf("releasing Bytes left %d bytes charged", guard.Used())
+	}
+}
+
 func TestTTMcOutputOOM(t *testing.T) {
 	x, err := spsym.Random(spsym.RandomOptions{Order: 6, Dim: 50, NNZ: 20, Seed: 2})
 	if err != nil {

@@ -55,7 +55,6 @@ type Node struct {
 // value[t] (paper Eq. 4).
 type Plan struct {
 	Order  int
-	Slots  int
 	Sig    []int
 	Levels [][]Node
 	Tops   []int
@@ -79,7 +78,7 @@ func BuildPlan(sig []int) (*Plan, error) {
 		return nil, fmt.Errorf("css: order %d out of range [2,%d]", order, dense.MaxOrder)
 	}
 
-	p := &Plan{Order: order, Slots: len(sig), Sig: append([]int(nil), sig...)}
+	p := &Plan{Order: order, Sig: append([]int(nil), sig...)}
 	p.Levels = make([][]Node, order-1)
 
 	// Level 1: one node per slot, no edges (base case K = U row).

@@ -14,8 +14,8 @@ func TestBuildPlanAllDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Order != 3 || p.Slots != 3 {
-		t.Fatalf("order=%d slots=%d", p.Order, p.Slots)
+	if p.Order != 3 || len(p.Sig) != 3 {
+		t.Fatalf("order=%d slots=%d", p.Order, len(p.Sig))
 	}
 	// Level 1: 3 nodes; level 2: C(3,2) = 3 nodes (the K_{1,3}, K_{1,5}, K_{3,5}).
 	if len(p.Levels[0]) != 3 || len(p.Levels[1]) != 3 {

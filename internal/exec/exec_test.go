@@ -189,33 +189,6 @@ func TestRunStaticCoversAll(t *testing.T) {
 	}
 }
 
-func TestRunChunkedCoversAll(t *testing.T) {
-	checkGoroutines(t)
-	p := NewPool(3)
-	defer p.Close()
-	covered := make([]atomic.Int32, 500)
-	err := Run(Config{Workers: 3, Pool: p}, Plan{
-		Name:      "test.chunked",
-		Items:     len(covered),
-		Partition: Chunked,
-		Chunk:     32,
-		Body: func(w *Worker, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				covered[i].Add(1)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range covered {
-		if c := covered[i].Load(); c != 1 {
-			t.Fatalf("item %d covered %d times", i, c)
-		}
-	}
-}
-
 func TestRunPerWorker(t *testing.T) {
 	checkGoroutines(t)
 	p := NewPool(4)

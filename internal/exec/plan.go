@@ -5,7 +5,6 @@ import (
 	"errors"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
 	"time"
 
 	"github.com/symprop/symprop/internal/faultinject"
@@ -38,11 +37,6 @@ const (
 	// (Items, workers), which is what owner-free deterministic passes
 	// (n-ary core accumulation, SPLATT roots) rely on.
 	Static Partition = iota
-	// Chunked has workers claim Chunk-sized ranges off a shared atomic
-	// cursor — dynamic load balancing for irregular per-item cost. The
-	// assignment is timing-dependent; bodies must make output placement
-	// independent of which worker ran an item (e.g. striped row locks).
-	Chunked
 	// PerWorker runs Body(w, slot, slot+1) once per worker slot — the
 	// explicit entry point for owner-computes kernels whose schedule
 	// (ScheduleCache bins) already fixes each worker's item set. This
@@ -50,7 +44,7 @@ const (
 	PerWorker
 )
 
-// Engine-wide defaults: the dynamic-partition chunk size and the
+// Engine-wide defaults: the chunk size of the Chunks fan-out and the
 // cancellation polling stride (items between context polls; the same
 // cancelCheckEvery the kernels hand-rolled before the engine existed).
 const (
@@ -59,8 +53,8 @@ const (
 )
 
 // Plan describes one parallel kernel pass. Zero values select defaults:
-// Workers falls back to Config.Workers, Chunk to DefaultChunk, CheckEvery
-// to DefaultCheckEvery; Scratch and Finish are optional.
+// Workers falls back to Config.Workers, CheckEvery to DefaultCheckEvery;
+// Scratch and Finish are optional.
 type Plan struct {
 	// Name identifies the plan in panic errors and the faultinject plan
 	// registry (faultinject.PlanWorkerSite/PlanOutputSite).
@@ -73,8 +67,6 @@ type Plan struct {
 	// Workers overrides Config.Workers when > 0. Kernels that clamp the
 	// worker count to a schedule (owner-computes bins) set it here.
 	Workers int
-	// Chunk is the Chunked partition's claim size.
-	Chunk int
 	// CheckEvery is the number of Tick calls between context polls.
 	// Plans whose items are coarse (a SPLATT root subtree, a GEMM row
 	// block) set 1 so cancellation latency stays bounded by one item.
@@ -83,9 +75,9 @@ type Plan struct {
 	// call, on the worker's goroutine, typically stashing warm per-worker
 	// state (WorkspacePool-backed lattice buffers) in w.Scratch.
 	Scratch func(w *Worker) error
-	// Body processes items [lo, hi). It is called once per worker for
-	// Static/PerWorker and once per claimed chunk for Chunked. Bodies
-	// call w.Tick(item) once per item for cancellation and fault sites.
+	// Body processes items [lo, hi). It is called once per worker.
+	// Bodies call w.Tick(item) once per item for cancellation and fault
+	// sites.
 	Body func(w *Worker, lo, hi int) error
 	// Finish, when set, runs serially on the caller in slot order after
 	// all workers have joined — for every slot that started, even when
@@ -182,10 +174,6 @@ func Run(cfg Config, plan Plan) error {
 	if items <= 0 {
 		return nil
 	}
-	chunk := plan.Chunk
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
 	every := plan.CheckEvery
 	if every <= 0 {
 		every = DefaultCheckEvery
@@ -207,48 +195,24 @@ func Run(cfg Config, plan Plan) error {
 
 	ws := make([]*Worker, workers)
 	errs := make([]error, workers)
-	var failed atomic.Bool
-	var cursor atomic.Int64
 
 	runSlot := func(slot int) {
-		// LIFO: capturePanic (which must be deferred directly for its
-		// recover to take effect) runs first, then the failure flag is
-		// raised so Chunked co-workers stop claiming chunks.
-		defer func() {
-			if errs[slot] != nil {
-				failed.Store(true)
-			}
-		}()
+		// capturePanic must be deferred directly for its recover to take
+		// effect.
 		defer capturePanic(&errs[slot], plan.Name)
 		w := &Worker{Index: slot, ctx: cfg.Ctx, every: every, site: site}
 		ws[slot] = w
 		if plan.Scratch != nil {
 			if err := plan.Scratch(w); err != nil {
 				errs[slot] = err
-				failed.Store(true)
 				return
 			}
 		}
-		var err error
-		switch plan.Partition {
-		case Chunked:
-			for err == nil && !failed.Load() {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= items {
-					break
-				}
-				err = plan.Body(w, lo, min(lo+chunk, items))
-			}
-		case PerWorker:
-			err = plan.Body(w, slot, slot+1)
-		default:
-			lo, hi := ChunkRange(items, workers, slot)
-			err = plan.Body(w, lo, hi)
+		lo, hi := slot, slot+1
+		if plan.Partition != PerWorker {
+			lo, hi = ChunkRange(items, workers, slot)
 		}
-		if err != nil {
-			errs[slot] = err
-			failed.Store(true)
-		}
+		errs[slot] = plan.Body(w, lo, hi)
 	}
 
 	slotFn := runSlot

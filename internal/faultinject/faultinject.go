@@ -28,7 +28,7 @@ const (
 	// forces the reservation to fail with memguard.ErrOutOfMemory.
 	SiteGuardReserve Site = "memguard.reserve"
 	// SiteKernelWorker fires inside every kernel worker loop (lattice
-	// owner/striped, UCOO, n-ary) once per processed non-zero, with the
+	// owner, UCOO, n-ary) once per processed non-zero, with the
 	// non-zero index as payload. A hook may panic — simulating a worker
 	// crash — or return an error, which aborts the kernel.
 	SiteKernelWorker Site = "kernels.worker"

@@ -714,8 +714,19 @@ func TestRoundRobinFairness(t *testing.T) {
 	checkGoroutines(t)
 	m := newManager(t, Config{Runners: 1, MaxQueuedPerTenant: 3, MaxQueued: 8})
 	started, release := gateRunners(t)
-	tenantOf := make(map[string]string)
-	var ids []string
+	// A blocker job from a third tenant occupies the only runner first, so
+	// all six jobs below are queued before any of them can be popped. Without
+	// it the runner may take a's first job before a's second is submitted;
+	// a then re-enters the rotation ahead of b and the tail ends in "bb".
+	blocker, err := m.Submit(baseSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(started()) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	tenantOf := map[string]string{blocker: "-"}
+	ids := []string{blocker}
 	for _, tenant := range []string{"a", "a", "a", "b", "b", "b"} {
 		spec := baseSpec(t)
 		spec.Tenant = tenant
@@ -734,18 +745,15 @@ func TestRoundRobinFairness(t *testing.T) {
 	for _, id := range started() {
 		order = append(order, tenantOf[id])
 	}
-	// The runner may pop a's first job before b submits anything, so the
-	// exact prefix can vary; once both tenants are queued the rotation
-	// must strictly alternate — "aababb"-style runs of the same tenant
-	// (other than a leading "aa" from that startup race) mean starvation.
+	// Every job was queued before the first pop, so the rotation must
+	// strictly alternate from the first job on; a run of the same tenant
+	// means starvation.
 	got := strings.Join(order, "")
-	if len(order) != 6 {
-		t.Fatalf("recorded %d runs, want 6 (%q)", len(order), got)
+	if len(order) != 7 {
+		t.Fatalf("recorded %d runs, want 7 (%q)", len(order), got)
 	}
-	for i := 2; i < len(order); i++ {
-		if order[i] == order[i-1] {
-			t.Fatalf("run order %q repeats tenant %q mid-rotation", got, order[i])
-		}
+	if got != "-ababab" {
+		t.Fatalf("run order %q, want %q", got, "-ababab")
 	}
 }
 

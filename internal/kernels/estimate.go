@@ -12,13 +12,14 @@ import (
 //
 // The estimates deliberately exclude the owner-computes spill buffers:
 // that allocation is transient, charged against the Guard at kernel entry
-// by resolveScheduling, and released when the kernel returns. Under
-// SchedAuto a failed spill reservation silently falls back to striped
-// locks, so the modeled footprints below remain the true peak for every
-// configuration the harness classifies.
+// by reserveSpills, and released when the kernel returns. A refused spill
+// reservation shrinks the worker count until the buffers fit (one worker
+// needs none), so the modeled footprints below decide which
+// configurations the harness classifies as OOM.
 
 // EstimateSymPropBytes returns the SymProp S³TTMc footprint: compact
-// Y_p(1) plus per-worker compact lattice workspaces.
+// Y_p(1) plus per-worker compact lattice workspaces. The spill buffers are
+// left out: the kernel shrinks its worker count until they fit.
 func EstimateSymPropBytes(x *spsym.Tensor, rank, workers int) int64 {
 	y := memguard.Float64Bytes(int64(x.Dim) * dense.Count(x.Order-1, rank))
 	ws := latticeBytes(x.Order, rank, true) * int64(workers)

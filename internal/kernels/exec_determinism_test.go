@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/symprop/symprop/internal/css"
 	"github.com/symprop/symprop/internal/exec"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/spsym"
@@ -13,7 +14,7 @@ import (
 // values are small integers and factor entries are dyadic rationals k/8, so
 // every kernel sum is an exact multiple of a power of two well inside the
 // 53-bit mantissa. With exact arithmetic, any result difference across
-// worker counts or scheduling modes is a real assignment bug, not rounding
+// worker counts is a real assignment bug, not rounding
 // — which is what lets the determinism matrix demand bit identity.
 func dyadicCase(t *testing.T, order, dim, nnz, r int, seed int64) (*spsym.Tensor, *linalg.Matrix) {
 	t.Helper()
@@ -29,9 +30,13 @@ func dyadicCase(t *testing.T, order, dim, nnz, r int, seed int64) (*spsym.Tensor
 
 // TestKernelDeterminismMatrix checks bit-identical kernel output across the
 // full execution matrix the engine is supposed to make irrelevant:
-// workers ∈ {1, 2, 7} × scheduling ∈ {owner-computes, striped-locks} ×
-// pool ∈ {fresh transient, persistent}, on two fixture tensors. The
-// reference is the serial owner-computes run with no pool.
+// workers ∈ {1, 2, 7} × pool ∈ {fresh transient, persistent} × fusion ×
+// caches ∈ {per call, shared}, on three fixture tensors. The shared arm
+// hands every cell of a (fixture, kernel) pair the same plan cache,
+// workspace pool and schedule cache, as a Tucker run does across sweeps, so
+// schedules, recycled workspaces and recycled spill buffers left behind by
+// one worker count or fusion mode are reused by the next. The reference is
+// the serial run with no pool and no caches.
 func TestKernelDeterminismMatrix(t *testing.T) {
 	kernels := []struct {
 		name string
@@ -82,25 +87,28 @@ func TestKernelDeterminismMatrix(t *testing.T) {
 
 	for _, fx := range fixtures {
 		for _, k := range kernels {
-			ref, err := k.run(fx.x, fx.u, Options{Workers: 1, Scheduling: SchedOwnerComputes})
+			ref, err := k.run(fx.x, fx.u, Options{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s/%s reference: %v", fx.name, k.name, err)
 			}
+			shared := Options{PlanCache: &css.Cache{}, Pool: &WorkspacePool{}, Schedules: &ScheduleCache{}}
 			for _, workers := range []int{1, 2, 7} {
-				for _, mode := range []Scheduling{SchedOwnerComputes, SchedStripedLocks} {
-					for _, pooled := range []bool{false, true} {
-						for _, fusion := range []Fusion{FusionAuto, FusionOff} {
-							name := fmt.Sprintf("%s/%s/workers=%d/%s/pooled=%v/fusion=%s",
-								fx.name, k.name, workers, mode, pooled, fusion)
+				for _, pooled := range []bool{false, true} {
+					for _, fusion := range []Fusion{FusionAuto, FusionOff} {
+						for _, caches := range []string{"per-call", "shared"} {
+							name := fmt.Sprintf("%s/%s/workers=%d/pooled=%v/fusion=%s/caches=%s",
+								fx.name, k.name, workers, pooled, fusion, caches)
 							t.Run(name, func(t *testing.T) {
 								var pool *exec.Pool
 								if pooled {
 									pool = exec.NewPool(workers)
 									defer pool.Close()
 								}
-								got, err := k.run(fx.x, fx.u, Options{
-									Workers: workers, Scheduling: mode, Exec: pool, Fusion: fusion,
-								})
+								opts := Options{Workers: workers, Exec: pool, Fusion: fusion}
+								if caches == "shared" {
+									opts.PlanCache, opts.Pool, opts.Schedules = shared.PlanCache, shared.Pool, shared.Schedules
+								}
+								got, err := k.run(fx.x, fx.u, opts)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -130,7 +138,7 @@ func TestKernelDeterminismPooledRepeat(t *testing.T) {
 	x, u := dyadicCase(t, 3, 48, 900, 3, 73)
 	pool := exec.NewPool(4)
 	defer pool.Close()
-	opts := Options{Workers: 4, Scheduling: SchedOwnerComputes, Exec: pool}
+	opts := Options{Workers: 4, Exec: pool}
 	first, err := S3TTMcSymProp(x, u, opts)
 	if err != nil {
 		t.Fatal(err)

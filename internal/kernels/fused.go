@@ -10,13 +10,13 @@ import (
 
 // Fusion selects whether the SymProp kernel may dispatch all-distinct
 // non-zeros to the fused per-(order, rank) evaluators of fused_gen.go —
-// the codegen-v2 ablation knob, the fusion analog of Scheduling.
+// the codegen-v2 ablation knob.
 type Fusion int
 
 const (
 	// FusionAuto (default) uses a fused evaluator when one was generated
 	// for (order, rank) and the call is otherwise on the generated fast
-	// path: compact layout, IterGenerated, no cross-non-zero cache.
+	// path: compact layout and IterGenerated.
 	// Non-zeros with repeated indices and unspecialized shapes always take
 	// the generic lattice path; the two produce bit-identical output.
 	FusionAuto Fusion = iota
@@ -46,12 +46,10 @@ type fusedEvalFunc func(u *linalg.Matrix, values []int32, tops []float64)
 
 // resolveFusion returns the fused evaluator for this kernel call, or nil
 // when the call must take the generic path: fusion disabled, full (CSS)
-// storage, a non-default iteration strategy, the cross-non-zero cache
-// enabled (fused evaluation would bypass its memoization), or an
-// unspecialized (order, rank) pair.
+// storage, a non-default iteration strategy, or an unspecialized
+// (order, rank) pair.
 func resolveFusion(opts Options, compact bool, order, r int) fusedEvalFunc {
-	if opts.Fusion != FusionAuto || !compact ||
-		opts.Iteration != IterGenerated || opts.CrossNZCacheBytes > 0 {
+	if opts.Fusion != FusionAuto || !compact || opts.Iteration != IterGenerated {
 		return nil
 	}
 	return fusedEvalFor(order, r)
@@ -69,8 +67,6 @@ func fusionMissReason(opts Options, compact bool, order, r int) string {
 		return "full-storage"
 	case opts.Iteration != IterGenerated:
 		return "iteration-strategy"
-	case opts.CrossNZCacheBytes > 0:
-		return "crossnz-cache"
 	case fusedEvalFor(order, r) == nil:
 		return "off-grid"
 	default:

@@ -37,7 +37,7 @@ func requireBitEqual(t *testing.T, label string, a, b *linalg.Matrix) {
 // TestFusedMatchesGenericBitwise is the differential gate of the fused
 // kernels: across the full specialized grid — and off-grid shapes that
 // must fall back — FusionAuto and FusionOff produce bit-identical compact
-// output for every (workers, scheduling) combination. The random tensors
+// output for every worker count. The random tensors
 // include non-zeros with repeated indices, so the fused path's per-nonzero
 // fallback to the generic evaluator is exercised inside the same sweep.
 func TestFusedMatchesGenericBitwise(t *testing.T) {
@@ -47,18 +47,16 @@ func TestFusedMatchesGenericBitwise(t *testing.T) {
 		dim := sh.order + 3
 		x, u := randomCase(t, sh.order, dim, 40, sh.r, int64(sh.order*1000+sh.r))
 		for _, workers := range []int{1, 3} {
-			for _, sched := range []Scheduling{SchedOwnerComputes, SchedStripedLocks} {
-				generic, err := S3TTMcSymProp(x, u, Options{Workers: workers, Scheduling: sched, Fusion: FusionOff})
-				if err != nil {
-					t.Fatal(err)
-				}
-				fused, err := S3TTMcSymProp(x, u, Options{Workers: workers, Scheduling: sched})
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("order=%d r=%d sched=%s workers=%d", sh.order, sh.r, sched, workers)
-				requireBitEqual(t, label, generic, fused)
+			generic, err := S3TTMcSymProp(x, u, Options{Workers: workers, Fusion: FusionOff})
+			if err != nil {
+				t.Fatal(err)
 			}
+			fused, err := S3TTMcSymProp(x, u, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("order=%d r=%d workers=%d", sh.order, sh.r, workers)
+			requireBitEqual(t, label, generic, fused)
 		}
 	}
 }
@@ -107,8 +105,6 @@ func TestResolveFusionGating(t *testing.T) {
 		{"full storage (CSS)", base, false, 3, 4},
 		{"recursive iteration", Options{Iteration: IterRecursive}, true, 3, 4},
 		{"index-mapped iteration", Options{Iteration: IterIndexMapped}, true, 3, 4},
-		{"interpreted lattice", Options{Iteration: IterInterpreted}, true, 3, 4},
-		{"cross-nz cache", Options{CrossNZCacheBytes: 1 << 20}, true, 3, 4},
 		{"rank miss", base, true, 3, 3},
 		{"rank miss wide", base, true, 4, 16},
 		{"order miss low", base, true, 2, 4},

@@ -59,6 +59,11 @@ func NaryTTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*NaryResult, e
 	if exec.IsCanceled(opts.Ctx) {
 		return nil, exec.Cause(opts.Ctx)
 	}
+	// Pass 2's spill buffers are reserved before pass 1: when the guard
+	// admits them for fewer workers, both passes run at that count, so the
+	// output is that of an explicit run at it.
+	workers, release := reserveSpills(opts.Guard, x.Dim, r, min(workers, x.NNZ()))
+	defer release()
 	core := linalg.NewMatrix(r, int(kronLen))
 
 	// Pass 1: accumulate the core from every expanded non-zero. Each worker
@@ -67,18 +72,11 @@ func NaryTTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*NaryResult, e
 	// (nnz, workers)); the reduction folds partials in worker order so the
 	// core — and everything computed from it in pass 2 — is
 	// bitwise-reproducible for a given worker count.
-	coreWorkers := workers
-	if coreWorkers > x.NNZ() {
-		coreWorkers = x.NNZ()
-	}
-	if coreWorkers < 1 {
-		coreWorkers = 1
-	}
-	partials := make([]*linalg.Matrix, coreWorkers)
+	partials := make([]*linalg.Matrix, workers)
 	err := exec.Run(opts.execConfig(), exec.Plan{
 		Name:    "nary.core",
 		Items:   x.NNZ(),
-		Workers: coreWorkers,
+		Workers: workers,
 		Scratch: func(w *exec.Worker) error {
 			partial := linalg.NewMatrix(r, int(kronLen))
 			partials[w.Index] = partial
@@ -123,27 +121,13 @@ func NaryTTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*NaryResult, e
 	}
 
 	// Pass 2: A(i1,:) += x · C(1)·kron. The scatter into A's rows follows
-	// the same leading-row emission pattern as every other kernel, so the
-	// accumulation strategy is resolved the same way: owner-computes with
-	// spill by default, striped locks as the ablation baseline.
+	// the same leading-row emission pattern as every other kernel, so it
+	// runs the same owner-computes schedule with spill buffers.
 	a := linalg.NewMatrix(x.Dim, r)
 	if x.NNZ() == 0 {
 		return &NaryResult{A: a, CoreFull: core}, nil
 	}
-	if workers > x.NNZ() {
-		workers = x.NNZ()
-	}
-	mode, release, err := resolveScheduling(opts, a.Rows, a.Cols, workers)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	if mode == SchedOwnerComputes {
-		err = naryScatterOwner(x, u, opts, workers, core, a)
-	} else {
-		err = naryScatterStriped(x, u, opts, workers, core, a)
-	}
-	if err != nil {
+	if err := naryScatterOwner(x, u, opts, workers, core, a); err != nil {
 		return nil, err
 	}
 	if err := exec.FireOutput("nary", a); err != nil {
@@ -208,37 +192,6 @@ func naryScatterOwner(x *spsym.Tensor, u *linalg.Matrix, opts Options, workers i
 		return err
 	}
 	return spills.reduceInto(a, workers, opts.Schedules, opts.Exec, opts.Obs)
-}
-
-// naryScatterStriped is the striped-lock ablation baseline of pass 2.
-func naryScatterStriped(x *spsym.Tensor, u *linalg.Matrix, opts Options, workers int,
-	core, a *linalg.Matrix) error {
-	var locks rowLocks
-	return exec.Run(opts.execConfig(), exec.Plan{
-		Name:    "nary.scatter.striped",
-		Items:   x.NNZ(),
-		Workers: workers,
-		Body: func(wk *exec.Worker, lo, hi int) error {
-			kron := make([]float64, core.Cols)
-			contrib := make([]float64, a.Cols)
-			perm := make([]int32, x.Order)
-			emit := func(idx []int32, val float64) {
-				kronRows(u, idx[1:], kron)
-				naryContrib(core, kron, val, contrib)
-				row := int(idx[0])
-				locks.lock(row)
-				dense.AxpyCompact(1, contrib, a.Row(row))
-				locks.unlock(row)
-			}
-			for k := lo; k < hi; k++ {
-				if err := wk.Tick(k); err != nil {
-					return err
-				}
-				x.ForEachExpandedOf(k, perm, emit)
-			}
-			return nil
-		},
-	})
 }
 
 // kronRows writes the Kronecker product of the U rows selected by idx into

@@ -3,14 +3,15 @@ package kernels
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/symprop/symprop/internal/exec"
 	"github.com/symprop/symprop/internal/faultinject"
 	"github.com/symprop/symprop/internal/linalg"
+	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/spsym"
 )
 
@@ -76,16 +77,46 @@ func resilienceKernels() []struct {
 	}
 }
 
-var resilienceModes = []Scheduling{SchedAuto, SchedOwnerComputes, SchedStripedLocks}
+// resilienceArms are the execution setups a kernel must fail cleanly
+// under: transient goroutines, a persistent engine pool (how the Tucker
+// drivers run), and a memory guard whose every reservation must be
+// returned on the failure path.
+var resilienceArms = []string{"transient", "pooled", "guarded"}
+
+// resilienceOptions sets o up for arm. The pool is closed when the test
+// ends, before checkGoroutines samples, so a pool worker that never came
+// back would still show up as a leak.
+func resilienceOptions(t *testing.T, arm string, o Options) Options {
+	t.Helper()
+	switch arm {
+	case "pooled":
+		pool := exec.NewPool(o.Workers)
+		t.Cleanup(pool.Close)
+		o.Exec = pool
+	case "guarded":
+		o.Guard = memguard.New(1 << 40)
+	}
+	return o
+}
+
+// checkGuardReleased fails the test if o carries a guard that still holds
+// bytes after the kernel returned.
+func checkGuardReleased(t *testing.T, o Options) {
+	t.Helper()
+	if o.Guard != nil && o.Guard.Used() != 0 {
+		t.Errorf("guard still holds %d bytes after the kernel failed", o.Guard.Used())
+	}
+}
 
 // TestKernelCancelMidRun cancels the context from inside a worker loop (via
 // the per-non-zero injection site) and checks that every kernel, under
-// every scheduling mode, surfaces context.Canceled and joins all workers.
+// every resilience arm, surfaces context.Canceled, joins all workers and
+// releases its reservations.
 func TestKernelCancelMidRun(t *testing.T) {
 	x, u := randomCase(t, 3, 40, 3000, 3, 61)
 	for _, k := range resilienceKernels() {
-		for _, mode := range resilienceModes {
-			t.Run(fmt.Sprintf("%s/%s", k.name, mode), func(t *testing.T) {
+		for _, arm := range resilienceArms {
+			t.Run(k.name+"/"+arm, func(t *testing.T) {
 				checkGoroutines(t)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
@@ -97,13 +128,15 @@ func TestKernelCancelMidRun(t *testing.T) {
 					return nil
 				})
 				defer disarm()
-				err := k.run(x, u, Options{Ctx: ctx, Workers: 2, Scheduling: mode})
+				opts := resilienceOptions(t, arm, Options{Ctx: ctx, Workers: 2})
+				err := k.run(x, u, opts)
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("got %v, want context.Canceled", err)
 				}
 				if fired.Load() >= int64(x.NNZ()) {
 					t.Errorf("all %d non-zeros processed despite mid-run cancel", x.NNZ())
 				}
+				checkGuardReleased(t, opts)
 			})
 		}
 	}
@@ -152,19 +185,20 @@ func TestKernelPreCanceledContext(t *testing.T) {
 }
 
 // TestKernelWorkerPanicRecovered injects a panic into the third processed
-// non-zero and checks that every kernel, under every scheduling mode,
+// non-zero and checks that every kernel, under every resilience arm,
 // converts it into a typed *WorkerPanicError instead of killing the
-// process, again without leaking workers.
+// process, again without leaking workers or reservations.
 func TestKernelWorkerPanicRecovered(t *testing.T) {
 	x, u := randomCase(t, 3, 40, 3000, 3, 64)
 	for _, k := range resilienceKernels() {
-		for _, mode := range resilienceModes {
-			t.Run(fmt.Sprintf("%s/%s", k.name, mode), func(t *testing.T) {
+		for _, arm := range resilienceArms {
+			t.Run(k.name+"/"+arm, func(t *testing.T) {
 				checkGoroutines(t)
 				disarm := faultinject.Arm(faultinject.SiteKernelWorker,
 					faultinject.OnHit(3, func(any) error { panic("injected worker crash") }))
 				defer disarm()
-				err := k.run(x, u, Options{Workers: 2, Scheduling: mode})
+				opts := resilienceOptions(t, arm, Options{Workers: 2})
+				err := k.run(x, u, opts)
 				if !errors.Is(err, ErrWorkerPanic) {
 					t.Fatalf("got %v, want ErrWorkerPanic", err)
 				}
@@ -178,6 +212,7 @@ func TestKernelWorkerPanicRecovered(t *testing.T) {
 				if len(wp.Stack) == 0 {
 					t.Error("panic stack not captured")
 				}
+				checkGuardReleased(t, opts)
 			})
 		}
 	}

@@ -12,16 +12,14 @@
 //   - S3TTMcTC — paper Algorithm 2, feeding HOQRI.
 //
 // All kernels parallelize over IOU non-zeros with per-worker lattice
-// workspaces; output accumulation is contention-free by default
-// (owner-computes scheduling, see schedule.go) with the historical
-// striped-lock strategy kept behind Options.Scheduling as an ablation.
+// workspaces; output accumulation is contention-free (owner-computes
+// scheduling, see schedule.go).
 package kernels
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"github.com/symprop/symprop/internal/css"
 	"github.com/symprop/symprop/internal/dense"
@@ -45,11 +43,6 @@ const (
 	// IterIndexMapped uses boundary tracing plus an explicit rank
 	// computation per entry — the Ballard et al. [16] baseline.
 	IterIndexMapped
-	// IterInterpreted keeps the generated loop nests for the outer
-	// products but walks the lattice through the plan interpreter,
-	// bypassing the straight-line evaluators of lattice_gen.go — the
-	// ablation knob isolating that second layer of code generation.
-	IterInterpreted
 )
 
 // Options configures kernel execution.
@@ -71,16 +64,6 @@ type Options struct {
 	// Pool recycles per-worker lattice workspaces across calls (e.g.
 	// across Tucker sweeps). nil allocates fresh workspaces per call.
 	Pool *WorkspacePool
-	// CrossNZCacheBytes enables the between-non-zeros K memoization (the
-	// CSS format's second memoization) with the given per-worker byte
-	// budget; 0 disables it. SymProp compact kernels only.
-	CrossNZCacheBytes int64
-	// Stats, when non-nil, receives aggregated cache statistics.
-	Stats *CacheStats
-	// Scheduling selects the parallel accumulation strategy: owner-computes
-	// (contention-free, the default via SchedAuto) or striped row locks
-	// (the ablation baseline). See schedule.go.
-	Scheduling Scheduling
 	// Fusion selects whether all-distinct non-zeros may dispatch to the
 	// fused per-(order, rank) evaluators of fused_gen.go (FusionAuto, the
 	// default) or must take the generic lattice path (FusionOff, the
@@ -146,15 +129,6 @@ func (o Options) cache() *css.Cache {
 	}
 	return &css.Cache{}
 }
-
-const numStripes = 1024
-
-// rowLocks is a striped lock set over output rows. Each non-zero touches at
-// most N distinct rows, so contention stays negligible for realistic I.
-type rowLocks [numStripes]sync.Mutex
-
-func (l *rowLocks) lock(row int)   { l[row%numStripes].Lock() }
-func (l *rowLocks) unlock(row int) { l[row%numStripes].Unlock() }
 
 func validate(x *spsym.Tensor, u *linalg.Matrix) error {
 	if x.Order < 2 {
@@ -272,8 +246,7 @@ func evalLattice(p *css.Plan, b *latticeBufs, values []int32, u *linalg.Matrix, 
 	}
 }
 
-// outerFor maps an iteration strategy to its outer-product kernel;
-// IterInterpreted shares the generated loop nests.
+// outerFor maps an iteration strategy to its outer-product kernel.
 func outerFor(iter IterationStrategy) func(int, []float64, []float64, []float64, int) {
 	switch iter {
 	case IterRecursive:
@@ -298,19 +271,12 @@ func fullOuterAccum(dst, src, u []float64) {
 	}
 }
 
-// latticeChunk is the dynamic-scheduling chunk size of the striped-lock
-// path: per-non-zero lattice cost varies with the multiplicity signature,
-// so workers claim fixed-size chunks instead of a static equal-count split.
-const latticeChunk = 64
-
-// latticeState is the per-worker mutable state of one runLattice call: the
-// lattice workspace plus the optional cross-non-zero K cache. Both lattice
-// plans install one per worker slot via the plan's Scratch hook and fold
-// its stats back in Finish; the underlying buffers recycle across calls
-// through the WorkspacePool.
+// latticeState is the per-worker mutable state of one lattice plan
+// (s3ttmc.owner here, the shard partial in partial.go): each installs one
+// per worker slot via the plan's Scratch hook and returns it in Finish;
+// the underlying buffers recycle across calls through the WorkspacePool.
 type latticeState struct {
-	ws  *workspace
-	nzc *nzCache
+	ws *workspace
 	// fused is the per-(order, rank) fused evaluator for all-distinct
 	// non-zeros, nil when the call runs fully generic (see resolveFusion);
 	// fusedTops is its output scratch, topSize the per-slot block width.
@@ -321,9 +287,6 @@ type latticeState struct {
 
 func newLatticeState(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) *latticeState {
 	st := &latticeState{ws: opts.Pool.get(x.Order, u.Cols, compact)}
-	if compact && opts.CrossNZCacheBytes > 0 {
-		st.nzc = newNZCache(opts.CrossNZCacheBytes)
-	}
 	if fk := resolveFusion(opts, compact, x.Order, u.Cols); fk != nil {
 		st.fused = fk
 		st.fusedTops = st.ws.fusedScratch()
@@ -332,22 +295,9 @@ func newLatticeState(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bo
 	return st
 }
 
-// finish returns the workspace to the pool and folds cache statistics into
-// opts.Stats. It runs serially after the parallel region, so stats
-// aggregation shares no lock with anything (in particular not with error
-// reporting, which it historically contended with).
-func (st *latticeState) finish(opts Options) {
-	opts.Pool.put(st.ws)
-	if st.nzc != nil && opts.Stats != nil {
-		opts.Stats.Hits += st.nzc.hits
-		opts.Stats.Misses += st.nzc.misses
-	}
-}
-
-// evalNonZero computes the K lattice of non-zero k into st's buffers,
-// dispatching to the cached / generated / interpreted evaluator exactly as
-// configured. It returns the plan and the distinct index values; the caller
-// reads the top level from the returned buffers.
+// evalNonZero computes the K lattice of non-zero k into st's buffers
+// through the plan interpreter. It returns the plan and the distinct index
+// values; the caller reads the top level from the returned buffers.
 func evalNonZero(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool,
 	cache *css.Cache, st *latticeState, k int) (*css.Plan, []int32, *latticeBufs, error) {
 	tuple := x.IndexAt(k)
@@ -357,57 +307,33 @@ func evalNonZero(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool,
 		return nil, nil, nil, err
 	}
 	bufs := st.ws.get(plan)
-	switch {
-	case st.nzc != nil:
-		evalLatticeCached(plan, bufs, values, sig, u, st.nzc, opts.Iteration)
-	case compact && opts.Iteration == IterGenerated &&
-		plan.Slots == plan.Order &&
-		evalDistinctGen(plan.Order, bufs, values, u, u.Cols):
-		// handled by the generated straight-line evaluator
-	default:
-		evalLattice(plan, bufs, values, u, compact, opts.Iteration)
-	}
+	evalLattice(plan, bufs, values, u, compact, opts.Iteration)
 	return plan, values, bufs, nil
 }
 
 // runLattice is the shared driver: computes the K lattice for every IOU
 // non-zero and accumulates each top tensor into its output row of y,
-// scaled by the non-zero's value. The accumulation strategy is resolved by
-// Options.Scheduling: owner-computes (contention-free; default) or striped
-// row locks (the ablation baseline).
+// scaled by the non-zero's value, under owner-computes scheduling.
 func runLattice(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool, y *linalg.Matrix) error {
 	cache := opts.cache()
 	nnz := x.NNZ()
 	if nnz == 0 {
 		return nil
 	}
-	workers := opts.workers()
-	if workers > nnz {
-		workers = nnz
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(opts.workers(), nnz)
 	// Cheap early exit before the schedule is built or spill bytes are
 	// reserved; exec.Run re-checks before spawning workers.
 	if exec.IsCanceled(opts.Ctx) {
 		return exec.Cause(opts.Ctx)
 	}
-	mode, release, err := resolveScheduling(opts, y.Rows, y.Cols, workers)
-	if err != nil {
-		return err
-	}
+	workers, release := reserveSpills(opts.Guard, y.Rows, y.Cols, workers)
 	defer release()
-	if mode == SchedOwnerComputes {
-		return runLatticeOwner(x, u, opts, compact, cache, workers, y)
-	}
-	return runLatticeStriped(x, u, opts, compact, cache, workers, y)
+	return runLatticeOwner(x, u, opts, compact, cache, workers, y)
 }
 
 // latticeScratch installs a fresh per-worker lattice state (warm buffers
-// via Options.Pool) and latticeFinish returns it — folding cache stats and
-// pooling the workspace — after the plan joins, for every worker that
-// started, success or not.
+// via Options.Pool) and latticeFinish returns its workspace to the pool
+// after the plan joins, for every worker that started, success or not.
 func latticeScratch(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) func(*exec.Worker) error {
 	return func(w *exec.Worker) error {
 		w.Scratch = newLatticeState(x, u, opts, compact)
@@ -418,7 +344,7 @@ func latticeScratch(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact boo
 func latticeFinish(opts Options) func(*exec.Worker) {
 	return func(w *exec.Worker) {
 		if st, ok := w.Scratch.(*latticeState); ok {
-			st.finish(opts)
+			opts.Pool.put(st.ws)
 		}
 	}
 }
@@ -493,61 +419,6 @@ func runLatticeOwner(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bo
 		return err
 	}
 	return spills.reduceInto(y, workers, opts.Schedules, opts.Exec, opts.Obs)
-}
-
-// runLatticeStriped is the historical strategy: dynamic chunks of
-// non-zeros (the engine's Chunked partition owns the atomic-cursor loop
-// this function used to hand-roll) with every row update serialized
-// through the striped locks. Per-worker lattice states are plan scratch,
-// persisting across the chunks a worker claims.
-func runLatticeStriped(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool,
-	cache *css.Cache, workers int, y *linalg.Matrix) error {
-	var locks rowLocks
-	return exec.Run(opts.execConfig(), exec.Plan{
-		Name:      "s3ttmc.striped",
-		Items:     x.NNZ(),
-		Partition: exec.Chunked,
-		Chunk:     latticeChunk,
-		Workers:   workers,
-		Scratch:   latticeScratch(x, u, opts, compact),
-		Finish:    latticeFinish(opts),
-		Body: func(wk *exec.Worker, lo, hi int) error {
-			st := wk.Scratch.(*latticeState)
-			for k := lo; k < hi; k++ {
-				if err := wk.Tick(k); err != nil {
-					return err
-				}
-				if st.fused != nil {
-					tuple := x.IndexAt(k)
-					if allDistinct(tuple) {
-						st.fused(u, tuple, st.fusedTops)
-						val := x.Values[k]
-						for slot := range tuple {
-							row := int(tuple[slot])
-							top := st.fusedTops[slot*st.topSize : (slot+1)*st.topSize]
-							locks.lock(row)
-							dense.AxpyCompact(val, top, y.Row(row))
-							locks.unlock(row)
-						}
-						continue
-					}
-				}
-				plan, values, bufs, err := evalNonZero(x, u, opts, compact, cache, st, k)
-				if err != nil {
-					return err
-				}
-				topLevel := bufs.levels[len(plan.Levels)-1]
-				val := x.Values[k]
-				for slot, node := range plan.Tops {
-					row := int(values[slot])
-					locks.lock(row)
-					dense.AxpyCompact(val, topLevel[node], y.Row(row))
-					locks.unlock(row)
-				}
-			}
-			return nil
-		},
-	})
 }
 
 // S3TTMcSymProp computes the SymProp S³TTMc (paper §III): the chain product

@@ -117,6 +117,38 @@ func TestSPLATTMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSPLATTReleasesTreeCharge: a built SPLATT holds its CSF tree's charge
+// across TTMc calls until Release, and the one-shot TTMcSPLATT, which drops
+// the tree on return, leaves nothing charged.
+func TestSPLATTReleasesTreeCharge(t *testing.T) {
+	x, u := randomCase(t, 4, 6, 15, 3, 78)
+	guard := memguard.New(1 << 30)
+	if _, err := TTMcSPLATT(x, u, Options{Guard: guard}); err != nil {
+		t.Fatal(err)
+	}
+	if guard.Used() != 0 {
+		t.Fatalf("TTMcSPLATT left %d bytes charged", guard.Used())
+	}
+	s, err := NewSPLATT(x, guard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := guard.Used()
+	if held == 0 {
+		t.Fatal("NewSPLATT charged nothing for its tree")
+	}
+	if _, err := s.TTMc(u, Options{Guard: guard}); err != nil {
+		t.Fatal(err)
+	}
+	if guard.Used() != held {
+		t.Errorf("guard holds %d bytes after TTMc, want the tree's %d", guard.Used(), held)
+	}
+	s.Release()
+	if guard.Used() != 0 {
+		t.Errorf("Release left %d bytes charged", guard.Used())
+	}
+}
+
 // The three implementations must agree on tensors dense with repeated
 // indices (hypergraph dummy-node padding produces many).
 func TestKernelsAgreeOnDiagonalHeavyTensor(t *testing.T) {
@@ -412,10 +444,10 @@ func TestWorkspacePoolRecycles(t *testing.T) {
 	}
 }
 
-// All-distinct tensors take the generated straight-line lattice evaluators
-// (lattice_gen.go); they must agree with the interpreted plan walk for
-// every specialized order.
-func TestGeneratedLatticeEvaluators(t *testing.T) {
+// The three compact-layout iteration strategies run the same lattice plan
+// with different outer-product loop nests; they must agree on all-distinct
+// tensors (the widest lattices) up to order 8.
+func TestIterationStrategiesAgree(t *testing.T) {
 	for order := 3; order <= 8; order++ {
 		x, err := spsym.Random(spsym.RandomOptions{
 			Order: order, Dim: 12, NNZ: 15, Seed: int64(order), ForbidRepeats: true,
@@ -424,11 +456,7 @@ func TestGeneratedLatticeEvaluators(t *testing.T) {
 			t.Fatal(err)
 		}
 		u := linalg.RandomNormal(12, 3, rand.New(rand.NewSource(int64(order)+40)))
-		gen, err := S3TTMcSymProp(x, u, Options{}) // IterGenerated -> specialized
-		if err != nil {
-			t.Fatal(err)
-		}
-		interp, err := S3TTMcSymProp(x, u, Options{Iteration: IterRecursive}) // interpreter
+		gen, err := S3TTMcSymProp(x, u, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,16 +470,21 @@ func TestGeneratedLatticeEvaluators(t *testing.T) {
 				scale = -v
 			}
 		}
-		if d := linalg.MaxAbsDiff(gen, interp); d > 1e-12*scale {
-			t.Errorf("order %d: specialized lattice differs from interpreter by %v", order, d)
+		for _, iter := range []IterationStrategy{IterRecursive, IterIndexMapped} {
+			other, err := S3TTMcSymProp(x, u, Options{Iteration: iter})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := linalg.MaxAbsDiff(gen, other); d > 1e-12*scale {
+				t.Errorf("order %d: iteration strategy %d differs from the generated loop nests by %v", order, iter, d)
+			}
 		}
 		// The (expensive) brute-force oracle only up to order 6; beyond
-		// that the interpreter comparison above carries the check (the
-		// interpreter itself is oracle-verified across the suite).
+		// that the strategy comparison above carries the check.
 		if order <= 6 {
 			want := referenceTTMc(x, u)
 			if d := linalg.MaxAbsDiff(ExpandCompactColumns(gen, order, 3), want); d > 1e-9*scale {
-				t.Errorf("order %d: specialized lattice differs from reference by %v", order, d)
+				t.Errorf("order %d: SymProp differs from reference by %v", order, d)
 			}
 		}
 	}

@@ -4,12 +4,11 @@ package kernels
 // every scatter kernel in the package (S³TTMc SymProp/CSS, UCOO, the n-ary
 // TTMcTC). The parallelization problem is always the same: workers stream
 // IOU non-zeros, and each non-zero emits an update into up to N output rows
-// (one per distinct index value). The historical striped-lock strategy
-// serializes every one of those updates through a mutex; the owner-computes
-// strategy here removes the synchronization entirely, following the
-// distributed-Tucker decomposition of Chakaravarthy et al. (non-zeros are
-// assigned to the process that owns their output row) combined with the
-// classic shared-memory privatize-and-reduce fallback:
+// (one per distinct index value). Owner-computes scheduling makes those
+// updates synchronization-free, following the distributed-Tucker
+// decomposition of Chakaravarthy et al. (non-zeros are assigned to the
+// process that owns their output row) combined with the classic
+// shared-memory privatize-and-reduce fallback:
 //
 //  1. Output rows are partitioned into one contiguous range per worker,
 //     balanced by the number of non-zeros whose *leading* (smallest) index
@@ -25,7 +24,9 @@ package kernels
 //
 // The schedule depends only on (tensor, worker count), so ScheduleCache
 // memoizes it next to the lattice plan cache and the workspace pool:
-// a Tucker run builds it once and reuses it every sweep.
+// a Tucker run builds it once and reuses it every sweep. When the memory
+// guard cannot hold one spill buffer per worker, reserveSpills shrinks the
+// worker count until they fit; one worker spills nothing.
 
 import (
 	"sync"
@@ -37,36 +38,6 @@ import (
 	"github.com/symprop/symprop/internal/obs"
 	"github.com/symprop/symprop/internal/spsym"
 )
-
-// Scheduling selects how parallel workers accumulate into the shared
-// output (DESIGN.md §6).
-type Scheduling int
-
-const (
-	// SchedAuto (default) uses owner-computes scheduling when the private
-	// spill buffers fit the memory budget and falls back to striped locks
-	// otherwise. Without a memory guard it always picks owner-computes.
-	SchedAuto Scheduling = iota
-	// SchedOwnerComputes forces contention-free owner-computes scheduling;
-	// the kernel fails with memguard.ErrOutOfMemory when the spill buffers
-	// do not fit the budget.
-	SchedOwnerComputes
-	// SchedStripedLocks forces the historical striped-lock accumulation —
-	// kept as the ablation baseline for the scheduling experiments.
-	SchedStripedLocks
-)
-
-// String returns the ablation label of the mode.
-func (s Scheduling) String() string {
-	switch s {
-	case SchedOwnerComputes:
-		return "owner-computes"
-	case SchedStripedLocks:
-		return "striped-locks"
-	default:
-		return "auto"
-	}
-}
 
 // schedule is the owner-computes work assignment for one (tensor, workers)
 // pair: a contiguous row partition plus the non-zeros binned by the owner
@@ -364,28 +335,21 @@ func spillBytes(rows, cols int64, workers int) int64 {
 	return total
 }
 
-// resolveScheduling picks the accumulation strategy for a kernel writing a
-// rows x cols output with the given worker count, charging the spill
-// buffers to the memory guard when owner-computes is chosen. The returned
-// release function must run when the kernel finishes; it is a no-op for
-// the striped path. Under SchedAuto a budget too small for the spill
-// buffers falls back to striped locks instead of failing, so the
-// guard-modeled footprint of every kernel is unchanged from the
-// striped-lock era.
-func resolveScheduling(opts Options, rows, cols, workers int) (Scheduling, func(), error) {
-	noop := func() {}
-	if opts.Scheduling == SchedStripedLocks {
-		return SchedStripedLocks, noop, nil
-	}
-	if workers > rows {
-		workers = rows
-	}
-	bytes := spillBytes(int64(rows), int64(cols), workers)
-	if err := opts.Guard.Reserve(bytes, "owner-computes spill buffers"); err != nil {
-		if opts.Scheduling == SchedAuto {
-			return SchedStripedLocks, noop, nil
+// reserveSpills charges the owner-computes spill buffers of a rows x cols
+// output to the guard and returns the worker count the kernel runs with,
+// with the function that releases the charge. A refused reservation is
+// retried with one worker fewer, down to a single worker, which needs no
+// spill buffer: a kernel never fails on spills alone, so which
+// configurations fit the budget depends only on the modeled footprints of
+// estimate.go. The output bits follow the returned worker count. Workers
+// beyond the row count own no rows, so they are neither charged nor kept
+// after a refusal.
+func reserveSpills(g *memguard.Guard, rows, cols, workers int) (int, func()) {
+	for ; workers > 1; workers = min(workers, rows) - 1 {
+		bytes := spillBytes(int64(rows), int64(cols), min(workers, rows))
+		if g.Reserve(bytes, "owner-computes spill buffers") == nil {
+			return workers, func() { g.Release(bytes) }
 		}
-		return SchedOwnerComputes, noop, err
 	}
-	return SchedOwnerComputes, func() { opts.Guard.Release(bytes) }, nil
+	return 1, func() {}
 }

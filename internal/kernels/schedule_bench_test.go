@@ -10,11 +10,10 @@ import (
 	"github.com/symprop/symprop/internal/spsym"
 )
 
-// benchTensor builds the fixed scatter workload of the scheduling ablation:
-// a moderate order-3 tensor at low rank, so the per-non-zero lattice work is
-// small and accumulation overhead (lock traffic vs. spill reduction) is
-// visible. Profiling shows the striped baseline spends roughly a quarter of
-// its time in rowLocks lock/unlock on this workload even uncontended.
+// benchTensor builds the fixed scatter workload of the scheduling
+// benchmarks: a moderate order-3 tensor at low rank, so the per-non-zero
+// lattice work is small and the accumulation overhead (spill and
+// reduction) is visible.
 func benchTensor(b *testing.B) (*spsym.Tensor, *linalg.Matrix) {
 	b.Helper()
 	x, err := spsym.Random(spsym.RandomOptions{
@@ -27,49 +26,45 @@ func benchTensor(b *testing.B) (*spsym.Tensor, *linalg.Matrix) {
 	return x, u
 }
 
-// BenchmarkS3TTMcScheduling is the owner-computes vs striped-locks ablation
-// behind EXPERIMENTS.md §scheduling: same kernel, same tensor, only the
-// accumulation strategy and worker count vary. Compare with
-//
-//	benchstat <(grep striped-locks bench.txt) <(grep owner-computes bench.txt)
+// BenchmarkS3TTMcScheduling prices owner-computes accumulation across
+// worker counts behind EXPERIMENTS.md §scheduling. The sched=owner-computes
+// name segment predates the removal of the striped-lock ablation and is
+// kept so snapshots compare row for row with the committed BENCH_*.json.
 func BenchmarkS3TTMcScheduling(b *testing.B) {
 	x, u := benchTensor(b)
-	for _, sched := range []Scheduling{SchedOwnerComputes, SchedStripedLocks} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("sched=%v/workers=%d", sched, workers), func(b *testing.B) {
-				var scheds ScheduleCache
-				m := obs.New()
-				opts := Options{Workers: workers, Scheduling: sched, Schedules: &scheds, Obs: m}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := S3TTMcSymProp(x, u, opts); err != nil {
-						b.Fatal(err)
-					}
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("sched=owner-computes/workers=%d", workers), func(b *testing.B) {
+			var scheds ScheduleCache
+			m := obs.New()
+			opts := Options{Workers: workers, Schedules: &scheds, Obs: m}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := S3TTMcSymProp(x, u, opts); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				reportPlanMetrics(b, m)
-			})
-		}
+			}
+			b.StopTimer()
+			reportPlanMetrics(b, m)
+		})
 	}
 }
 
-// BenchmarkUCOOScheduling repeats the ablation on the UCOO baseline, whose
-// scatter phase (full R^{N-1}-wide rows) stresses the spill buffers hardest.
+// BenchmarkUCOOScheduling repeats the measurement on the UCOO baseline,
+// whose scatter phase (full R^{N-1}-wide rows) stresses the spill buffers
+// hardest. Names as in BenchmarkS3TTMcScheduling.
 func BenchmarkUCOOScheduling(b *testing.B) {
 	x, u := benchTensor(b)
-	for _, sched := range []Scheduling{SchedOwnerComputes, SchedStripedLocks} {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("sched=%v/workers=%d", sched, workers), func(b *testing.B) {
-				var scheds ScheduleCache
-				opts := Options{Workers: workers, Scheduling: sched, Schedules: &scheds}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := S3TTMcUCOO(x, u, opts); err != nil {
-						b.Fatal(err)
-					}
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("sched=owner-computes/workers=%d", workers), func(b *testing.B) {
+			var scheds ScheduleCache
+			opts := Options{Workers: workers, Schedules: &scheds}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := S3TTMcUCOO(x, u, opts); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

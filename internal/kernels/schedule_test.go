@@ -7,8 +7,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/symprop/symprop/internal/dense"
+	"github.com/symprop/symprop/internal/faultinject"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
+	"github.com/symprop/symprop/internal/obs"
 	"github.com/symprop/symprop/internal/spsym"
 )
 
@@ -103,59 +106,115 @@ func TestScheduleCacheMemoizes(t *testing.T) {
 	}
 }
 
-func TestSchedulingString(t *testing.T) {
-	for mode, want := range map[Scheduling]string{
-		SchedAuto:          "auto",
-		SchedOwnerComputes: "owner-computes",
-		SchedStripedLocks:  "striped-locks",
-	} {
-		if got := mode.String(); got != want {
-			t.Errorf("Scheduling(%d).String() = %q, want %q", mode, got, want)
-		}
+// reserveSpills charges the spill buffers for the largest worker count the
+// guard admits, down to one worker, which needs none.
+func TestReserveSpills(t *testing.T) {
+	// No guard: the requested count.
+	if w, release := reserveSpills(nil, 100, 10, 4); w != 4 {
+		t.Fatalf("unguarded workers = %d, want 4", w)
+	} else {
+		release()
 	}
-}
-
-func TestResolveScheduling(t *testing.T) {
-	// No guard: owner-computes by default.
-	mode, release, err := resolveScheduling(Options{}, 100, 10, 4)
-	if err != nil || mode != SchedOwnerComputes {
-		t.Fatalf("default resolve = (%v, %v), want owner-computes", mode, err)
-	}
-	release()
-
-	// Forced striped short-circuits without touching the guard.
-	tiny := memguard.New(1)
-	mode, release, err = resolveScheduling(Options{Scheduling: SchedStripedLocks, Guard: tiny}, 100, 10, 4)
-	if err != nil || mode != SchedStripedLocks {
-		t.Fatalf("forced striped = (%v, %v)", mode, err)
-	}
-	release()
-
-	// Auto with a budget too small for the spill buffers falls back.
-	mode, release, err = resolveScheduling(Options{Guard: memguard.New(1 << 10)}, 1000, 100, 4)
-	if err != nil || mode != SchedStripedLocks {
-		t.Fatalf("auto under pressure = (%v, %v), want striped fallback", mode, err)
-	}
-	release()
-
-	// Forced owner-computes under the same pressure is an error.
-	_, _, err = resolveScheduling(Options{Scheduling: SchedOwnerComputes, Guard: memguard.New(1 << 10)}, 1000, 100, 4)
-	if !errors.Is(err, memguard.ErrOutOfMemory) {
-		t.Fatalf("forced owner under pressure err = %v, want ErrOutOfMemory", err)
-	}
-
-	// The guard charge is released by the returned closure.
+	// Workers beyond the row count own no rows and are not charged.
 	g := memguard.New(1 << 30)
-	_, release, err = resolveScheduling(Options{Guard: g}, 1000, 100, 4)
-	if err != nil {
-		t.Fatal(err)
+	if w, release := reserveSpills(g, 3, 10, 8); w != 8 || g.Used() != spillBytes(3, 10, 3) {
+		t.Fatalf("3 rows = (%d workers, %d bytes), want (8, %d)", w, g.Used(), spillBytes(3, 10, 3))
+	} else {
+		release()
 	}
-	if g.Used() == 0 {
-		t.Error("owner-computes resolve did not charge the guard")
+
+	// A budget for two spill buffers shrinks four workers to two, charges
+	// the guard, and the release returns the charge.
+	g = memguard.New(spillBytes(1000, 100, 2) + 1)
+	w, release := reserveSpills(g, 1000, 100, 4)
+	if w != 2 || g.Used() != spillBytes(1000, 100, 2) {
+		t.Fatalf("tight budget = (%d workers, %d bytes), want (2, %d)", w, g.Used(), spillBytes(1000, 100, 2))
 	}
 	release()
 	if g.Used() != 0 {
-		t.Error("release did not return the spill charge")
+		t.Errorf("release left %d bytes charged", g.Used())
+	}
+
+	// A budget too small for any spill buffer runs one worker, uncharged.
+	g = memguard.New(1 << 10)
+	if w, release := reserveSpills(g, 1000, 100, 4); w != 1 || g.Used() != 0 {
+		t.Fatalf("tiny budget = (%d workers, %d bytes), want (1, 0)", w, g.Used())
+	} else {
+		release()
+	}
+
+	// A guard that refuses every spill reservation still leaves one worker.
+	disarm := faultinject.Arm(faultinject.SiteGuardReserve, func(what any) error {
+		if what == "owner-computes spill buffers" {
+			return errors.New("injected rejection")
+		}
+		return nil
+	})
+	defer disarm()
+	if w, release := reserveSpills(memguard.New(1<<30), 1000, 100, 4); w != 1 {
+		t.Fatalf("rejecting guard = %d workers, want 1", w)
+	} else {
+		release()
+	}
+}
+
+// TestSpillsShrinkToFit runs the scatter kernels under a guard that admits
+// their output and per-worker workspaces at four workers but the spill
+// buffers of only two: each must succeed at two workers, bit-identical to
+// an explicit two-worker run, and return every reserved byte.
+func TestSpillsShrinkToFit(t *testing.T) {
+	const requested, fit = 4, 2
+	x, u := randomCase(t, 4, 9, 45, 3, 2027)
+	r := u.Cols
+	for _, k := range []struct {
+		name  string
+		plan  string
+		fixed int64 // output plus per-worker workspace charge at requested workers
+		cols  int64 // output width the spill buffers are sized by
+		run   func(Options) (*linalg.Matrix, error)
+	}{
+		{"SymProp", "s3ttmc.owner", EstimateSymPropBytes(x, r, requested), dense.Count(x.Order-1, r),
+			func(o Options) (*linalg.Matrix, error) { return S3TTMcSymProp(x, u, o) }},
+		{"UCOO", "ucoo.owner", EstimateUCOOBytes(x, r, requested), dense.Pow64(int64(r), x.Order-1),
+			func(o Options) (*linalg.Matrix, error) { return S3TTMcUCOO(x, u, o) }},
+		{"Nary", "nary.scatter.owner", EstimateNaryBytes(x, r, requested), int64(r),
+			func(o Options) (*linalg.Matrix, error) {
+				res, err := NaryTTMcTC(x, u, o)
+				if err != nil {
+					return nil, err
+				}
+				return res.A, nil
+			}},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			g := memguard.New(k.fixed + spillBytes(int64(x.Dim), k.cols, fit))
+			m := obs.New()
+			got, err := k.run(Options{Workers: requested, Guard: g, Obs: m})
+			if err != nil {
+				t.Fatalf("guarded run: %v", err)
+			}
+			if g.Used() != 0 {
+				t.Errorf("guard still holds %d bytes after the kernel returned", g.Used())
+			}
+			var spans int64
+			for _, pm := range m.Snapshot() {
+				if pm.Name == k.plan {
+					spans = pm.WorkerSpans
+				}
+			}
+			if spans != fit {
+				t.Errorf("%s ran %d workers, want %d", k.plan, spans, fit)
+			}
+			want, err := k.run(Options{Workers: fit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range want.Data {
+				if got.Data[i] != v {
+					t.Fatalf("bit mismatch at %d: got %x, want %x", i, got.Data[i], v)
+				}
+			}
+		})
 	}
 }
 
@@ -220,11 +279,10 @@ func TestSpillSetReduce(t *testing.T) {
 }
 
 // All four scatter kernels must produce tolerance-identical results across
-// every scheduling mode and worker count, and owner-computes must be
-// bitwise-deterministic run to run.
-func TestSchedulingModesAgree(t *testing.T) {
+// worker counts, and each must be bitwise-deterministic run to run at a
+// fixed worker count.
+func TestScatterWorkerCountsAgree(t *testing.T) {
 	x, u := randomCase(t, 4, 9, 45, 3, 2026)
-	modes := []Scheduling{SchedAuto, SchedOwnerComputes, SchedStripedLocks}
 
 	type kernel struct {
 		name string
@@ -244,28 +302,26 @@ func TestSchedulingModesAgree(t *testing.T) {
 	}
 
 	for _, k := range kernelsUnderTest {
-		base, err := k.run(Options{Workers: 1, Scheduling: SchedStripedLocks})
+		base, err := k.run(Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range modes {
-			for _, workers := range []int{1, 2, 4} {
-				got, err := k.run(Options{Workers: workers, Scheduling: mode})
-				if err != nil {
-					t.Fatalf("%s %v workers=%d: %v", k.name, mode, workers, err)
-				}
-				if d := linalg.MaxAbsDiff(base, got); d > 1e-10 {
-					t.Errorf("%s %v workers=%d differs from sequential striped by %v", k.name, mode, workers, d)
-				}
+		for _, workers := range []int{2, 4} {
+			got, err := k.run(Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", k.name, workers, err)
+			}
+			if d := linalg.MaxAbsDiff(base, got); d > 1e-10 {
+				t.Errorf("%s workers=%d differs from sequential by %v", k.name, workers, d)
 			}
 		}
-		// Owner-computes determinism: two runs at the same worker count
-		// must agree bitwise (fixed partition, fixed reduction order).
-		r1, err := k.run(Options{Workers: 4, Scheduling: SchedOwnerComputes})
+		// Determinism: two runs at the same worker count must agree
+		// bitwise (fixed partition, fixed reduction order).
+		r1, err := k.run(Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := k.run(Options{Workers: 4, Scheduling: SchedOwnerComputes})
+		r2, err := k.run(Options{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +389,7 @@ func TestScheduleCacheConcurrentEngines(t *testing.T) {
 func TestKernelsUseScheduleCache(t *testing.T) {
 	x, u := randomCase(t, 3, 8, 25, 2, 31)
 	var scheds ScheduleCache
-	opts := Options{Workers: 4, Scheduling: SchedOwnerComputes, Schedules: &scheds}
+	opts := Options{Workers: 4, Schedules: &scheds}
 	for i := 0; i < 3; i++ {
 		if _, err := S3TTMcSymProp(x, u, opts); err != nil {
 			t.Fatal(err)

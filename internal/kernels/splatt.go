@@ -52,11 +52,17 @@ func (s *SPLATT) TTMc(u *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
 // ExpandedNNZ reports the stored (expanded) non-zero count.
 func (s *SPLATT) ExpandedNNZ() int { return s.tree.NNZ() }
 
-// TTMcSPLATT is the one-shot convenience wrapper: build + run.
+// Release returns the CSF tree's charge to the guard it was built under.
+// s must not be used afterwards.
+func (s *SPLATT) Release() { s.guard.Release(s.tree.Bytes()) }
+
+// TTMcSPLATT is the one-shot convenience wrapper: build + run. The tree is
+// dropped on return, so its guard charge is released on every path.
 func TTMcSPLATT(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
 	s, err := NewSPLATT(x, opts.Guard)
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	return s.TTMc(u, opts)
 }

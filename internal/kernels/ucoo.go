@@ -42,21 +42,9 @@ func S3TTMcUCOO(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix
 	if exec.IsCanceled(opts.Ctx) {
 		return nil, exec.Cause(opts.Ctx)
 	}
-	workers := opts.workers()
-	if workers > nnz {
-		workers = nnz
-	}
-	mode, release, err := resolveScheduling(opts, y.Rows, y.Cols, workers)
-	if err != nil {
-		return nil, err
-	}
+	workers, release := reserveSpills(opts.Guard, y.Rows, y.Cols, min(opts.workers(), nnz))
 	defer release()
-	if mode == SchedOwnerComputes {
-		err = ucooOwner(x, u, opts, workers, y)
-	} else {
-		err = ucooStriped(x, u, opts, workers, y)
-	}
-	if err != nil {
+	if err := ucooOwner(x, u, opts, workers, y); err != nil {
 		return nil, err
 	}
 	if err := exec.FireOutput("ucoo", y); err != nil {
@@ -111,35 +99,6 @@ func ucooOwner(x *spsym.Tensor, u *linalg.Matrix, opts Options, workers int, y *
 		return err
 	}
 	return spills.reduceInto(y, workers, opts.Schedules, opts.Exec, opts.Obs)
-}
-
-// ucooStriped is the striped-lock ablation baseline: a static split of the
-// non-zero range with every row update serialized through striped locks.
-func ucooStriped(x *spsym.Tensor, u *linalg.Matrix, opts Options, workers int, y *linalg.Matrix) error {
-	var locks rowLocks
-	return exec.Run(opts.execConfig(), exec.Plan{
-		Name:    "ucoo.striped",
-		Items:   x.NNZ(),
-		Workers: workers,
-		Body: func(wk *exec.Worker, lo, hi int) error {
-			kron := make([]float64, y.Cols)
-			perm := make([]int32, x.Order)
-			emit := func(idx []int32, val float64) {
-				kronRows(u, idx[1:], kron)
-				row := int(idx[0])
-				locks.lock(row)
-				dense.AxpyCompact(val, kron, y.Row(row))
-				locks.unlock(row)
-			}
-			for k := lo; k < hi; k++ {
-				if err := wk.Tick(k); err != nil {
-					return err
-				}
-				x.ForEachExpandedOf(k, perm, emit)
-			}
-			return nil
-		},
-	})
 }
 
 // EstimateUCOOBytes returns the UCOO kernel footprint: full Y(1) plus

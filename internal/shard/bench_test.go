@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkS3TTMcSharded prices the shard map against the single-engine
-// kernel on the scheduling-ablation workload: same tensor, same total
+// kernel on the scheduling benchmark workload: same tensor, same total
 // worker budget, only the engine count varies. shards=1 still pays the
 // wire round trip (encode → CRC → decode → merge), so the shards=1 vs
 // unsharded delta is the pure serialization overhead and the shards>1

@@ -78,13 +78,12 @@ func (e *Engines) Close() {
 // shardOptions derives shard s's kernel options from the caller's: the
 // cancellation context, guard, and metrics collector are shared (all
 // concurrency-safe), while the pool and every cache are the shard's own.
-func (e *Engines) shardOptions(opts kernels.Options, s int, stats *kernels.CacheStats) kernels.Options {
+func (e *Engines) shardOptions(opts kernels.Options, s int) kernels.Options {
 	eng := e.engines[s]
 	opts.Exec = eng.pool
 	opts.PlanCache = &eng.plans
 	opts.Pool = &eng.ws
 	opts.Schedules = &eng.scheds
-	opts.Stats = stats
 	opts.Backend = nil
 	return opts
 }
@@ -94,9 +93,7 @@ func (e *Engines) shardOptions(opts kernels.Options, s int, stats *kernels.Cache
 // versioned wire format, and merges them in fixed order. The result is
 // bitwise identical to the single-engine kernel with the same Options for
 // any shard count (internal/kernels/partial.go explains why; the
-// determinism matrix and fuzz oracle enforce it). Options.Scheduling is a
-// single-engine knob and is ignored here — the shard map *is* an
-// owner-computes schedule.
+// determinism matrix and fuzz oracle enforce it).
 func (e *Engines) S3TTMc(x *spsym.Tensor, u *linalg.Matrix, compact bool, opts kernels.Options) (*linalg.Matrix, error) {
 	r := u.Cols
 	var cols64 int64
@@ -125,16 +122,6 @@ func (e *Engines) S3TTMc(x *spsym.Tensor, u *linalg.Matrix, compact bool, opts k
 
 	gs := kernels.BuildGlobalSchedule(x, opts.Workers, &e.global)
 	frames := make([][]byte, e.shards)
-	var stats []*kernels.CacheStats
-	if opts.Stats != nil {
-		// Finish hooks fold worker cache stats serially *per plan*, but
-		// concurrent shards would race on a shared struct: give each shard
-		// a private one and fold after the join.
-		stats = make([]*kernels.CacheStats, e.shards)
-		for s := range stats {
-			stats[s] = &kernels.CacheStats{}
-		}
-	}
 	err := exec.Run(exec.Config{Ctx: opts.Ctx, Metrics: opts.Obs}, exec.Plan{
 		Name:      "shard.fanout",
 		Partition: exec.PerWorker,
@@ -143,12 +130,7 @@ func (e *Engines) S3TTMc(x *spsym.Tensor, u *linalg.Matrix, compact bool, opts k
 			if err := wk.Tick(s); err != nil {
 				return err
 			}
-			var st *kernels.CacheStats
-			if stats != nil {
-				st = stats[s]
-			}
-			sopts := e.shardOptions(opts, s, st)
-			p, err := kernels.S3TTMcPartial(x, u, sopts, compact, gs, s, e.shards)
+			p, err := kernels.S3TTMcPartial(x, u, e.shardOptions(opts, s), compact, gs, s, e.shards)
 			if err != nil {
 				return err
 			}
@@ -156,12 +138,6 @@ func (e *Engines) S3TTMc(x *spsym.Tensor, u *linalg.Matrix, compact bool, opts k
 			return err
 		},
 	})
-	if stats != nil {
-		for _, st := range stats {
-			opts.Stats.Hits += st.Hits
-			opts.Stats.Misses += st.Misses
-		}
-	}
 	if err != nil {
 		return nil, err
 	}

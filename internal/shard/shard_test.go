@@ -14,8 +14,8 @@ import (
 )
 
 // dyadicTensor mirrors the kernels determinism fixtures: dyadic-rational
-// values and factors make float addition associative, so even the
-// striped-lock reference is bit-deterministic.
+// values and factors make float addition associative, so results are
+// exact at every worker count.
 func dyadicTensor(t testing.TB, order, dim, nnz, r, seed int) (*spsym.Tensor, *linalg.Matrix) {
 	t.Helper()
 	x, err := spsym.Random(spsym.RandomOptions{Order: order, Dim: dim, NNZ: nnz, Seed: int64(seed), Values: spsym.ValueOnes})
@@ -61,10 +61,11 @@ func mustEqualBits(t *testing.T, want, got *linalg.Matrix, label string) {
 }
 
 // TestShardDeterminismMatrix is the shards dimension of the determinism
-// matrix: for every (fixture, workers, scheduling, fusion) cell, the
-// sharded backend at shards ∈ {1, 2, 4, 8} must reproduce the
-// single-engine kernel bit for bit (dyadic fixtures, so even the striped
-// reference is comparable).
+// matrix: for every (fixture, workers, fusion) cell, the sharded backend
+// at shards ∈ {1, 2, 4, 8} must reproduce the single-engine kernel bit for
+// bit, both on a fresh engine and on a warm one whose second call reuses
+// the per-engine plan, workspace, schedule and spill caches the first call
+// filled (the sweep-to-sweep pattern of a sharded Tucker run).
 func TestShardDeterminismMatrix(t *testing.T) {
 	fixtures := []struct {
 		name                  string
@@ -77,22 +78,28 @@ func TestShardDeterminismMatrix(t *testing.T) {
 	for _, fx := range fixtures {
 		x, u := dyadicTensor(t, fx.order, fx.dim, fx.nnz, fx.rank, 7)
 		for _, workers := range []int{1, 2, 7} {
-			for _, sched := range []kernels.Scheduling{kernels.SchedOwnerComputes, kernels.SchedStripedLocks} {
-				for _, fusion := range []kernels.Fusion{kernels.FusionAuto, kernels.FusionOff} {
-					ref, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Workers: workers, Scheduling: sched, Fusion: fusion})
-					if err != nil {
-						t.Fatal(err)
+			for _, fusion := range []kernels.Fusion{kernels.FusionAuto, kernels.FusionOff} {
+				ref, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Workers: workers, Fusion: fusion})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, engine := range []string{"fresh", "warm"} {
+					calls := 1
+					if engine == "warm" {
+						calls = 2
 					}
 					for _, shards := range []int{1, 2, 4, 8} {
-						name := fmt.Sprintf("%s/w%d/%v/%v/s%d", fx.name, workers, sched, fusion, shards)
+						name := fmt.Sprintf("%s/w%d/%s/%v/s%d", fx.name, workers, engine, fusion, shards)
 						t.Run(name, func(t *testing.T) {
 							e := New(shards, workers)
 							defer e.Close()
-							got, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Workers: workers, Fusion: fusion, Backend: e})
-							if err != nil {
-								t.Fatal(err)
+							for call := 1; call <= calls; call++ {
+								got, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Workers: workers, Fusion: fusion, Backend: e})
+								if err != nil {
+									t.Fatal(err)
+								}
+								mustEqualBits(t, ref, got, fmt.Sprintf("%s call %d", name, call))
 							}
-							mustEqualBits(t, ref, got, name)
 						})
 					}
 				}

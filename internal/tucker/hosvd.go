@@ -180,7 +180,7 @@ func canonicalSigns(u *linalg.Matrix) *linalg.Matrix {
 // large for HOSVD.
 //
 // Every restart inherits the caller's execution options (Ctx, Guard,
-// Workers, Scheduling, Pool, Metrics), so a cancellation or a caller-chosen
+// Workers, Pool, Metrics), so a cancellation or a caller-chosen
 // pool reaches the nested sweeps; an earlier version rebuilt Options from
 // scratch per restart, silently dropping them. Restart s uses seed
 // opts.Seed+s. Fields that only make sense for a full run — U0, Init, Tol,

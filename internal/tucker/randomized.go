@@ -30,12 +30,13 @@ func HOOIRandomized(x *spsym.Tensor, opts Options) (*Result, error) {
 	res := &Result{NormX2: x.NormSquared()}
 	var cache css.Cache
 	var pool kernels.WorkspacePool
+	var scheds kernels.ScheduleCache
 	epool, closePool := opts.execPool()
 	defer closePool()
 	eng, closeEng := opts.shardEngines()
 	defer closeEng()
 	kopts := kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard, Workers: opts.Workers,
-		PlanCache: &cache, Pool: &pool, Exec: epool}
+		PlanCache: &cache, Pool: &pool, Schedules: &scheds, Exec: epool}
 	if eng != nil {
 		kopts.Backend = eng
 	}

@@ -2,10 +2,13 @@ package tucker
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
+	"github.com/symprop/symprop/internal/dense"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
+	"github.com/symprop/symprop/internal/spsym"
 )
 
 func TestHOOIRandomizedBasics(t *testing.T) {
@@ -64,5 +67,38 @@ func TestHOOIRandomizedValidation(t *testing.T) {
 	x := testTensor(t, 3, 5, 10, 109)
 	if _, err := HOOIRandomized(x, Options{Rank: 0}); err == nil {
 		t.Error("rank 0 must fail")
+	}
+}
+
+// HOOIRandomized must share one ScheduleCache across its sweeps, as HOOI
+// and HOQRI do: without it every sweep rebuilds the owner-computes schedule
+// and allocates a fresh I x S_{N-1,R} spill buffer per worker. What a sweep
+// allocates at four workers beyond what it allocates at one (which needs
+// no spill buffer) must stay below one such buffer.
+func TestHOOIRandomizedReusesSpillBuffers(t *testing.T) {
+	const rank = 6
+	// All-distinct non-zeros share one lattice plan, so the per-worker
+	// workspaces are warm after the first sweep.
+	x, err := spsym.Random(spsym.RandomOptions{Order: 6, Dim: 40, NNZ: 300, Seed: 31, ForbidRepeats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(workers, sweeps int) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := HOOIRandomized(x, Options{Rank: rank, MaxIters: sweeps, Seed: 3, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	const extra = 4
+	perSweep := func(workers int) int64 {
+		return (allocated(workers, 1+extra) - allocated(workers, 1)) / extra
+	}
+	spill := int64(x.Dim) * dense.Count(x.Order-1, rank) * 8
+	if got := perSweep(4) - perSweep(1); got >= spill {
+		t.Errorf("each extra sweep at 4 workers allocates %d bytes more than at 1; one spill buffer is %d", got, spill)
 	}
 }

@@ -37,9 +37,9 @@ var (
 	// is enabled, the path of the snapshot written on the way out.
 	ErrCanceled = errors.New("tucker: decomposition canceled")
 	// ErrBudget marks a run killed by the memory guard after the one-shot
-	// degradation retry (reduced workers, striped locks) also failed — or
-	// where no retry could help (the HOOI SVD unfolding). The chain always
-	// also matches memguard.ErrOutOfMemory.
+	// degradation retry (one worker, single engine) also failed — or where
+	// no retry could help (the HOOI SVD unfolding). The chain always also
+	// matches memguard.ErrOutOfMemory.
 	ErrBudget = errors.New("tucker: memory budget exhausted")
 	// ErrNumericBreakdown marks a run whose iterates stayed non-finite even
 	// after a jittered re-orthonormalization restart.
@@ -76,8 +76,8 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // run. All-zero means a clean run.
 type Health struct {
 	// BudgetRetries counts memory-guard rejections recovered by degrading
-	// to one worker with striped-lock accumulation (at most 1 per run —
-	// degradation is sticky).
+	// to one worker on a single engine (at most 1 per run — degradation is
+	// sticky).
 	BudgetRetries int
 	// JitterRestarts counts non-finite factors or kernel outputs recovered
 	// by a jittered re-orthonormalization.
@@ -95,7 +95,7 @@ type Health struct {
 // Fingerprint hashes everything a snapshot must agree on to be resumable
 // bit-identically: the tensor's shape and contents, the algorithm, and
 // every option that affects the arithmetic (rank, effective worker count,
-// scheduling, seed). MaxIters and Tol are deliberately excluded so a
+// seed). MaxIters and Tol are deliberately excluded so a
 // resumed run may extend or tighten the stopping rule. Shards is excluded
 // too: the sharded backend is bitwise identical to single-engine execution
 // for every shard count (internal/shard), so a snapshot may be resumed
@@ -125,7 +125,10 @@ func Fingerprint(algo string, x *spsym.Tensor, opts *Options) uint64 {
 	}
 	word(uint64(opts.Rank))
 	word(uint64(workers))
-	word(uint64(opts.Scheduling))
+	// Formerly the accumulation-strategy option, whose default was 0: the
+	// constant keeps fingerprints, and so snapshots and spooled jobs,
+	// from before its removal resumable.
+	word(0)
 	word(uint64(opts.Seed))
 	return h.Sum64()
 }
@@ -210,7 +213,7 @@ func (rs *runState) start(initU func() (*linalg.Matrix, error)) (*linalg.Matrix,
 			s.Algo, rs.algo, checkpoint.ErrMismatch)
 	}
 	if s.Fingerprint != rs.fp {
-		return nil, 0, fmt.Errorf("tucker: snapshot fingerprint %016x does not match run fingerprint %016x (different tensor, rank, workers, scheduling, or seed): %w",
+		return nil, 0, fmt.Errorf("tucker: snapshot fingerprint %016x does not match run fingerprint %016x (different tensor, rank, workers, or seed): %w",
 			s.Fingerprint, rs.fp, checkpoint.ErrMismatch)
 	}
 	if s.U == nil || s.U.Rows != rs.x.Dim || s.U.Cols != rs.opts.Rank {
@@ -334,19 +337,18 @@ func (rs *runState) wrapKernelErr(u *linalg.Matrix, err error) error {
 }
 
 // degrade is the one-shot budget-rejection recovery: one worker (shrinking
-// the per-worker lattice workspaces N-fold), striped-lock accumulation
-// (dropping the owner-computes spill buffers entirely), and single-engine
-// execution (the sharded backend charges an extra Y of partial staging, so
-// it is uninstalled along with everything else memory-hungry). Sticky for
-// the rest of the run; note the reduction order — and hence the trace —
-// follows the degraded worker count from here on.
+// the per-worker lattice workspaces N-fold; a single owner needs no spill
+// buffers) and single-engine execution (the sharded backend charges an
+// extra Y of partial staging, so it is uninstalled along with everything
+// else memory-hungry). Sticky for the rest of the run; note the reduction
+// order — and hence the trace — follows the degraded worker count from
+// here on.
 func (rs *runState) degrade(why error) {
 	rs.degraded = true
 	rs.kopts.Workers = 1
-	rs.kopts.Scheduling = kernels.SchedStripedLocks
 	rs.kopts.Backend = nil
 	rs.res.Health.BudgetRetries++
-	rs.event("budget retry: %v; degraded to workers=1, striped locks, single engine", why)
+	rs.event("budget retry: %v; degraded to workers=1, single engine", why)
 }
 
 // runTTMc executes one kernel call under the budget policy: a guard

@@ -238,8 +238,36 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// TestFingerprintGolden pins Fingerprint to values written by earlier
+// releases for a fixed tensor and options, per algorithm, so snapshots and
+// spooled jobs they wrote still resume instead of being discarded as
+// mismatched. A change here orphans every existing checkpoint.
+func TestFingerprintGolden(t *testing.T) {
+	x := spsym.New(3, 6)
+	x.Append([]int{0, 1, 2}, 1.5)
+	x.Append([]int{0, 0, 3}, -0.25)
+	x.Append([]int{1, 4, 5}, 2)
+	x.Append([]int{2, 2, 2}, 0.75)
+	x.Canonicalize()
+	opts := Options{Rank: 2, Workers: 2, Seed: 7}
+	for _, c := range []struct {
+		algo string
+		want uint64
+	}{
+		{"hooi", 0xe87670c069b16c41},
+		{"hoqri", 0xcce9e3ea09caed5f},
+		{"hooi-css", 0x9164ae45444e47bf},
+		{"hoqri-nary", 0x6a3b4debb31159fc},
+		{"hooi-randomized", 0xdc9d280369c78537},
+	} {
+		if got := Fingerprint(c.algo, x, &opts); got != c.want {
+			t.Errorf("%s: fingerprint %#x, want %#x", c.algo, got, c.want)
+		}
+	}
+}
+
 // TestBudgetRetryDegrades injects one guard rejection and checks the
-// one-shot degradation: the run recovers at workers=1/striped-locks,
+// one-shot degradation: the run recovers at workers=1 on a single engine,
 // records the retry in Health, and still produces a valid factor.
 func TestBudgetRetryDegrades(t *testing.T) {
 	x := testTensor(t, 3, 12, 60, 15)

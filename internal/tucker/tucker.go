@@ -75,10 +75,6 @@ type Options struct {
 	// resumed under any shard count. HOQRINary's n-ary kernel predates the
 	// Backend seam and ignores Shards. See docs/SHARDING.md.
 	Shards int
-	// Scheduling selects the kernel accumulation strategy (owner-computes
-	// vs striped locks); the zero value picks automatically. See
-	// kernels.Scheduling and DESIGN.md §6.
-	Scheduling kernels.Scheduling
 	// OnIteration, when non-nil, is invoked after every sweep with the
 	// 1-based iteration number and the current relative error; returning
 	// false stops the run early (Result.Converged stays false).
@@ -295,8 +291,7 @@ func HOOI(x *spsym.Tensor, opts Options) (*Result, error) {
 	eng, closeEng := opts.shardEngines()
 	defer closeEng()
 	kopts := kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard, Workers: opts.Workers,
-		Scheduling: opts.Scheduling, PlanCache: &cache, Pool: &pool, Schedules: &scheds,
-		Exec: epool}
+		PlanCache: &cache, Pool: &pool, Schedules: &scheds, Exec: epool}
 	if eng != nil {
 		kopts.Backend = eng
 	}
@@ -406,8 +401,7 @@ func HOQRI(x *spsym.Tensor, opts Options) (*Result, error) {
 	eng, closeEng := opts.shardEngines()
 	defer closeEng()
 	kopts := kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard, Workers: opts.Workers,
-		Scheduling: opts.Scheduling, PlanCache: &cache, Pool: &pool, Schedules: &scheds,
-		Exec: epool}
+		PlanCache: &cache, Pool: &pool, Schedules: &scheds, Exec: epool}
 	if eng != nil {
 		kopts.Backend = eng
 	}

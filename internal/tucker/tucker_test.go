@@ -250,7 +250,7 @@ func TestBestRandomInit(t *testing.T) {
 // BestRandomInit must thread the caller's options into the probe sweeps: a
 // pre-canceled context has to stop the restart loop instead of being
 // silently dropped (the bug this test pins down — the restarts used to
-// rebuild Options from scratch, losing Ctx, Workers, Scheduling, and Pool).
+// rebuild Options from scratch, losing Ctx, Workers, and Pool).
 func TestBestRandomInitCancellation(t *testing.T) {
 	x := testTensor(t, 3, 6, 15, 29)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -32,7 +32,7 @@ func HOOICSS(x *spsym.Tensor, opts Options) (*Result, error) {
 	eng, closeEng := opts.shardEngines()
 	defer closeEng()
 	kopts := kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard, Workers: opts.Workers,
-		Scheduling: opts.Scheduling, Schedules: &scheds, Exec: epool}
+		Schedules: &scheds, Exec: epool}
 	if eng != nil {
 		kopts.Backend = eng
 	}
@@ -190,7 +190,7 @@ func HOQRINary(x *spsym.Tensor, opts Options) (*Result, error) {
 	epool, closePool := opts.execPool()
 	defer closePool()
 	kopts := kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard, Workers: opts.Workers,
-		Scheduling: opts.Scheduling, Schedules: &scheds, Exec: epool}
+		Schedules: &scheds, Exec: epool}
 	rs := newRun("hoqri-nary", x, &opts, res, &kopts)
 
 	t0 := time.Now()

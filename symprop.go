@@ -84,7 +84,8 @@ var (
 	// a *CanceledError carrying the partial result and checkpoint path.
 	ErrCanceled = tucker.ErrCanceled
 	// ErrBudget marks a run killed by the memory guard after recovery
-	// failed; the chain also matches ErrOutOfMemory.
+	// (one worker, single engine) failed; the chain also matches
+	// ErrOutOfMemory.
 	ErrBudget = tucker.ErrBudget
 	// ErrNumericBreakdown marks iterates that stayed non-finite after a
 	// jittered restart.

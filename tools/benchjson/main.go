@@ -6,7 +6,7 @@
 //	go run ./tools/benchjson [-out BENCH_2026-01-02.json] [-benchtime 5x] [-count 3] [pkgs...]
 //
 // With no packages it benchmarks ./internal/kernels and ./internal/linalg,
-// the two packages carrying the scheduling and GEMM ablations. To compare
+// the two packages carrying the scheduling and GEMM benchmarks. To compare
 // two snapshots with benchstat, feed it the .raw fields:
 //
 //	jq -r .raw BENCH_old.json > old.txt

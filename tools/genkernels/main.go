@@ -1,9 +1,9 @@
 // Command genkernels emits internal/kernels/fused_gen.go: fused S³TTMc
 // inner kernels specialized per (order, rank) — the codegen-v2 layer on
-// top of tools/geniterate (unrolled compact-layout loop nests) and
-// tools/genlattice (straight-line lattice walks). Where those generators
-// keep the rank a run-time parameter and dispatch each outer product
-// through dense.OuterAccum, the fused kernels bake the rank into the
+// top of tools/geniterate (unrolled compact-layout loop nests). Where the
+// generic lattice interpreter keeps the rank a run-time parameter and
+// dispatches each outer product through dense.OuterAccum, the fused
+// kernels bake the rank into the
 // code: for each supported (order N, rank R) pair one function computes
 // every top-level K tensor of the all-distinct lattice in a single pass,
 // with
@@ -16,7 +16,7 @@
 //   - the multinomial permutation-count vectors of the matching compact
 //     layouts baked as constant tables (paper Property 3).
 //
-// Bit-for-bit identity with the generic interpreter/lattice_gen path is a
+// Bit-for-bit identity with the generic lattice interpreter is a
 // hard requirement (the determinism matrix and the differential tests in
 // fused_test.go enforce it), so the emitted code preserves the exact
 // floating-point evaluation order of the generic path: nodes in plan

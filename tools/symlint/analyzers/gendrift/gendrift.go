@@ -2,11 +2,9 @@
 // checked-in generated sources and their generators.
 //
 // SymProp's hot-path generated files — internal/dense/iterate_gen.go
-// (~unrolled IOU loop nests), internal/kernels/lattice_gen.go
-// (straight-line lattice evaluators), and internal/kernels/fused_gen.go
-// (fused per-(order,rank) S³TTMc kernels) — are emitted by
-// tools/geniterate, tools/genlattice, and tools/genkernels (see
-// docs/CODEGEN.md). A hand edit to the generated file, or a generator
+// (~unrolled IOU loop nests) and internal/kernels/fused_gen.go (fused
+// per-(order,rank) S³TTMc kernels) — are emitted by tools/geniterate and
+// tools/genkernels (see docs/CODEGEN.md). A hand edit to the generated file, or a generator
 // change without regeneration, silently forks the two; the analyzer
 // re-runs the generator to a buffer, gofmt-formats it exactly as
 // `make generate` does, and fails with the first differing line when the
@@ -35,14 +33,13 @@ type Target struct {
 // Targets lists the generated files under drift protection.
 var Targets = []Target{
 	{PkgSuffix: "internal/dense", GenFile: "internal/dense/iterate_gen.go", Generator: "./tools/geniterate"},
-	{PkgSuffix: "internal/kernels", GenFile: "internal/kernels/lattice_gen.go", Generator: "./tools/genlattice"},
 	{PkgSuffix: "internal/kernels", GenFile: "internal/kernels/fused_gen.go", Generator: "./tools/genkernels"},
 }
 
 var Analyzer = &analysis.Analyzer{
 	Name: "gendrift",
 	Doc: "verifies generated files match a fresh run of their generators\n\n" +
-		"Regenerates tools/geniterate, tools/genlattice, and tools/genkernels output in memory and diffs it against the checked-in *_gen.go files.",
+		"Regenerates tools/geniterate and tools/genkernels output in memory and diffs it against the checked-in *_gen.go files.",
 	Run: run,
 }
 
