@@ -1,8 +1,11 @@
 package linalg
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -109,6 +112,62 @@ func TestSymEigRandom(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		checkEig(t, a, values, vectors, 1e-8*float64(n))
+	}
+}
+
+// bitsHash is FNV-1a over the IEEE-754 bit patterns of xs, in order.
+func bitsHash(xs ...[]float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, x := range xs {
+		for _, v := range x {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// HOOI's SVD step pinned bit for bit: the Gram MulNT(a, a) and SymEig's
+// values and vectors. The hashes were recorded when MulNT still walked
+// both triangles and QL rotated columns of an untransposed accumulator;
+// both changes reorder memory traffic, never arithmetic, so they hold.
+func TestSVDStepGoldenBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes recorded on amd64; other targets may fuse multiply-adds")
+	}
+	a := RandomNormal(245, 1000, rand.New(rand.NewSource(245)))
+	if h := bitsHash(MulNT(a, a).Data); h != 0x99b020e056fad692 {
+		t.Errorf("MulNT(a, a) 245x1000 hash %#016x, want 0x99b020e056fad692", h)
+	}
+	for _, tc := range []struct {
+		n               int
+		values, vectors uint64
+	}{
+		{37, 0x831d928d7f9ea425, 0x7796b95cfc88f5fd},
+		{245, 0xaebcd1202b982908, 0xbcb272fe63b0d405},
+	} {
+		values, vectors, err := SymEig(randomSymmetric(tc.n, rand.New(rand.NewSource(int64(tc.n)))))
+		if err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		if h := bitsHash(values); h != tc.values {
+			t.Errorf("n=%d: values hash %#016x, want %#016x", tc.n, h, tc.values)
+		}
+		if h := bitsHash(vectors.Data); h != tc.vectors {
+			t.Errorf("n=%d: vectors hash %#016x, want %#016x", tc.n, h, tc.vectors)
+		}
+	}
+	// JacobiEig, SymEig's fallback, shares the transposed accumulator.
+	values, vectors, err := JacobiEig(randomSymmetric(37, rand.New(rand.NewSource(37))), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := bitsHash(values); h != 0x1eb222479e477d81 {
+		t.Errorf("JacobiEig n=37: values hash %#016x, want 0x1eb222479e477d81", h)
+	}
+	if h := bitsHash(vectors.Data); h != 0x25f54d5cefdd61ee {
+		t.Errorf("JacobiEig n=37: vectors hash %#016x, want 0x25f54d5cefdd61ee", h)
 	}
 }
 

@@ -28,11 +28,23 @@ func SymEig(a *Matrix) (values []float64, vectors *Matrix, err error) {
 	d := make([]float64, n)
 	e := make([]float64, n)
 	tridiagonalize(z, d, e)
+	// QL accumulates into the transpose, so each rotation walks two
+	// contiguous rows instead of two stride-n columns.
+	transposeInPlace(z)
 	if err := tqlImplicit(z, d, e); err != nil {
 		return nil, nil, err
 	}
-	sortEigenpairsDescending(d, z)
-	return d, z, nil
+	return d, sortEigenpairsDescending(d, z), nil
+}
+
+// transposeInPlace transposes the square matrix m.
+func transposeInPlace(m *Matrix) {
+	n := m.Rows
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.Data[i*n+j], m.Data[j*n+i] = m.Data[j*n+i], m.Data[i*n+j]
+		}
+	}
 }
 
 // tridiagonalize reduces the symmetric matrix held in z to tridiagonal form
@@ -117,9 +129,10 @@ func tridiagonalize(z *Matrix, d, e []float64) {
 }
 
 // tqlImplicit diagonalizes the tridiagonal matrix (d, e) with the implicit
-// shift QL algorithm, accumulating rotations into z's columns.
+// shift QL algorithm, accumulating rotations into zt's rows: zt is the
+// transpose of tql2's z, so row k holds the eigenvector of d[k].
 // (In the style of EISPACK's tql2.)
-func tqlImplicit(z *Matrix, d, e []float64) error {
+func tqlImplicit(zt *Matrix, d, e []float64) error {
 	n := len(d)
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
@@ -178,10 +191,12 @@ func tqlImplicit(z *Matrix, d, e []float64) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				for k := 0; k < n; k++ {
-					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+				zi := zt.Row(i)
+				zi1 := zt.Row(i + 1)[:len(zi)]
+				for k, zik := range zi {
+					f = zi1[k]
+					zi1[k] = s*zik + c*f
+					zi[k] = c*zik - s*f
 				}
 			}
 			if r == 0 && m-1 >= l {
@@ -195,7 +210,10 @@ func tqlImplicit(z *Matrix, d, e []float64) error {
 	return nil
 }
 
-func sortEigenpairsDescending(d []float64, z *Matrix) {
+// sortEigenpairsDescending stably sorts d descending and returns the
+// matching eigenvectors as the columns of a new matrix, reading the
+// eigenvector of d[k] from row k of vt.
+func sortEigenpairsDescending(d []float64, vt *Matrix) *Matrix {
 	n := len(d)
 	order := make([]int, n)
 	for i := range order {
@@ -203,15 +221,15 @@ func sortEigenpairsDescending(d []float64, z *Matrix) {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return d[order[a]] > d[order[b]] })
 	newD := make([]float64, n)
-	newZ := NewMatrix(z.Rows, z.Cols)
-	for newCol, oldCol := range order {
-		newD[newCol] = d[oldCol]
-		for i := 0; i < z.Rows; i++ {
-			newZ.Set(i, newCol, z.At(i, oldCol))
+	v := NewMatrix(vt.Cols, n)
+	for newCol, oldRow := range order {
+		newD[newCol] = d[oldRow]
+		for i, x := range vt.Row(oldRow) {
+			v.Data[i*n+newCol] = x
 		}
 	}
 	copy(d, newD)
-	copy(z.Data, newZ.Data)
+	return v
 }
 
 // JacobiEig computes the eigendecomposition of a symmetric matrix with the
@@ -224,7 +242,7 @@ func JacobiEig(a *Matrix, maxSweeps int) (values []float64, vectors *Matrix, err
 	}
 	n := a.Rows
 	w := a.Clone()
-	v := Identity(n)
+	vt := Identity(n) // transposed accumulator, as in tqlImplicit
 	if maxSweeps <= 0 {
 		maxSweeps = 64
 	}
@@ -258,10 +276,11 @@ func JacobiEig(a *Matrix, maxSweeps int) (values []float64, vectors *Matrix, err
 					w.Set(p, k, c*wpk-s*wqk)
 					w.Set(q, k, s*wpk+c*wqk)
 				}
+				vp, vq := vt.Row(p), vt.Row(q)
 				for k := 0; k < n; k++ {
-					vkp, vkq := v.At(k, p), v.At(k, q)
-					v.Set(k, p, c*vkp-s*vkq)
-					v.Set(k, q, s*vkp+c*vkq)
+					vkp, vkq := vp[k], vq[k]
+					vp[k] = c*vkp - s*vkq
+					vq[k] = s*vkp + c*vkq
 				}
 			}
 		}
@@ -270,8 +289,7 @@ func JacobiEig(a *Matrix, maxSweeps int) (values []float64, vectors *Matrix, err
 	for i := 0; i < n; i++ {
 		d[i] = w.At(i, i)
 	}
-	sortEigenpairsDescending(d, v)
-	return d, v, nil
+	return d, sortEigenpairsDescending(d, vt), nil
 }
 
 // TopEigenvectors returns the eigenvectors of the symmetric matrix a

@@ -1,16 +1,18 @@
 package linalg
 
+import "runtime"
+
 // This file implements the GEMM variants the Tucker drivers use. All of
-// them parallelize over output rows via ParallelFor — the single threading
-// knob — and are built on the register-blocked micro-kernels in
+// them parallelize over output rows with GOMAXPROCS workers — the single
+// threading knob — and are built on the register-blocked micro-kernels in
 // microkernel.go: Mul and MulTN stream K in gemmKC panels through axpy8
 // (eight source rows folded into one destination pass, stepping down to
 // axpy4 and scalar on the K tail), while the dot-shaped variants walk
-// output tiles of row-dot accumulators — 8x4 for MulNT, 4x4 for the
-// weighted variants whose triangle corners make the wider tile ragged.
-// Row-major layout keeps every inner loop on contiguous memory; tails
-// smaller than a tile fall back to the narrower tile and finally the
-// scalar helpers, which preserve the naive loops' semantics exactly.
+// output tiles of row-dot accumulators — 8x4 for MulNT, 4x4 for
+// MulNTWeighted. Row-major layout keeps every inner loop on contiguous
+// memory; tails smaller than a tile fall back to the narrower tile and
+// finally the scalar helpers, which preserve the naive loops' semantics
+// exactly.
 
 // Mul returns C = A·B.
 func Mul(a, b *Matrix) *Matrix {
@@ -114,17 +116,34 @@ func MulTNRange(c, a, b *Matrix, lo, hi int) {
 }
 
 // MulNT returns C = A·Bᵀ (C is a.Rows x b.Rows). Both operands stream
-// row-contiguously; output is computed in 4x4 tiles of row-dot products so
-// each loaded row element serves four dots.
+// row-contiguously; output is computed in 8x4 tiles of row-dot products,
+// stepping down to 4x4 tiles and scalar dots on the tails, so each loaded
+// row element of B serves eight dots.
+//
+// Called as MulNT(a, a) it is the Gram A·Aᵀ, and only the tiles that start
+// at or right of each row tile's first row are computed; the strict upper
+// triangle is then mirrored. Each entry is still one running sum over
+// ascending k through the same kernels, and IEEE products commute, so the
+// mirrored c[j][i] is bitwise the c[i][j] the full walk would produce. Rows
+// are claimed in 8-row chunks: a Gram row i costs n−i dots, so two equal
+// contiguous bands would hand one worker three quarters of the triangle.
 func MulNT(a, b *Matrix) *Matrix {
 	mustShape(a.Cols == b.Cols, "linalg: MulNT shape mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols)
 	c := NewMatrix(a.Rows, b.Rows)
-	ParallelFor(a.Rows, func(lo, hi int) {
+	gram := a == b
+	// firstCol is where the j walk of the row tile starting at row i begins.
+	firstCol := func(i int) int {
+		if gram {
+			return i
+		}
+		return 0
+	}
+	ParallelChunks(a.Rows, runtime.GOMAXPROCS(0), 8, func(lo, hi int) {
 		i := lo
 		for ; i+7 < hi; i += 8 {
 			ar0, ar1, ar2, ar3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
 			ar4, ar5, ar6, ar7 := a.Row(i+4), a.Row(i+5), a.Row(i+6), a.Row(i+7)
-			j := 0
+			j := firstCol(i)
 			for ; j+3 < b.Rows; j += 4 {
 				var acc [32]float64
 				dot8x4(ar0, ar1, ar2, ar3, ar4, ar5, ar6, ar7,
@@ -144,7 +163,7 @@ func MulNT(a, b *Matrix) *Matrix {
 		for ; i+3 < hi; i += 4 {
 			ar0, ar1, ar2, ar3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
 			cr0, cr1, cr2, cr3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
-			j := 0
+			j := firstCol(i)
 			for ; j+3 < b.Rows; j += 4 {
 				var acc [16]float64
 				dot4x4(ar0, ar1, ar2, ar3, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), &acc)
@@ -164,17 +183,25 @@ func MulNT(a, b *Matrix) *Matrix {
 		for ; i < hi; i++ {
 			arow := a.Row(i)
 			crow := c.Row(i)
-			for j := 0; j < b.Rows; j++ {
+			for j := firstCol(i); j < b.Rows; j++ {
 				crow[j] = dot(arow, b.Row(j))
 			}
 		}
 	})
+	if gram {
+		for i := 0; i < c.Rows; i++ {
+			for j := i + 1; j < c.Cols; j++ {
+				c.Data[j*c.Cols+i] = c.Data[i*c.Cols+j]
+			}
+		}
+	}
 	return c
 }
 
 // MulNTWeighted returns C = A·diag(w)·Bᵀ, the workhorse of paper Property 3
-// (A = Y_p(1)·diag(p)·C_p(1)ᵀ) and of the Gram trick in HOOI
-// (G = Y_p(1)·diag(p)·Y_p(1)ᵀ). len(w) must equal a.Cols == b.Cols.
+// (A = Y_p(1)·diag(p)·C_p(1)ᵀ, HOQRI's times-core step). HOOI does not use
+// it: its Gram is MulNT over the expanded full unfolding. len(w) must equal
+// a.Cols == b.Cols.
 func MulNTWeighted(a, b *Matrix, w []float64) *Matrix {
 	mustShape(a.Cols == b.Cols && len(w) == a.Cols,
 		"linalg: MulNTWeighted shape mismatch %dx%d, %dx%d, |w|=%d", a.Rows, a.Cols, b.Rows, b.Cols, len(w))
@@ -221,57 +248,4 @@ func MulNTWeightedRange(c, a, b *Matrix, w []float64, lo, hi int) {
 			crow[j] = dotW(arow, w, b.Row(j))
 		}
 	}
-}
-
-// GramWeighted returns G = A·diag(w)·Aᵀ exploiting symmetry: only the upper
-// triangle is computed — the diagonal-crossing edge of each 4-row tile
-// scalar, the rest in 4x4 tiles — and mirrored.
-func GramWeighted(a *Matrix, w []float64) *Matrix {
-	mustShape(len(w) == a.Cols, "linalg: GramWeighted weight length mismatch")
-	g := NewMatrix(a.Rows, a.Rows)
-	ParallelFor(a.Rows, func(lo, hi int) {
-		i := lo
-		for ; i+3 < hi; i += 4 {
-			ar0, ar1, ar2, ar3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-			gr0, gr1, gr2, gr3 := g.Row(i), g.Row(i+1), g.Row(i+2), g.Row(i+3)
-			// The ragged j in [i, i+4) corner where the triangle boundary
-			// crosses the tile.
-			for ii, arow := range [][]float64{ar0, ar1, ar2, ar3} {
-				grow := g.Row(i + ii)
-				for j := i + ii; j < i+4; j++ {
-					grow[j] = dotW(arow, w, a.Row(j))
-				}
-			}
-			j := i + 4
-			for ; j+3 < a.Rows; j += 4 {
-				var acc [16]float64
-				dotW4x4(ar0, ar1, ar2, ar3, w, a.Row(j), a.Row(j+1), a.Row(j+2), a.Row(j+3), &acc)
-				gr0[j], gr0[j+1], gr0[j+2], gr0[j+3] = acc[0], acc[1], acc[2], acc[3]
-				gr1[j], gr1[j+1], gr1[j+2], gr1[j+3] = acc[4], acc[5], acc[6], acc[7]
-				gr2[j], gr2[j+1], gr2[j+2], gr2[j+3] = acc[8], acc[9], acc[10], acc[11]
-				gr3[j], gr3[j+1], gr3[j+2], gr3[j+3] = acc[12], acc[13], acc[14], acc[15]
-			}
-			for ; j < a.Rows; j++ {
-				brow := a.Row(j)
-				gr0[j] = dotW(ar0, w, brow)
-				gr1[j] = dotW(ar1, w, brow)
-				gr2[j] = dotW(ar2, w, brow)
-				gr3[j] = dotW(ar3, w, brow)
-			}
-		}
-		for ; i < hi; i++ {
-			arow := a.Row(i)
-			grow := g.Row(i)
-			for j := i; j < a.Rows; j++ {
-				grow[j] = dotW(arow, w, a.Row(j))
-			}
-		}
-	})
-	// Mirror the strict upper triangle into the lower.
-	for i := 0; i < a.Rows; i++ {
-		for j := i + 1; j < a.Rows; j++ {
-			g.Data[j*g.Cols+i] = g.Data[i*g.Cols+j]
-		}
-	}
-	return g
 }

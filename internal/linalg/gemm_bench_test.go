@@ -65,25 +65,17 @@ func BenchmarkMulNT(b *testing.B) {
 				MulNT(a, bb)
 			}
 		})
+		if n >= 256 {
+			// The Gram form HOOI calls: upper triangle only, then mirrored.
+			b.Run(fmt.Sprintf("impl=aliased/n=%d", n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MulNT(a, a)
+				}
+			})
+		}
 		b.Run(fmt.Sprintf("impl=naive/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				naiveMulNT(a, bb)
-			}
-		})
-	}
-}
-
-func BenchmarkGramWeighted(b *testing.B) {
-	for _, n := range gemmBenchSizes {
-		a, _, w := benchPair(n)
-		b.Run(fmt.Sprintf("impl=blocked/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				GramWeighted(a, w)
-			}
-		})
-		b.Run(fmt.Sprintf("impl=naive/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				naiveGramWeighted(a, w)
 			}
 		})
 	}

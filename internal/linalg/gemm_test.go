@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -63,28 +64,6 @@ func naiveMulNTWeighted(a, b *Matrix, w []float64) *Matrix {
 	return c
 }
 
-func naiveGramWeighted(a *Matrix, w []float64) *Matrix {
-	g := NewMatrix(a.Rows, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		grow := g.Row(i)
-		for j := i; j < a.Rows; j++ {
-			brow := a.Row(j)
-			var s float64
-			for k, av := range arow {
-				s += av * w[k] * brow[k]
-			}
-			grow[j] = s
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		for j := i + 1; j < a.Rows; j++ {
-			g.Data[j*g.Cols+i] = g.Data[i*g.Cols+j]
-		}
-	}
-	return g
-}
-
 // gemmGoldenShapes exercises every tail the blocked kernels have: dimensions
 // below one 4-wide tile, exactly on tile boundaries, one past them, empty
 // operands, and a K larger than the gemmKC panel width.
@@ -98,6 +77,7 @@ var gemmGoldenShapes = []struct{ m, k, n int }{
 
 func TestBlockedGEMMGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var grams []*Matrix
 	for _, sh := range gemmGoldenShapes {
 		a := RandomNormal(sh.m, sh.k, rng)
 		b := RandomNormal(sh.k, sh.n, rng)
@@ -122,8 +102,33 @@ func TestBlockedGEMMGolden(t *testing.T) {
 		if d := MaxAbsDiff(MulNTWeighted(a, bt, w), naiveMulNTWeighted(a, bt, w)); d > 1e-10 {
 			t.Errorf("MulNTWeighted %dx%d differs from naive by %v", sh.m, sh.n, d)
 		}
-		if d := MaxAbsDiff(GramWeighted(a, w), naiveGramWeighted(a, w)); d > 1e-10 {
-			t.Errorf("GramWeighted %dx%d differs from naive by %v", sh.m, sh.m, d)
+		grams = append(grams, a)
+	}
+
+	// The aliased MulNT(a, a) computes the upper triangle and mirrors it.
+	// It must equal the full walk over a distinct copy bit for bit, and so
+	// be exactly symmetric, at every worker count.
+	for _, rows := range []int{0, 1, 7, 9, 245} {
+		grams = append(grams, RandomNormal(rows, 33, rng))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, a := range grams {
+			g, full := MulNT(a, a), MulNT(a, a.Clone())
+			for i, v := range g.Data {
+				if math.Float64bits(v) != math.Float64bits(full.Data[i]) {
+					t.Fatalf("procs=%d: MulNT(a, a) %dx%d entry %d = %v, full walk %v",
+						procs, a.Rows, a.Cols, i, v, full.Data[i])
+				}
+			}
+			for i := 0; i < g.Rows; i++ {
+				for j := i + 1; j < g.Cols; j++ {
+					if math.Float64bits(g.At(i, j)) != math.Float64bits(g.At(j, i)) {
+						t.Fatalf("procs=%d: MulNT(a, a) %dx%d not symmetric at (%d, %d)", procs, a.Rows, a.Cols, i, j)
+					}
+				}
+			}
 		}
 	}
 }
@@ -137,12 +142,6 @@ func TestBlockedGEMMZeroWeights(t *testing.T) {
 	for _, v := range c.Data {
 		if v != 0 {
 			t.Fatal("MulNTWeighted with all-zero weights must be exactly zero")
-		}
-	}
-	g := GramWeighted(a, w)
-	for _, v := range g.Data {
-		if v != 0 {
-			t.Fatal("GramWeighted with all-zero weights must be exactly zero")
 		}
 	}
 }

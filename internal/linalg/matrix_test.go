@@ -129,7 +129,6 @@ func TestMulShapePanics(t *testing.T) {
 	assertPanics(t, "MulTN", func() { MulTN(a, c) })
 	assertPanics(t, "MulNT", func() { MulNT(a, c) })
 	assertPanics(t, "MulNTWeighted", func() { MulNTWeighted(a, a, []float64{1}) })
-	assertPanics(t, "GramWeighted", func() { GramWeighted(a, []float64{1}) })
 	assertPanics(t, "MaxAbsDiff", func() { MaxAbsDiff(a, c) })
 }
 
@@ -149,24 +148,6 @@ func TestMulNTWeighted(t *testing.T) {
 	got := MulNTWeighted(a, b, w)
 	if d := MaxAbsDiff(got, want); d > 1e-12 {
 		t.Errorf("MulNTWeighted differs by %v", d)
-	}
-}
-
-func TestGramWeightedSymmetricAndCorrect(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := RandomNormal(6, 4, rng)
-	w := []float64{2, 1, 3, 0.5}
-	g := GramWeighted(a, w)
-	want := MulNTWeighted(a, a, w)
-	if d := MaxAbsDiff(g, want); d > 1e-12 {
-		t.Errorf("GramWeighted differs from MulNTWeighted by %v", d)
-	}
-	for i := 0; i < g.Rows; i++ {
-		for j := 0; j < g.Cols; j++ {
-			if g.At(i, j) != g.At(j, i) {
-				t.Fatal("GramWeighted output not symmetric")
-			}
-		}
 	}
 }
 

@@ -2,7 +2,7 @@ package linalg
 
 // Register-blocked micro-kernels shared by the GEMM variants in gemm.go.
 //
-// Two shapes cover all five entry points, each in a wide (8-row) and a
+// Two shapes cover all four entry points, each in a wide (8-row) and a
 // narrow (4-row) variant:
 //
 //   - axpy8 / axpy4: one destination row accumulates eight (or four)
@@ -16,8 +16,8 @@ package linalg
 //     held in scalar accumulators, so every loaded element of B is used
 //     eight (or four) times before leaving registers. Each accumulator
 //     keeps the scalar-dot association, so the tile width never changes an
-//     output bit. Used by MulNT, MulNTWeighted and GramWeighted, whose
-//     inner loops are row dots.
+//     output bit. Used by MulNT and MulNTWeighted, whose inner loops are
+//     row dots.
 //
 // Tails in every dimension (fewer rows, columns, or k steps than a tile)
 // fall back to the narrower tile and finally the scalar helpers at the

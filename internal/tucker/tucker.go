@@ -332,10 +332,17 @@ func HOOI(x *spsym.Tensor, opts Options) (*Result, error) {
 		res.Phases.TTMc += time.Since(t)
 
 		t = time.Now()
-		uNew, err := leadingLeftSingular(yp, x.Order, r, opts.Guard, mulTN)
-		if err != nil {
+		// The SVD runs on the full I x R^{N-1} unfolding expanded from its
+		// compact form: the memory footprint of the paper's HOOI.
+		fullBytes := memguard.Float64Bytes(int64(yp.Rows) * dense.Pow64(int64(r), x.Order-1))
+		if err := opts.Guard.Reserve(fullBytes, "HOOI full Y(1) for SVD"); err != nil {
 			// No degradation retry here: the dominant reservation is the
-			// full I x R^{N-1} unfolding, which no worker count shrinks.
+			// full unfolding, which no worker count shrinks.
+			return nil, rs.wrapKernelErr(u, err)
+		}
+		uNew, err := leadingLeftSingular(kernels.ExpandCompactColumns(yp, x.Order, r), r, opts.Guard, mulTN)
+		opts.Guard.Release(fullBytes)
+		if err != nil {
 			return nil, rs.wrapKernelErr(u, err)
 		}
 		if u, err = rs.healthyFactor(it, uNew); err != nil {
@@ -533,38 +540,24 @@ func weightedNorm2(m *linalg.Matrix, w []float64) float64 {
 	return s
 }
 
-// leadingLeftSingular returns the R leading left singular vectors of the
-// full unfolding Y(1), expanded from its compact form. The Gram matrix is
-// taken on the smaller side, giving LAPACK's
-// O(I·R^{N-1}·min(I, R^{N-1})) complexity and the full I x R^{N-1}
-// memory footprint of the paper's HOOI. mulTN is the driver's (possibly
-// sharded) Aᵀ·B product; the rows <= cols branch computes an I x I Gram
-// with MulNT, which has no banded form and stays single-engine — the
-// serial call is bitwise what the sharded one would produce anyway.
-func leadingLeftSingular(yp *linalg.Matrix, order, r int, guard *memguard.Guard,
+// leadingLeftSingular returns the r leading left singular vectors of the
+// full unfolding yFull, for HOOI and HOOI-CSS alike. The Gram matrix is
+// taken on the smaller side, giving LAPACK's O(I·R^{N-1}·min(I, R^{N-1}))
+// complexity. The row side (I <= cols) is the I x I MulNT(yFull, yFull),
+// which has no banded form and stays single-engine; the column side uses
+// mulTN, the driver's (possibly sharded) Aᵀ·B product, which is bitwise
+// what the serial call would produce anyway.
+func leadingLeftSingular(yFull *linalg.Matrix, r int, guard *memguard.Guard,
 	mulTN func(a, b *linalg.Matrix) (*linalg.Matrix, error)) (*linalg.Matrix, error) {
-	rows := int64(yp.Rows)
-	cols := dense.Pow64(int64(r), order-1)
-	fullBytes := memguard.Float64Bytes(rows * cols)
-	if err := guard.Reserve(fullBytes, "HOOI full Y(1) for SVD"); err != nil {
-		return nil, err
-	}
-	defer guard.Release(fullBytes)
-	yFull := kernels.ExpandCompactColumns(yp, order, r)
-
-	small := rows
-	if cols < small {
-		small = cols
-	}
+	small := int64(min(yFull.Rows, yFull.Cols))
 	gramBytes := memguard.Float64Bytes(small * small)
 	if err := guard.Reserve(gramBytes, "HOOI Gram matrix"); err != nil {
 		return nil, err
 	}
 	defer guard.Release(gramBytes)
 
-	if rows <= cols {
-		g := linalg.MulNT(yFull, yFull) // I x I
-		return linalg.TopEigenvectors(g, r)
+	if yFull.Rows <= yFull.Cols {
+		return linalg.TopEigenvectors(linalg.MulNT(yFull, yFull), r) // I x I
 	}
 	// Column-side Gram: eig gives right singular vectors; map back through Y.
 	g, err := mulTN(yFull, yFull) // cols x cols
@@ -575,18 +568,19 @@ func leadingLeftSingular(yp *linalg.Matrix, order, r int, guard *memguard.Guard,
 	if err != nil {
 		return nil, err
 	}
-	u := linalg.NewMatrix(yp.Rows, r)
+	u := linalg.NewMatrix(yFull.Rows, r)
 	for c := 0; c < r; c++ {
 		sigma := math.Sqrt(math.Max(values[c], 0))
-		for i := 0; i < yp.Rows; i++ {
+		if !(sigma > 1e-300) {
+			continue // a null (or NaN) direction stays zero for Orthonormalize
+		}
+		for i := 0; i < yFull.Rows; i++ {
 			var s float64
 			row := yFull.Row(i)
 			for k := 0; k < yFull.Cols; k++ {
 				s += row[k] * vectors.At(k, c)
 			}
-			if sigma > 1e-300 {
-				u.Set(i, c, s/sigma)
-			}
+			u.Set(i, c, s/sigma)
 		}
 	}
 	// Guard against rank deficiency: re-orthonormalize.

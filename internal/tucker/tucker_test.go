@@ -2,13 +2,17 @@ package tucker
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/symprop/symprop/internal/dense"
 	"github.com/symprop/symprop/internal/exec"
+	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/spsym"
@@ -363,22 +367,94 @@ func TestPhaseTimersPopulated(t *testing.T) {
 	}
 }
 
+// bitsHash is FNV-1a over the IEEE-754 bit patterns of xs, in order.
+func bitsHash(xs ...[]float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, x := range xs {
+		for _, v := range x {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
 // leadingLeftSingular must agree between the row-Gram (I <= cols) and
-// column-Gram (I > cols) code paths.
+// column-Gram (I > cols) code paths: both must span the leading
+// eigenvectors of the explicitly formed Y(1)·Y(1)ᵀ, found by Jacobi. HOOI
+// and HOOI-CSS on the same tensors are pinned bit for bit: the hashes were
+// recorded when MulNT still walked both Gram triangles, QL rotated columns,
+// and each driver had its own copy of the SVD step.
 func TestLeadingLeftSingularBothSides(t *testing.T) {
 	// order 3, r=3 -> cols = 9. dim 6 (< 9) takes the row-Gram path;
-	// dim 15 (> 9) takes the column-Gram path. Verify both give left
-	// singular vectors by checking the subspace maximizes ||YᵀU||.
-	for _, dim := range []int{6, 15} {
-		x := testTensor(t, 3, dim, 20, 43)
-		rng := rand.New(rand.NewSource(44))
-		u := linalg.RandomOrthonormal(dim, 3, rng)
-		res, err := HOOI(x, Options{Rank: 3, MaxIters: 3, U0: u})
+	// dim 15 (> 9) takes the column-Gram path.
+	mulTN := func(a, b *linalg.Matrix) (*linalg.Matrix, error) { return linalg.MulTN(a, b), nil }
+	for _, tc := range []struct {
+		dim                     int
+		objective, cssObjective uint64 // bits of the final Objective
+		u                       uint64 // bitsHash of U, the same for both drivers
+	}{
+		{6, 0x402ac4e3f3e6e34c, 0x402ac4e3f3e6e348, 0x977ed76c643456dd},
+		{15, 0x403af434c1eb8914, 0x403af434c1eb8914, 0x20b83c258fb30f1d},
+	} {
+		x := testTensor(t, 3, tc.dim, 20, 43)
+		u0 := linalg.RandomOrthonormal(tc.dim, 3, rand.New(rand.NewSource(44)))
+
+		yp, err := kernels.S3TTMcSymProp(x, u0, kernels.Options{Workers: 2})
 		if err != nil {
-			t.Fatalf("dim=%d: %v", dim, err)
+			t.Fatal(err)
 		}
-		if e := linalg.OrthonormalityError(res.U); e > 1e-8 {
-			t.Errorf("dim=%d: U not orthonormal: %v", dim, e)
+		yFull := kernels.ExpandCompactColumns(yp, 3, 3)
+		u, err := leadingLeftSingular(yFull, 3, nil, mulTN)
+		if err != nil {
+			t.Fatalf("dim=%d: %v", tc.dim, err)
+		}
+		gram := linalg.NewMatrix(tc.dim, tc.dim)
+		for i := 0; i < tc.dim; i++ {
+			for j := 0; j < tc.dim; j++ {
+				var s float64
+				for k := 0; k < yFull.Cols; k++ {
+					s += yFull.At(i, k) * yFull.At(j, k)
+				}
+				gram.Set(i, j, s)
+			}
+		}
+		_, vecs, err := linalg.JacobiEig(gram, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := linalg.NewMatrix(tc.dim, 3)
+		for i := 0; i < tc.dim; i++ {
+			copy(v.Row(i), vecs.Row(i)[:3])
+		}
+		// Equal subspaces have equal orthogonal projectors U·Uᵀ = V·Vᵀ.
+		if d := linalg.MaxAbsDiff(linalg.MulNT(u, u), linalg.MulNT(v, v)); d > 1e-8 {
+			t.Errorf("dim=%d: projector differs from Jacobi's by %v", tc.dim, d)
+		}
+
+		opts := Options{Rank: 3, MaxIters: 3, U0: u0, Workers: 2}
+		for _, d := range []struct {
+			name      string
+			run       func(*spsym.Tensor, Options) (*Result, error)
+			objective uint64
+		}{{"HOOI", HOOI, tc.objective}, {"HOOICSS", HOOICSS, tc.cssObjective}} {
+			res, err := d.run(x, opts)
+			if err != nil {
+				t.Fatalf("%s dim=%d: %v", d.name, tc.dim, err)
+			}
+			if e := linalg.OrthonormalityError(res.U); e > 1e-8 {
+				t.Errorf("%s dim=%d: U not orthonormal: %v", d.name, tc.dim, e)
+			}
+			if runtime.GOARCH != "amd64" {
+				continue // hashes recorded on amd64; other targets may fuse multiply-adds
+			}
+			if got := math.Float64bits(res.Objective[len(res.Objective)-1]); got != d.objective {
+				t.Errorf("%s dim=%d: final Objective bits %#016x, want %#016x", d.name, tc.dim, got, d.objective)
+			}
+			if got := bitsHash(res.U.Data); got != tc.u {
+				t.Errorf("%s dim=%d: U hash %#016x, want %#016x", d.name, tc.dim, got, tc.u)
+			}
 		}
 	}
 }

@@ -1,13 +1,11 @@
 package tucker
 
 import (
-	"math"
 	"time"
 
 	"github.com/symprop/symprop/internal/dense"
 	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
-	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/spsym"
 )
 
@@ -67,7 +65,7 @@ func HOOICSS(x *spsym.Tensor, opts Options) (*Result, error) {
 		res.Phases.TTMc += time.Since(t)
 
 		t = time.Now()
-		u, err = svdOfFull(yFull, r, opts.Guard, mulTN)
+		u, err = leadingLeftSingular(yFull, r, opts.Guard, mulTN)
 		if err != nil {
 			return nil, rs.wrapKernelErr(u, err)
 		}
@@ -101,50 +99,6 @@ func HOOICSS(x *spsym.Tensor, opts Options) (*Result, error) {
 	rs.finish()
 	res.U = u
 	return res, nil
-}
-
-// svdOfFull returns the leading left singular vectors of an already full
-// unfolding, Gram-side-selected like leadingLeftSingular; mulTN is the
-// driver's (possibly sharded) Aᵀ·B product.
-func svdOfFull(yFull *linalg.Matrix, r int, guard *memguard.Guard,
-	mulTN func(a, b *linalg.Matrix) (*linalg.Matrix, error)) (*linalg.Matrix, error) {
-	rows, cols := int64(yFull.Rows), int64(yFull.Cols)
-	small := rows
-	if cols < small {
-		small = cols
-	}
-	if err := guard.Reserve(memguard.Float64Bytes(small*small), "HOOI-CSS Gram matrix"); err != nil {
-		return nil, err
-	}
-	defer guard.Release(memguard.Float64Bytes(small * small))
-	if rows <= cols {
-		g := linalg.MulNT(yFull, yFull)
-		return linalg.TopEigenvectors(g, r)
-	}
-	g, err := mulTN(yFull, yFull)
-	if err != nil {
-		return nil, err
-	}
-	values, vectors, err := linalg.SymEig(g)
-	if err != nil {
-		return nil, err
-	}
-	u := linalg.NewMatrix(yFull.Rows, r)
-	for c := 0; c < r; c++ {
-		sigma := math.Sqrt(math.Max(values[c], 0))
-		if sigma <= 1e-300 {
-			continue
-		}
-		for i := 0; i < yFull.Rows; i++ {
-			var s float64
-			row := yFull.Row(i)
-			for k := 0; k < yFull.Cols; k++ {
-				s += row[k] * vectors.At(k, c)
-			}
-			u.Set(i, c, s/sigma)
-		}
-	}
-	return linalg.Orthonormalize(u), nil
 }
 
 // compactFromFull folds a full unfolding (rows x r^{order-1}) into the
