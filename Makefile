@@ -48,7 +48,8 @@ fault-matrix:
 	$(GO) test -race ./internal/exec/ ./internal/faultinject/ ./internal/checkpoint/ ./internal/jobs/ ./internal/shard/
 
 # End-to-end SIGINT → checkpoint → resume smoke test through the real CLI
-# signal path (exit status 3, bit-identical resumed trace).
+# signal path, for hooi and hoqri (exit status 3, bit-identical resumed
+# trace and factor file).
 resume-smoke:
 	./scripts/resume_smoke.sh
 

@@ -20,11 +20,13 @@
 // resumed run's trace continues where the interrupted one stopped. Version
 // 1 snapshots (no trace) still load — the trace restores as empty.
 //
-// Save writes to a temp file in the target directory, syncs, closes, and
-// renames — so a crash mid-write leaves either the previous snapshot or
-// none, never a torn one. Load verifies magic, version, length, and CRC and
-// returns ErrCheckpointCorrupt (wrapped, with detail) on any mismatch, so
-// callers can distinguish "corrupt snapshot" from I/O errors.
+// Save writes to a temp file in the target directory, syncs, closes,
+// renames, and syncs the directory (WriteFileAtomic, which the job spool
+// shares) — so a crash or power loss mid-write leaves either the previous
+// snapshot or none, never a torn one. Load verifies magic, version,
+// length, and CRC and returns ErrCheckpointCorrupt (wrapped, with detail)
+// on any mismatch, so callers can distinguish "corrupt snapshot" from I/O
+// errors.
 package checkpoint
 
 import (
@@ -248,9 +250,8 @@ func decode(buf []byte, ver byte) (*State, error) {
 	return s, nil
 }
 
-// Save atomically writes s to path: temp file in the same directory, sync,
-// rename. An existing snapshot at path is replaced only after the new one
-// is fully on disk.
+// Save atomically writes s to path with WriteFileAtomic. An existing
+// snapshot at path is replaced only after the new one is fully on disk.
 func Save(path string, s *State) error {
 	payload := s.encode()
 	le := binary.LittleEndian
@@ -260,33 +261,52 @@ func Save(path string, s *State) error {
 	buf = le.AppendUint64(buf, uint64(len(payload)))
 	buf = append(buf, payload...)
 	buf = le.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := WriteFileAtomic(path, func(f *os.File) error {
+		_, err := f.Write(buf)
+		return err
+	}); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
+}
+
+// WriteFileAtomic replaces path with what fill writes, crash-safely: fill
+// writes a temp file in path's directory, which is synced, closed, and
+// renamed over path; then the directory is synced, so the rename itself
+// survives power loss. When any step fails, the temp file is removed and a
+// previous file at path is left as it was.
+func WriteFileAtomic(path string, fill func(*os.File) error) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	fail := func(err error) error {
+		tmp.Close() // a second Close after the first only errors
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := fill(tmp); err != nil {
+		return fail(err)
+	}
+	if err := tmp.Sync(); err != nil {
+		return fail(err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fail(err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fail(err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Load reads and verifies a snapshot. I/O failures come back as-is

@@ -98,6 +98,45 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicFailedFill: a fill that fails midway must leave the
+// previous file byte-identical and no temp file behind.
+func TestWriteFileAtomicFailedFill(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job.json")
+	if err := WriteFileAtomic(path, func(f *os.File) error {
+		_, err := f.WriteString("previous contents\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("fill failed")
+	err := WriteFileAtomic(path, func(f *os.File) error {
+		if _, err := f.WriteString("half of the new"); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("got %v, want the fill's error", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "previous contents\n" {
+		t.Errorf("previous file changed to %q", got)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		for _, e := range entries {
+			t.Errorf("directory holds %s", e.Name())
+		}
+	}
+}
+
 func TestLoadMissingFile(t *testing.T) {
 	_, err := Load(filepath.Join(t.TempDir(), "absent.ckpt"))
 	if !errors.Is(err, os.ErrNotExist) {

@@ -207,13 +207,9 @@ func (m *Manager) rescan() error {
 		// checkpoint (if any) carries the completed sweeps.
 		x, err := m.spool.LoadTensor(man.ID)
 		if err != nil {
-			j.man.State = StateFailed
-			j.man.Error = fmt.Sprintf("spool tensor unreadable after restart: %v", err)
-			j.man.FinishedAt = time.Now()
-			if serr := m.spool.SaveManifest(&j.man); serr != nil {
-				m.cfg.Logf("jobs: persist failed manifest %s: %v", man.ID, serr)
-			}
-			m.counters.Add("jobs.failed", 1)
+			j.mu.Lock()
+			m.finishLocked(j, StateFailed, fmt.Sprintf("spool tensor unreadable after restart: %v", err))
+			j.mu.Unlock()
 			m.jobs[man.ID] = j
 			continue
 		}
@@ -549,7 +545,6 @@ func (m *Manager) Cancel(id string) error {
 	m.mu.Unlock()
 	m.finishLocked(j, StateCanceled, "canceled by client before running")
 	j.mu.Unlock()
-	m.counters.Add("jobs.canceled", 1)
 	return nil
 }
 
@@ -627,8 +622,11 @@ func (j *job) closeSubsLocked() {
 
 // finishLocked moves j to a terminal state, persists the manifest,
 // releases the admission reservation, emits the final event, and closes
-// subscribers. Caller holds j.mu (and may hold m.mu).
+// subscribers. Caller holds j.mu (and may hold m.mu). The state's counter
+// (jobs.succeeded, jobs.failed, ...) is bumped before the state is set, so
+// an observer that sees the terminal state also sees it counted.
 func (m *Manager) finishLocked(j *job, state State, errStr string) {
+	m.counters.Add("jobs."+string(state), 1)
 	j.man.State = state
 	j.man.Error = errStr
 	j.man.FinishedAt = time.Now()

@@ -64,7 +64,6 @@ func (m *Manager) next() *job {
 				fmt.Sprintf("expired after %s in queue (ttl %s)",
 					time.Since(j.man.EnqueuedAt).Round(time.Millisecond), m.cfg.QueueTTL))
 			j.mu.Unlock()
-			m.counters.Add("jobs.expired", 1)
 			continue
 		}
 		j.mu.Unlock()
@@ -138,7 +137,6 @@ func (m *Manager) runJob(j *job, pool *exec.Pool) {
 			j.mu.Lock()
 			m.finishLocked(j, StateFailed, fmt.Sprintf("spool tensor unreadable: %v", err))
 			j.mu.Unlock()
-			m.counters.Add("jobs.failed", 1)
 			return
 		}
 	}
@@ -183,7 +181,6 @@ func (m *Manager) runJob(j *job, pool *exec.Pool) {
 			j.mu.Lock()
 			m.finishLocked(j, StateCanceled, reason+": "+err.Error())
 			j.mu.Unlock()
-			m.counters.Add("jobs.canceled", 1)
 			return
 		case ClassRetryable:
 			j.mu.Lock()
@@ -201,7 +198,6 @@ func (m *Manager) runJob(j *job, pool *exec.Pool) {
 			}
 			j.mu.Unlock()
 			if exhausted {
-				m.counters.Add("jobs.failed", 1)
 				return
 			}
 			m.counters.Add("jobs.retries", 1)
@@ -219,7 +215,6 @@ func (m *Manager) runJob(j *job, pool *exec.Pool) {
 			j.mu.Lock()
 			m.finishLocked(j, StateFailed, err.Error())
 			j.mu.Unlock()
-			m.counters.Add("jobs.failed", 1)
 			return
 		}
 	}
@@ -285,13 +280,12 @@ func (m *Manager) runAttempt(ctx context.Context, j *job, x *spsym.Tensor, pool 
 // is removed with the job directory.
 func (m *Manager) succeed(j *job, res *tucker.Result) {
 	path := m.spool.ResultPath(j.man.ID)
-	if err := atomicWrite(path, func(f *os.File) error {
+	if err := checkpoint.WriteFileAtomic(path, func(f *os.File) error {
 		return writeFactor(f, res.U)
 	}); err != nil {
 		j.mu.Lock()
 		m.finishLocked(j, StateFailed, fmt.Sprintf("write result: %v", err))
 		j.mu.Unlock()
-		m.counters.Add("jobs.failed", 1)
 		return
 	}
 	j.mu.Lock()
@@ -300,7 +294,6 @@ func (m *Manager) succeed(j *job, res *tucker.Result) {
 	j.man.Converged = res.Converged
 	m.finishLocked(j, StateSucceeded, "")
 	j.mu.Unlock()
-	m.counters.Add("jobs.succeeded", 1)
 }
 
 // writeFactor writes U in the shortest round-trippable decimal form

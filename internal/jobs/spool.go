@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/symprop/symprop/internal/checkpoint"
 	"github.com/symprop/symprop/internal/spsym"
 )
 
@@ -128,10 +129,10 @@ func (s *Spool) CreateJob(m *Manifest, x *spsym.Tensor) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("jobs: create job dir: %w", err)
 	}
-	if err := atomicWrite(s.TensorPath(m.ID), func(f *os.File) error {
+	if err := checkpoint.WriteFileAtomic(s.TensorPath(m.ID), func(f *os.File) error {
 		return x.WriteBinary(f)
 	}); err != nil {
-		return err
+		return fmt.Errorf("jobs: write tensor: %w", err)
 	}
 	return s.SaveManifest(m)
 }
@@ -143,10 +144,13 @@ func (s *Spool) SaveManifest(m *Manifest) error {
 		return fmt.Errorf("jobs: encode manifest: %w", err)
 	}
 	buf = append(buf, '\n')
-	return atomicWrite(filepath.Join(s.JobDir(m.ID), manifestFile), func(f *os.File) error {
+	if err := checkpoint.WriteFileAtomic(filepath.Join(s.JobDir(m.ID), manifestFile), func(f *os.File) error {
 		_, err := f.Write(buf)
 		return err
-	})
+	}); err != nil {
+		return fmt.Errorf("jobs: write manifest: %w", err)
+	}
+	return nil
 }
 
 // LoadManifest reads and decodes one job's manifest.
@@ -214,35 +218,4 @@ func (s *Spool) Rescan() ([]*Manifest, []RescanIssue, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, issues, nil
-}
-
-// atomicWrite writes a file via temp-file → sync → rename in the target
-// directory (the checkpoint package's crash discipline).
-func atomicWrite(path string, fill func(*os.File) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("jobs: %w", err)
-	}
-	if err := fill(tmp); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("jobs: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("jobs: %w", err)
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/symprop/symprop/internal/faultinject"
 	"github.com/symprop/symprop/internal/jobs"
 )
 
@@ -116,6 +117,13 @@ func TestRunBackpressure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a live server for ~1s")
 	}
+	// Smoke jobs finish in milliseconds; hold each one ~20 ms so the single
+	// runner is actually slow and the queues fill.
+	disarm := faultinject.Arm(faultinject.SiteJobRun, func(any) error {
+		time.Sleep(20 * time.Millisecond)
+		return nil
+	})
+	defer disarm()
 	srv := startServer(t, jobs.Config{
 		Runners:            1,
 		MaxQueued:          2,

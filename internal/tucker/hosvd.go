@@ -184,10 +184,10 @@ func canonicalSigns(u *linalg.Matrix) *linalg.Matrix {
 // pool reaches the nested sweeps; an earlier version rebuilt Options from
 // scratch per restart, silently dropping them. Restart s uses seed
 // opts.Seed+s. Fields that only make sense for a full run — U0, Init, Tol,
-// MaxIters, checkpointing, Resume, OnIteration, TraceSink — are overridden
-// or cleared: the restarts are probes, not resumable runs. When opts.Pool
-// is nil, one pool is created here and shared by all restarts instead of
-// paying a pool spin-up per restart.
+// MaxIters, checkpointing, Resume, TraceSink — are overridden or cleared:
+// the restarts are probes, not resumable runs. When opts.Pool is nil, one
+// pool is created here and shared by all restarts instead of paying a pool
+// spin-up per restart.
 func BestRandomInit(x *spsym.Tensor, restarts int, opts Options) (*linalg.Matrix, error) {
 	if restarts < 1 {
 		restarts = 1
@@ -207,7 +207,6 @@ func BestRandomInit(x *spsym.Tensor, restarts int, opts Options) (*linalg.Matrix
 		probe.CheckpointPath = ""
 		probe.CheckpointEvery = 0
 		probe.Resume = nil
-		probe.OnIteration = nil
 		probe.TraceSink = nil
 		res, err := HOQRI(x, probe)
 		if err != nil {

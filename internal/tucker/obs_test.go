@@ -8,7 +8,6 @@ import (
 
 	"github.com/symprop/symprop/internal/checkpoint"
 	"github.com/symprop/symprop/internal/obs"
-	"github.com/symprop/symprop/internal/spsym"
 )
 
 // obsPlanPrefixes mirrors the registered kernel plan names (the set
@@ -44,14 +43,7 @@ func assertRegisteredPlans(t *testing.T, pms []obs.PlanMetrics) {
 // per-sweep plan deltas drawn from the registered plan set.
 func TestTraceOneEventPerSweep(t *testing.T) {
 	x := testTensor(t, 3, 12, 60, 10)
-	drivers := append(resumableDrivers(), []struct {
-		name string
-		run  func(*spsym.Tensor, Options) (*Result, error)
-	}{
-		{"hooi-css", HOOICSS},
-		{"hoqri-nary", HOQRINary},
-	}...)
-	for _, d := range drivers {
+	for _, d := range resumableDrivers() {
 		t.Run(d.name, func(t *testing.T) {
 			res, err := d.run(x, Options{Rank: 3, MaxIters: 5, Seed: 4, Workers: 2})
 			if err != nil {

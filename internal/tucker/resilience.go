@@ -255,11 +255,10 @@ func (rs *runState) beginIteration(it int, u *linalg.Matrix) error {
 // aborts the run (a silently unresumable long run is worse than a loud
 // early death, same policy as before the trace existed); a sink failure is
 // only a health event — observability must never kill a decomposition.
-// Drivers call it once per completed sweep, with u being the factor the
-// next iteration will read; a nil u skips the checkpoint — the break paths
-// that stop *before* the factor update (HOQRI's convergence and
-// OnIteration exits) have no resumable factor to offer, exactly as before
-// the trace existed.
+// run calls it once per completed sweep, with u being the factor the next
+// iteration will read; a nil u skips the checkpoint — a HOQRI-family run
+// that converges stops *before* the factor update and has no resumable
+// factor to offer.
 func (rs *runState) endIteration(it int, u *linalg.Matrix) error {
 	ev := obs.TraceEvent{
 		Sweep:  it,

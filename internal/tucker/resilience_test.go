@@ -14,9 +14,8 @@ import (
 	"github.com/symprop/symprop/internal/spsym"
 )
 
-// resumableDrivers enumerates the drivers with full checkpoint/resume
-// support (the CSS and n-ary ablation variants are excluded by design:
-// they exist for one-shot benchmark comparisons).
+// resumableDrivers enumerates every driver. All five share one sweep loop,
+// so each has the full checkpoint/resume and failure policy.
 func resumableDrivers() []struct {
 	name string
 	run  func(*spsym.Tensor, Options) (*Result, error)
@@ -28,7 +27,21 @@ func resumableDrivers() []struct {
 		{"hooi", HOOI},
 		{"hoqri", HOQRI},
 		{"hooi-randomized", HOOIRandomized},
+		{"hooi-css", HOOICSS},
+		{"hoqri-nary", HOQRINary},
 	}
+}
+
+// driverByName returns the resumableDrivers entry named name.
+func driverByName(t *testing.T, name string) func(*spsym.Tensor, Options) (*Result, error) {
+	t.Helper()
+	for _, d := range resumableDrivers() {
+		if d.name == name {
+			return d.run
+		}
+	}
+	t.Fatalf("no driver %q", name)
+	return nil
 }
 
 // TestCancelReturnsTypedError cancels via the iteration site and checks the
@@ -266,70 +279,83 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
-// TestBudgetRetryDegrades injects one guard rejection and checks the
-// one-shot degradation: the run recovers at workers=1 on a single engine,
-// records the retry in Health, and still produces a valid factor.
+// TestBudgetRetryDegrades injects one guard rejection into every driver
+// and checks the one-shot degradation: the run recovers at workers=1 on a
+// single engine, records the retry in Health, and still produces a valid
+// factor.
 func TestBudgetRetryDegrades(t *testing.T) {
 	x := testTensor(t, 3, 12, 60, 15)
-	disarm := faultinject.Arm(faultinject.SiteGuardReserve,
-		faultinject.OnHit(1, func(any) error { return errors.New("injected rejection") }))
-	defer disarm()
-	res, err := HOOI(x, Options{Rank: 3, MaxIters: 5, Seed: 2, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Health.BudgetRetries != 1 {
-		t.Errorf("BudgetRetries = %d, want 1", res.Health.BudgetRetries)
-	}
-	if len(res.Health.Events) == 0 {
-		t.Error("degradation not recorded in Health.Events")
-	}
-	if e := linalg.OrthonormalityError(res.U); e > 1e-9 {
-		t.Errorf("degraded run produced non-orthonormal factor: %v", e)
+	for _, d := range resumableDrivers() {
+		t.Run(d.name, func(t *testing.T) {
+			disarm := faultinject.Arm(faultinject.SiteGuardReserve,
+				faultinject.OnHit(1, func(any) error { return errors.New("injected rejection") }))
+			defer disarm()
+			res, err := d.run(x, Options{Rank: 3, MaxIters: 5, Seed: 2, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Health.BudgetRetries != 1 {
+				t.Errorf("BudgetRetries = %d, want 1", res.Health.BudgetRetries)
+			}
+			if len(res.Health.Events) == 0 {
+				t.Error("degradation not recorded in Health.Events")
+			}
+			if e := linalg.OrthonormalityError(res.U); e > 1e-9 {
+				t.Errorf("degraded run produced non-orthonormal factor: %v", e)
+			}
+		})
 	}
 }
 
-// TestNaNOutputJitterRecovery poisons one kernel output with a NaN and
-// checks the sentinel: one jittered restart, then a clean finish with
-// finite traces.
+// TestNaNOutputJitterRecovery poisons one kernel output of every driver
+// with a NaN and checks the sentinel: one jittered restart, then a clean
+// finish with finite traces.
 func TestNaNOutputJitterRecovery(t *testing.T) {
 	x := testTensor(t, 3, 12, 60, 16)
-	disarm := faultinject.Arm(faultinject.SiteKernelOutput,
-		faultinject.OnHit(1, func(p any) error {
-			p.(*linalg.Matrix).Data[0] = math.NaN()
-			return nil
-		}))
-	defer disarm()
-	res, err := HOOI(x, Options{Rank: 3, MaxIters: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Health.JitterRestarts != 1 {
-		t.Errorf("JitterRestarts = %d, want 1", res.Health.JitterRestarts)
-	}
-	for i, f := range res.Objective {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			t.Fatalf("objective[%d] non-finite after recovery: %v", i, f)
-		}
-	}
-	if idx := nonFinite(res.U); idx >= 0 {
-		t.Errorf("recovered factor still non-finite at %d", idx)
+	for _, d := range resumableDrivers() {
+		t.Run(d.name, func(t *testing.T) {
+			disarm := faultinject.Arm(faultinject.SiteKernelOutput,
+				faultinject.OnHit(1, func(p any) error {
+					p.(*linalg.Matrix).Data[0] = math.NaN()
+					return nil
+				}))
+			defer disarm()
+			res, err := d.run(x, Options{Rank: 3, MaxIters: 5, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Health.JitterRestarts != 1 {
+				t.Errorf("JitterRestarts = %d, want 1", res.Health.JitterRestarts)
+			}
+			for i, f := range res.Objective {
+				if math.IsNaN(f) || math.IsInf(f, 0) {
+					t.Fatalf("objective[%d] non-finite after recovery: %v", i, f)
+				}
+			}
+			if idx := nonFinite(res.U); idx >= 0 {
+				t.Errorf("recovered factor still non-finite at %d", idx)
+			}
+		})
 	}
 }
 
 // TestPersistentNaNBreaksDown keeps poisoning every kernel output; after
-// the single jittered restart fails too, the run must die with the typed
-// breakdown error rather than loop or return NaNs.
+// the single jittered restart fails too, every driver must die with the
+// typed breakdown error rather than loop or return NaNs.
 func TestPersistentNaNBreaksDown(t *testing.T) {
 	x := testTensor(t, 3, 12, 60, 17)
-	disarm := faultinject.Arm(faultinject.SiteKernelOutput, func(p any) error {
-		p.(*linalg.Matrix).Data[0] = math.NaN()
-		return nil
-	})
-	defer disarm()
-	_, err := HOOI(x, Options{Rank: 3, MaxIters: 5, Seed: 2})
-	if !errors.Is(err, ErrNumericBreakdown) {
-		t.Fatalf("got %v, want ErrNumericBreakdown", err)
+	for _, d := range resumableDrivers() {
+		t.Run(d.name, func(t *testing.T) {
+			disarm := faultinject.Arm(faultinject.SiteKernelOutput, func(p any) error {
+				p.(*linalg.Matrix).Data[0] = math.NaN()
+				return nil
+			})
+			defer disarm()
+			_, err := d.run(x, Options{Rank: 3, MaxIters: 5, Seed: 2})
+			if !errors.Is(err, ErrNumericBreakdown) {
+				t.Fatalf("got %v, want ErrNumericBreakdown", err)
+			}
+		})
 	}
 }
 
@@ -362,24 +388,29 @@ func TestObserveObjective(t *testing.T) {
 }
 
 // TestHOQRISkipsFinalPassWhenConverged checks the converged-run
-// optimization: a run that stops via Tol or the callback must not spend an
-// extra kernel sweep rebuilding an already consistent core.
+// optimization of the HOQRI family: a run that stops via Tol already holds
+// the core of its factor and must not spend an extra kernel sweep
+// rebuilding it.
 func TestHOQRISkipsFinalPassWhenConverged(t *testing.T) {
 	// Full rank is exact, so the tolerance triggers after two sweeps.
 	x := testTensor(t, 3, 6, 20, 19)
-	hook, hits := faultinject.Counter()
-	disarm := faultinject.Arm(faultinject.SiteKernelOutput, hook)
-	defer disarm()
+	for _, name := range []string{"hoqri", "hoqri-nary"} {
+		t.Run(name, func(t *testing.T) {
+			hook, hits := faultinject.Counter()
+			disarm := faultinject.Arm(faultinject.SiteKernelOutput, hook)
+			defer disarm()
 
-	res, err := HOQRI(x, Options{Rank: 6, MaxIters: 50, Tol: 1e-8, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("full-rank run did not converge in %d iterations", res.Iters)
-	}
-	if got, want := hits(), int64(res.Iters); got != want {
-		t.Errorf("%d kernel passes for %d iterations; the converged run must skip the final rebuild",
-			got, res.Iters)
+			res, err := driverByName(t, name)(x, Options{Rank: 6, MaxIters: 50, Tol: 1e-8, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged {
+				t.Fatalf("full-rank run did not converge in %d iterations", res.Iters)
+			}
+			if got, want := hits(), int64(res.Iters); got != want {
+				t.Errorf("%d kernel passes for %d iterations; the converged run must skip the final rebuild",
+					got, res.Iters)
+			}
+		})
 	}
 }

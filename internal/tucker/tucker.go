@@ -7,7 +7,6 @@ package tucker
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"github.com/symprop/symprop/internal/checkpoint"
-	"github.com/symprop/symprop/internal/css"
 	"github.com/symprop/symprop/internal/dense"
 	"github.com/symprop/symprop/internal/exec"
 	"github.com/symprop/symprop/internal/kernels"
@@ -75,10 +73,6 @@ type Options struct {
 	// resumed under any shard count. HOQRINary's n-ary kernel predates the
 	// Backend seam and ignores Shards. See docs/SHARDING.md.
 	Shards int
-	// OnIteration, when non-nil, is invoked after every sweep with the
-	// 1-based iteration number and the current relative error; returning
-	// false stops the run early (Result.Converged stays false).
-	OnIteration func(iter int, relErr float64) bool
 	// Ctx, when non-nil, cancels the run cooperatively: the drivers check
 	// it at every iteration boundary and the kernels poll it inside their
 	// worker loops. A canceled run returns a *CanceledError (matching
@@ -279,115 +273,22 @@ func converged(res *Result, tol float64) bool {
 // which is exactly what makes HOOI run out of memory on large problems
 // (paper §VI-C.1) — the memory guard reproduces those OOMs.
 func HOOI(x *spsym.Tensor, opts Options) (*Result, error) {
-	if err := opts.normalize(x); err != nil {
-		return nil, err
-	}
-	res := &Result{NormX2: x.NormSquared()}
-	var cache css.Cache
-	var pool kernels.WorkspacePool
-	var scheds kernels.ScheduleCache
-	epool, closePool := opts.execPool()
-	defer closePool()
-	eng, closeEng := opts.shardEngines()
-	defer closeEng()
-	kopts := kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard, Workers: opts.Workers,
-		PlanCache: &cache, Pool: &pool, Schedules: &scheds, Exec: epool}
-	if eng != nil {
-		kopts.Backend = eng
-	}
-	rs := newRun("hooi", x, &opts, res, &kopts)
-	ttmc := func(f *linalg.Matrix) (*linalg.Matrix, error) {
-		return kernels.S3TTMcSymProp(x, f, kopts)
-	}
-	// Sharded Gram-side products when the backend is installed; degrade()
-	// clears kopts.Backend, falling back to the serial linalg call.
-	mulTN := func(a, b *linalg.Matrix) (*linalg.Matrix, error) {
-		if kopts.Backend != nil {
-			return eng.MulTN(a, b, kopts)
-		}
-		return linalg.MulTN(a, b), nil
-	}
-
-	t0 := time.Now()
-	u, startIt, err := rs.start(func() (*linalg.Matrix, error) { return initFactor(x, &opts) })
-	if err != nil {
-		return nil, err
-	}
-	res.Phases.Other += time.Since(t0)
-
-	r := opts.Rank
-	p := kernels.PermCounts(x.Order-1, r)
-	res.P = p
-
-	for it := startIt; it < opts.MaxIters; it++ {
-		if err := rs.beginIteration(it, u); err != nil {
-			return nil, err
-		}
-		t := time.Now()
-		yp, uUsed, err := rs.healthyTTMc(it, u, ttmc)
-		if err != nil {
-			return nil, err
-		}
-		u = uUsed
-		res.Phases.TTMc += time.Since(t)
-
-		t = time.Now()
-		// The SVD runs on the full I x R^{N-1} unfolding expanded from its
-		// compact form: the memory footprint of the paper's HOOI.
-		fullBytes := memguard.Float64Bytes(int64(yp.Rows) * dense.Pow64(int64(r), x.Order-1))
-		if err := opts.Guard.Reserve(fullBytes, "HOOI full Y(1) for SVD"); err != nil {
-			// No degradation retry here: the dominant reservation is the
-			// full unfolding, which no worker count shrinks.
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		uNew, err := leadingLeftSingular(kernels.ExpandCompactColumns(yp, x.Order, r), r, opts.Guard, mulTN)
-		opts.Guard.Release(fullBytes)
-		if err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		if u, err = rs.healthyFactor(it, uNew); err != nil {
-			return nil, err
-		}
-		res.Phases.SVD += time.Since(t)
-
-		t = time.Now()
-		cp, err := mulTN(u, yp) // C_p(1) = Uᵀ·Y_p(1)
-		if err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		res.CoreP = cp
-		coreNorm2 := weightedNorm2(res.CoreP, p)
-		recordObjective(res, res.NormX2, coreNorm2)
-		rs.observeObjective(it)
-		res.Phases.Core += time.Since(t)
-
-		res.Iters = it + 1
-		if err := rs.endIteration(it, u); err != nil {
-			return nil, err
-		}
-		if converged(res, opts.Tol) {
-			res.Converged = true
-			break
-		}
-		if opts.OnIteration != nil && !opts.OnIteration(res.Iters, res.RelError[len(res.RelError)-1]) {
-			break
-		}
-	}
-	if res.CoreP == nil {
-		// Resumed at or past MaxIters: the loop never ran, so rebuild the
-		// core for the restored factor.
-		yp, uUsed, err := rs.healthyTTMc(res.Iters, u, ttmc)
-		if err != nil {
-			return nil, err
-		}
-		u = uUsed
-		if res.CoreP, err = mulTN(u, yp); err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-	}
-	rs.finish()
-	res.U = u
-	return res, nil
+	return run(x, opts, step{
+		algo:  "hooi",
+		chain: (*env).symProp,
+		svd: func(e *env, _ int, yp *linalg.Matrix) (*linalg.Matrix, error) {
+			r := e.opts.Rank
+			fullBytes := memguard.Float64Bytes(int64(yp.Rows) * dense.Pow64(int64(r), e.x.Order-1))
+			if err := e.opts.Guard.Reserve(fullBytes, "HOOI full Y(1) for SVD"); err != nil {
+				// No degradation retry here: the dominant reservation is the
+				// full unfolding, which no worker count shrinks.
+				return nil, err
+			}
+			defer e.opts.Guard.Release(fullBytes)
+			return leadingLeftSingular(kernels.ExpandCompactColumns(yp, e.x.Order, r), r, e.opts.Guard, e.mulTN)
+		},
+		core: (*env).mulTN, // C_p(1) = Uᵀ·Y_p(1)
+	})
 }
 
 // HOQRI runs the Higher-Order QR Iteration (paper Algorithm 4) with the
@@ -396,137 +297,14 @@ func HOOI(x *spsym.Tensor, opts Options) (*Result, error) {
 // ever materialized, which is what lets HOQRI scale to the large datasets
 // where HOOI dies (paper Fig. 7).
 func HOQRI(x *spsym.Tensor, opts Options) (*Result, error) {
-	if err := opts.normalize(x); err != nil {
-		return nil, err
-	}
-	res := &Result{NormX2: x.NormSquared()}
-	var cache css.Cache
-	var pool kernels.WorkspacePool
-	var scheds kernels.ScheduleCache
-	epool, closePool := opts.execPool()
-	defer closePool()
-	eng, closeEng := opts.shardEngines()
-	defer closeEng()
-	kopts := kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard, Workers: opts.Workers,
-		PlanCache: &cache, Pool: &pool, Schedules: &scheds, Exec: epool}
-	if eng != nil {
-		kopts.Backend = eng
-	}
-	rs := newRun("hoqri", x, &opts, res, &kopts)
-	ttmc := func(f *linalg.Matrix) (*linalg.Matrix, error) {
-		return kernels.S3TTMcSymProp(x, f, kopts)
-	}
-	mulTN := func(a, b *linalg.Matrix) (*linalg.Matrix, error) {
-		if kopts.Backend != nil {
-			return eng.MulTN(a, b, kopts)
-		}
-		return linalg.MulTN(a, b), nil
-	}
-	mulNTWeighted := func(a, b *linalg.Matrix, w []float64) (*linalg.Matrix, error) {
-		if kopts.Backend != nil {
-			return eng.MulNTWeighted(a, b, w, kopts)
-		}
-		return linalg.MulNTWeighted(a, b, w), nil
-	}
-
-	t0 := time.Now()
-	u, startIt, err := rs.start(func() (*linalg.Matrix, error) { return initFactor(x, &opts) })
-	if err != nil {
-		return nil, err
-	}
-	res.Phases.Other += time.Since(t0)
-
-	p := kernels.PermCounts(x.Order-1, opts.Rank)
-	res.P = p
-	// coreConsistent tracks whether res.CoreP matches the current u. The
-	// core is recorded from the pre-update factor each sweep, so a run that
-	// stops before the QR update (convergence, OnIteration) already holds a
-	// consistent core and skips the final kernel pass entirely.
-	coreConsistent := false
-
-	for it := startIt; it < opts.MaxIters; it++ {
-		if err := rs.beginIteration(it, u); err != nil {
-			return nil, err
-		}
-		t := time.Now()
-		yp, uUsed, err := rs.healthyTTMc(it, u, ttmc)
-		if err != nil {
-			return nil, err
-		}
-		u = uUsed
-		res.Phases.TTMc += time.Since(t)
-
-		// Times-core, first half: C_p = Uᵀ·Y_p (Algorithm 2).
-		t = time.Now()
-		cp, err := mulTN(u, yp)
-		if err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		res.Phases.TC += time.Since(t)
-
-		t = time.Now()
-		res.CoreP = cp
-		coreNorm2 := weightedNorm2(cp, p)
-		recordObjective(res, res.NormX2, coreNorm2)
-		rs.observeObjective(it)
-		res.Phases.Core += time.Since(t)
-
-		res.Iters = it + 1
-		if converged(res, opts.Tol) {
-			res.Converged = true
-			coreConsistent = true
-			if err := rs.endIteration(it, nil); err != nil {
-				return nil, err
-			}
-			break
-		}
-		if opts.OnIteration != nil && !opts.OnIteration(res.Iters, res.RelError[len(res.RelError)-1]) {
-			coreConsistent = true
-			if err := rs.endIteration(it, nil); err != nil {
-				return nil, err
-			}
-			break
-		}
-
-		// Times-core, second half: A = Y_p·diag(p)·C_pᵀ, then QR.
-		t = time.Now()
-		a, err := mulNTWeighted(yp, cp, p)
-		if err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		res.Phases.TC += time.Since(t)
-
-		t = time.Now()
-		if u, err = rs.healthyFactor(it, linalg.Orthonormalize(a)); err != nil {
-			return nil, err
-		}
-		res.Phases.QR += time.Since(t)
-
-		if err := rs.endIteration(it, u); err != nil {
-			return nil, err
-		}
-	}
-	if !coreConsistent {
-		// The loop exhausted MaxIters (or resumed past them), so u was
-		// updated after the last recorded core: recompute against the final
-		// factor, honoring cancellation like any other kernel pass.
-		if err := rs.beginIteration(res.Iters, u); err != nil {
-			return nil, err
-		}
-		t := time.Now()
-		yp, uUsed, err := rs.healthyTTMc(res.Iters, u, ttmc)
-		if err != nil {
-			return nil, err
-		}
-		u = uUsed
-		if res.CoreP, err = mulTN(u, yp); err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		res.Phases.Core += time.Since(t)
-	}
-	rs.finish()
-	res.U = u
-	return res, nil
+	return run(x, opts, step{
+		algo:  "hoqri",
+		chain: (*env).symProp,
+		core:  (*env).mulTN, // C_p = Uᵀ·Y_p (Algorithm 2)
+		qr: func(e *env, yp, cp *linalg.Matrix) (*linalg.Matrix, error) {
+			return e.mulNTWeighted(yp, cp, e.p) // A = Y_p·diag(p)·C_pᵀ
+		},
+	})
 }
 
 func weightedNorm2(m *linalg.Matrix, w []float64) float64 {
@@ -586,6 +364,3 @@ func leadingLeftSingular(yFull *linalg.Matrix, r int, guard *memguard.Guard,
 	// Guard against rank deficiency: re-orthonormalize.
 	return linalg.Orthonormalize(u), nil
 }
-
-// ErrNotConverged is reserved for callers that require convergence.
-var ErrNotConverged = errors.New("tucker: did not converge within MaxIters")

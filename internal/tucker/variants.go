@@ -1,8 +1,6 @@
 package tucker
 
 import (
-	"time"
-
 	"github.com/symprop/symprop/internal/dense"
 	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
@@ -20,85 +18,17 @@ import (
 // HOOICSS runs HOOI with the prior-art CSS kernel: the full I x R^{N-1}
 // unfolding is produced directly and fed to the SVD.
 func HOOICSS(x *spsym.Tensor, opts Options) (*Result, error) {
-	if err := opts.normalize(x); err != nil {
-		return nil, err
-	}
-	res := &Result{NormX2: x.NormSquared()}
-	var scheds kernels.ScheduleCache
-	epool, closePool := opts.execPool()
-	defer closePool()
-	eng, closeEng := opts.shardEngines()
-	defer closeEng()
-	kopts := kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard, Workers: opts.Workers,
-		Schedules: &scheds, Exec: epool}
-	if eng != nil {
-		kopts.Backend = eng
-	}
-	rs := newRun("hooi-css", x, &opts, res, &kopts)
-	mulTN := func(a, b *linalg.Matrix) (*linalg.Matrix, error) {
-		if kopts.Backend != nil {
-			return eng.MulTN(a, b, kopts)
-		}
-		return linalg.MulTN(a, b), nil
-	}
-
-	t0 := time.Now()
-	u, err := initFactor(x, &opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Phases.Other += time.Since(t0)
-
-	r := opts.Rank
-	p := kernels.PermCounts(x.Order-1, r)
-	res.P = p
-
-	for it := 0; it < opts.MaxIters; it++ {
-		if err := rs.beginIteration(it, u); err != nil {
-			return nil, err
-		}
-		t := time.Now()
-		yFull, err := kernels.S3TTMcCSS(x, u, kopts)
-		if err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		res.Phases.TTMc += time.Since(t)
-
-		t = time.Now()
-		u, err = leadingLeftSingular(yFull, r, opts.Guard, mulTN)
-		if err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		res.Phases.SVD += time.Since(t)
-
-		t = time.Now()
-		cFull, err := mulTN(u, yFull)
-		if err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		var coreNorm2 float64
-		for _, v := range cFull.Data {
-			coreNorm2 += v * v
-		}
-		// Keep the compact core for Result consistency.
-		res.CoreP = compactFromFull(cFull, x.Order, r)
-		recordObjective(res, res.NormX2, coreNorm2)
-		res.Phases.Core += time.Since(t)
-
-		res.Iters = it + 1
-		// nil factor: the ablation drivers do not support checkpointing, so
-		// endIteration only records the trace event.
-		if err := rs.endIteration(it, nil); err != nil {
-			return nil, err
-		}
-		if converged(res, opts.Tol) {
-			res.Converged = true
-			break
-		}
-	}
-	rs.finish()
-	res.U = u
-	return res, nil
+	return run(x, opts, step{
+		algo: "hooi-css",
+		chain: func(e *env, u *linalg.Matrix) (*linalg.Matrix, error) {
+			return kernels.S3TTMcCSS(e.x, u, e.kopts)
+		},
+		svd: func(e *env, _ int, yFull *linalg.Matrix) (*linalg.Matrix, error) {
+			return leadingLeftSingular(yFull, e.opts.Rank, e.opts.Guard, e.mulTN)
+		},
+		core:     (*env).mulTN, // the full C(1) = Uᵀ·Y(1)
+		fullCore: true,
+	})
 }
 
 // compactFromFull folds a full unfolding (rows x r^{order-1}) into the
@@ -135,68 +65,22 @@ func compactFromFull(full *linalg.Matrix, order, r int) *linalg.Matrix {
 
 // HOQRINary runs HOQRI with the original n-ary contraction kernel [14]
 // (Table II row 3): correct, memory-lean, but O(R^N·N!·unnz) per sweep.
+// The kernel fuses both times-core halves: its chain output is A itself,
+// and the full core it formed on the way is kept for the core step.
 func HOQRINary(x *spsym.Tensor, opts Options) (*Result, error) {
-	if err := opts.normalize(x); err != nil {
-		return nil, err
-	}
-	res := &Result{NormX2: x.NormSquared()}
-	var scheds kernels.ScheduleCache
-	epool, closePool := opts.execPool()
-	defer closePool()
-	kopts := kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard, Workers: opts.Workers,
-		Schedules: &scheds, Exec: epool}
-	rs := newRun("hoqri-nary", x, &opts, res, &kopts)
-
-	t0 := time.Now()
-	u, err := initFactor(x, &opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Phases.Other += time.Since(t0)
-
-	r := opts.Rank
-	for it := 0; it < opts.MaxIters; it++ {
-		if err := rs.beginIteration(it, u); err != nil {
-			return nil, err
-		}
-		t := time.Now()
-		nary, err := kernels.NaryTTMcTC(x, u, kopts)
-		if err != nil {
-			return nil, rs.wrapKernelErr(u, err)
-		}
-		res.Phases.TTMc += time.Since(t)
-
-		t = time.Now()
-		res.CoreP = compactFromFull(nary.CoreFull, x.Order, r)
-		res.P = kernels.PermCounts(x.Order-1, r)
-		recordObjective(res, res.NormX2, nary.CoreNormSquared())
-		res.Phases.Core += time.Since(t)
-
-		t = time.Now()
-		u = linalg.Orthonormalize(nary.A)
-		res.Phases.QR += time.Since(t)
-
-		res.Iters = it + 1
-		if err := rs.endIteration(it, nil); err != nil {
-			return nil, err
-		}
-		if converged(res, opts.Tol) {
-			res.Converged = true
-			break
-		}
-	}
-	// Final core against the final factor.
-	if err := rs.beginIteration(res.Iters, u); err != nil {
-		return nil, err
-	}
-	t := time.Now()
-	nary, err := kernels.NaryTTMcTC(x, u, kopts)
-	if err != nil {
-		return nil, rs.wrapKernelErr(u, err)
-	}
-	res.CoreP = compactFromFull(nary.CoreFull, x.Order, r)
-	res.Phases.Core += time.Since(t)
-	rs.finish()
-	res.U = u
-	return res, nil
+	var core *linalg.Matrix // C(1) of the latest n-ary pass
+	return run(x, opts, step{
+		algo: "hoqri-nary",
+		chain: func(e *env, u *linalg.Matrix) (*linalg.Matrix, error) {
+			nary, err := kernels.NaryTTMcTC(e.x, u, e.kopts)
+			if err != nil {
+				return nil, err
+			}
+			core = nary.CoreFull
+			return nary.A, nil
+		},
+		core:     func(*env, *linalg.Matrix, *linalg.Matrix) (*linalg.Matrix, error) { return core, nil },
+		fullCore: true,
+		qr:       func(_ *env, a, _ *linalg.Matrix) (*linalg.Matrix, error) { return a, nil },
+	})
 }

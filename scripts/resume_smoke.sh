@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # resume_smoke.sh — end-to-end checkpoint/resume smoke test.
 #
-# Builds the CLI, starts a decomposition with periodic checkpointing, kills
-# it mid-run with SIGINT, resumes from the snapshot, and verifies that the
-# resumed run's convergence trace is bit-identical to an uninterrupted run
-# of the same configuration. Exercises the real signal path (NotifyContext →
+# Builds the CLI, and for each CLI algorithm (hooi, hoqri) starts a
+# decomposition with periodic checkpointing, kills it mid-run with SIGINT,
+# resumes from the snapshot, and verifies that the resumed run's convergence
+# trace and factor file are byte-identical to an uninterrupted run of the
+# same configuration. Exercises the real signal path (NotifyContext →
 # cooperative kernel cancel → checkpoint-on-exit → exit status 3) that unit
 # tests can't reach in-process.
 #
@@ -18,51 +19,58 @@ echo "resume-smoke: working in $dir"
 go build -o "$dir/symprop" ./cmd/symprop
 go build -o "$dir/symprop-gen" ./cmd/symprop-gen
 
-# Big enough that 40 HOOI iterations take several seconds — the interrupt
+# Big enough that 200 iterations take a couple of seconds — the interrupt
 # below must land mid-run.
 "$dir/symprop-gen" random -order 3 -dim 400 -nnz 60000 -seed 11 -out "$dir/x.tns"
 
-common=(decompose -rank 8 -algo hooi -iters 40 -tol 0 -seed 7 -workers 2)
+for algo in hooi hoqri; do
+    common=(decompose -rank 8 -algo "$algo" -iters 200 -tol 0 -seed 7 -workers 2)
+    ckpt="$dir/$algo.ckpt"
 
-echo "resume-smoke: straight run"
-"$dir/symprop" "${common[@]}" -convergence "$dir/straight.csv" "$dir/x.tns"
+    echo "resume-smoke: $algo straight run"
+    "$dir/symprop" "${common[@]}" -convergence "$dir/$algo-straight.csv" \
+        -out "$dir/$algo-straight.U" "$dir/x.tns"
 
-echo "resume-smoke: interrupted run"
-"$dir/symprop" "${common[@]}" -checkpoint "$dir/run.ckpt" -checkpoint-every 1 \
-    "$dir/x.tns" &
-pid=$!
-sleep 0.5
-kill -INT "$pid" 2>/dev/null || true
-rc=0
-wait "$pid" || rc=$?
-case $rc in
-3)
-    echo "resume-smoke: interrupted with checkpoint (exit 3)"
-    ;;
-0)
-    # The run finished before the signal landed (fast machine); the
-    # checkpoint still exists, so the resume below is a no-op restart at
-    # MaxIters and the comparison still holds.
-    echo "resume-smoke: run finished before the interrupt; still checking resume"
-    ;;
-*)
-    echo "resume-smoke: FAIL — interrupted run exited $rc (want 3)" >&2
-    exit 1
-    ;;
-esac
-if [[ ! -f "$dir/run.ckpt" ]]; then
-    echo "resume-smoke: FAIL — no checkpoint written" >&2
-    exit 1
-fi
+    echo "resume-smoke: $algo interrupted run"
+    "$dir/symprop" "${common[@]}" -checkpoint "$ckpt" -checkpoint-every 1 \
+        "$dir/x.tns" &
+    pid=$!
+    sleep 0.5
+    kill -INT "$pid" 2>/dev/null || true
+    rc=0
+    wait "$pid" || rc=$?
+    case $rc in
+    3)
+        echo "resume-smoke: $algo interrupted with checkpoint (exit 3)"
+        ;;
+    0)
+        # The run finished before the signal landed (fast machine); the
+        # checkpoint still exists, so the resume below is a no-op restart
+        # at MaxIters and the comparison still holds.
+        echo "resume-smoke: $algo run finished before the interrupt; still checking resume"
+        ;;
+    *)
+        echo "resume-smoke: FAIL — $algo interrupted run exited $rc (want 3)" >&2
+        exit 1
+        ;;
+    esac
+    if [[ ! -f "$ckpt" ]]; then
+        echo "resume-smoke: FAIL — $algo wrote no checkpoint" >&2
+        exit 1
+    fi
 
-echo "resume-smoke: resumed run"
-"$dir/symprop" "${common[@]}" -checkpoint "$dir/run.ckpt" -resume \
-    -convergence "$dir/resumed.csv" "$dir/x.tns"
+    echo "resume-smoke: $algo resumed run"
+    "$dir/symprop" "${common[@]}" -checkpoint "$ckpt" -resume \
+        -convergence "$dir/$algo-resumed.csv" -out "$dir/$algo-resumed.U" "$dir/x.tns"
 
-if cmp -s "$dir/straight.csv" "$dir/resumed.csv"; then
-    echo "resume-smoke: PASS — resumed trace is bit-identical to the straight run"
-else
-    echo "resume-smoke: FAIL — traces differ:" >&2
-    diff "$dir/straight.csv" "$dir/resumed.csv" >&2 || true
-    exit 1
-fi
+    if ! cmp -s "$dir/$algo-straight.csv" "$dir/$algo-resumed.csv"; then
+        echo "resume-smoke: FAIL — $algo traces differ:" >&2
+        diff "$dir/$algo-straight.csv" "$dir/$algo-resumed.csv" >&2 || true
+        exit 1
+    fi
+    if ! cmp -s "$dir/$algo-straight.U" "$dir/$algo-resumed.U"; then
+        echo "resume-smoke: FAIL — $algo factor files differ" >&2
+        exit 1
+    fi
+    echo "resume-smoke: PASS — $algo resumed trace and factor are bit-identical to the straight run"
+done
