@@ -2,9 +2,9 @@ package jobs
 
 // The HTTP/JSON face of the Manager. Error mapping is fixed here and
 // documented in docs/SERVING.md: ErrInvalidSpec → 400, ErrUnknownJob →
-// 404, ErrNotTerminal → 409, ErrSaturated → 429 + Retry-After,
-// ErrDraining → 503 + Retry-After. Events stream as Server-Sent Events,
-// one JSON Event per "data:" line.
+// 404, ErrNotTerminal → 409, a submit body over maxSubmitBytes → 413,
+// ErrSaturated → 429 + Retry-After, ErrDraining → 503 + Retry-After.
+// Events stream as Server-Sent Events, one JSON Event per "data:" line.
 
 import (
 	"encoding/json"
@@ -15,6 +15,11 @@ import (
 	"strconv"
 	"time"
 )
+
+// maxSubmitBytes caps a POST /v1/jobs body. The largest body the repo's
+// own clients send, scripts/serve_smoke.sh's inline 60k-non-zero tensor,
+// is about 2 MiB.
+const maxSubmitBytes = 32 << 20
 
 // DefaultKeepAliveInterval is the period between SSE keepalive comment
 // frames on an otherwise-idle event stream.
@@ -93,7 +98,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&spec); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", maxSubmitBytes)})
+			return
+		}
 		s.writeErr(w, fmt.Errorf("%w: bad JSON: %v", ErrInvalidSpec, err))
 		return
 	}

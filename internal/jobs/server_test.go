@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -133,6 +134,30 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if resp := doJSON(t, "POST", ts.URL+"/v1/jobs", Spec{Rank: 0}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid spec: HTTP %d, want 400", resp.StatusCode)
 	}
+	// 400: an inline tensor whose header declares two billion non-zeros.
+	// Sizing from the header would crash the server with the runtime's
+	// out-of-memory fatal error; the cases below show it keeps serving.
+	bomb := Spec{Rank: 2, Tensor: "sym 3 1000 2000000000\n1 2 3 1.5\n"}
+	if resp := doJSON(t, "POST", ts.URL+"/v1/jobs", bomb, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("header bomb: HTTP %d, want 400", resp.StatusCode)
+	}
+	// 413 from one byte past the body cap; a body of exactly the cap is
+	// read in full (it holds no JSON value, so 400).
+	for _, c := range []struct {
+		size int64
+		want int
+	}{{maxSubmitBytes, http.StatusBadRequest}, {maxSubmitBytes + 1, http.StatusRequestEntityTooLarge}} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", io.LimitReader(spaces{}, c.size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body errorBody
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want || err != nil || body.Error == "" {
+			t.Errorf("%d-byte body: HTTP %d, error %q (decode: %v), want %d", c.size, resp.StatusCode, body.Error, err, c.want)
+		}
+	}
 	// 404: unknown job, all verbs.
 	for _, u := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/events"} {
 		if resp := doJSON(t, "GET", ts.URL+u, nil, nil); resp.StatusCode != http.StatusNotFound {
@@ -187,6 +212,16 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if resp := doJSON(t, "GET", ts.URL+"/healthz", nil, &health); resp.StatusCode != http.StatusServiceUnavailable || health.Status != "draining" {
 		t.Errorf("healthz during drain: HTTP %d %+v", resp.StatusCode, health)
 	}
+}
+
+// spaces reads as endless JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 func TestHTTPCancel(t *testing.T) {

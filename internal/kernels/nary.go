@@ -127,7 +127,24 @@ func NaryTTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*NaryResult, e
 	if x.NNZ() == 0 {
 		return &NaryResult{A: a, CoreFull: core}, nil
 	}
-	if err := naryScatterOwner(x, u, opts, workers, core, a); err != nil {
+	err = scatterWorkers(x, opts, workers, a, ownerPass{
+		name: "nary.scatter.owner",
+		emitter: func(_ *exec.Worker, s *sink) func(int) error {
+			kron := make([]float64, core.Cols)
+			contrib := make([]float64, a.Cols)
+			perm := make([]int32, x.Order)
+			each := func(idx []int32, val float64) {
+				kronRows(u, idx[1:], kron)
+				naryContrib(core, kron, val, contrib)
+				s.add(int(idx[0]), 1, contrib)
+			}
+			return func(k int) error {
+				x.ForEachExpandedOf(k, perm, each)
+				return nil
+			}
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := exec.FireOutput("nary", a); err != nil {
@@ -147,51 +164,6 @@ func naryContrib(core *linalg.Matrix, kron []float64, val float64, contrib []flo
 		}
 		contrib[r1] = val * s
 	}
-}
-
-// naryScatterOwner is the contention-free pass 2: non-zeros are binned to
-// the worker owning their leading row; foreign rows go to spill buffers.
-func naryScatterOwner(x *spsym.Tensor, u *linalg.Matrix, opts Options, workers int,
-	core, a *linalg.Matrix) error {
-	sched := opts.Schedules.get(x, workers)
-	workers = sched.workers
-	spills := newSpillSet(opts.Schedules, workers, a.Rows, a.Cols)
-	err := exec.Run(opts.execConfig(), exec.Plan{
-		Name:      "nary.scatter.owner",
-		Partition: exec.PerWorker,
-		Workers:   workers,
-		Body: func(wk *exec.Worker, w, _ int) error {
-			kron := make([]float64, core.Cols)
-			contrib := make([]float64, a.Cols)
-			perm := make([]int32, x.Order)
-			rowLo, rowHi := sched.ownedRows(w)
-			spill := spills.buffer(w)
-			emit := func(idx []int32, val float64) {
-				kronRows(u, idx[1:], kron)
-				naryContrib(core, kron, val, contrib)
-				row := int(idx[0])
-				if row >= rowLo && row < rowHi {
-					dense.AxpyCompact(1, contrib, a.Row(row))
-				} else {
-					spill.add(row, 1, contrib)
-				}
-			}
-			for _, k32 := range sched.bin(w) {
-				k := int(k32)
-				if err := wk.Tick(k); err != nil {
-					return err
-				}
-				x.ForEachExpandedOf(k, perm, emit)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		// Dirty spill buffers go to the GC, not the pool (see
-		// runLatticeOwner).
-		return err
-	}
-	return spills.reduceInto(a, workers, opts.Schedules, opts.Exec, opts.Obs)
 }
 
 // kronRows writes the Kronecker product of the U rows selected by idx into

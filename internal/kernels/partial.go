@@ -5,18 +5,19 @@ package kernels
 // parallel decomposition: it re-executes the *same* owner-computes leaf
 // schedule the single-engine path would run with L workers, except that
 // the L leaves are split into contiguous groups and each group runs on an
-// isolated engine. Every leaf still processes its bin in ascending
-// non-zero order, writes its own rows directly, and spills everything
-// else into a private buffer; the cross-shard merge then folds spills in
-// global leaf order — exactly the schedule.reduce pass. Because both the
-// per-row write sequence and the reduction order are preserved verbatim,
-// the merged output is bitwise identical to the single-engine kernel for
-// any shard count and any input values, not just the dyadic fixtures.
+// isolated engine. Both paths run the one owner-computes loop (ownerPass)
+// with the same lattice emitter: every leaf still processes its bin in
+// ascending non-zero order, writes its own rows directly, and spills
+// everything else into a private buffer; the cross-shard merge then folds
+// spills in global leaf order — exactly the schedule.reduce pass. Because
+// both the per-row write sequence and the reduction order are preserved
+// verbatim, the merged output is bitwise identical to the single-engine
+// kernel for any shard count and any input values, not just the dyadic
+// fixtures.
 
 import (
 	"fmt"
 
-	"github.com/symprop/symprop/internal/dense"
 	"github.com/symprop/symprop/internal/exec"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
@@ -121,12 +122,7 @@ func S3TTMcPartial(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool
 		return nil, fmt.Errorf("kernels: S3TTMcPartial: shard %d of %d", shard, shards)
 	}
 	r := u.Cols
-	var cols int
-	if compact {
-		cols = int(dense.Count(x.Order-1, r))
-	} else {
-		cols = int(dense.Pow64(int64(r), x.Order-1))
-	}
+	cols := int(tensorSize(x.Order-1, r, compact))
 	leafLo, leafHi := gs.ShardLeaves(shard, shards)
 	rowLo, rowHi := gs.ShardRows(shard, shards)
 	p := &Partial{Shard: shard, LeafLo: leafLo, LeafHi: leafHi, RowLo: rowLo, RowHi: rowHi, Cols: cols}
@@ -140,10 +136,11 @@ func S3TTMcPartial(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool
 		return nil, err
 	}
 	defer opts.Guard.Release(wsBytes)
+	pass := latticePass(obs.ShardPlanName("s3ttmc", shard), x, u, opts, compact)
 	// One full-dimension spill buffer per leaf, exactly the single-engine
 	// owner-computes charge — unless the whole run has a single leaf, which
 	// owns every row and spills nothing (mirroring newSpillSet).
-	var spills []*spillBuffer
+	var spills spillSet
 	if gs.Leaves() > 1 {
 		per := memguard.Float64Bytes(int64(x.Dim)*int64(cols)) + 8*int64((x.Dim+63)/64)
 		spBytes := per * int64(leaves)
@@ -151,70 +148,17 @@ func S3TTMcPartial(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool
 			return nil, err
 		}
 		defer opts.Guard.Release(spBytes)
-		spills = make([]*spillBuffer, leaves)
-		for i := range spills {
-			spills[i] = opts.Schedules.getSpill(x.Dim, cols)
+		spills.bufs = make([]*spillBuffer, leaves)
+		for i := range spills.bufs {
+			spills.bufs[i] = opts.Schedules.getSpill(x.Dim, cols)
 		}
+		pass.spills = &spills
 	}
 
 	p.Direct = make([]float64, (rowHi-rowLo)*cols)
-	sched := gs.sched
-	cache := opts.cache()
-	err := exec.Run(opts.execConfig(), exec.Plan{
-		Name:      obs.ShardPlanName("s3ttmc", shard),
-		Partition: exec.PerWorker,
-		Workers:   leaves,
-		Scratch:   latticeScratch(x, u, opts, compact),
-		Finish:    latticeFinish(opts),
-		Body: func(wk *exec.Worker, w, _ int) error {
-			st := wk.Scratch.(*latticeState)
-			leaf := leafLo + w
-			ownLo, ownHi := sched.ownedRows(leaf)
-			var spill *spillBuffer
-			if spills != nil {
-				spill = spills[w]
-			}
-			for _, k32 := range sched.bin(leaf) {
-				k := int(k32)
-				if err := wk.Tick(k); err != nil {
-					return err
-				}
-				if st.fused != nil {
-					tuple := x.IndexAt(k)
-					if allDistinct(tuple) {
-						st.fused(u, tuple, st.fusedTops)
-						val := x.Values[k]
-						for slot := range tuple {
-							row := int(tuple[slot])
-							top := st.fusedTops[slot*st.topSize : (slot+1)*st.topSize]
-							if row >= ownLo && row < ownHi {
-								dense.AxpyCompact(val, top, p.Direct[(row-rowLo)*cols:(row-rowLo+1)*cols])
-							} else {
-								spill.add(row, val, top)
-							}
-						}
-						continue
-					}
-				}
-				plan, values, bufs, err := evalNonZero(x, u, opts, compact, cache, st, k)
-				if err != nil {
-					return err
-				}
-				topLevel := bufs.levels[len(plan.Levels)-1]
-				val := x.Values[k]
-				for slot, node := range plan.Tops {
-					row := int(values[slot])
-					if row >= ownLo && row < ownHi {
-						dense.AxpyCompact(val, topLevel[node], p.Direct[(row-rowLo)*cols:(row-rowLo+1)*cols])
-					} else {
-						spill.add(row, val, topLevel[node])
-					}
-				}
-			}
-			return nil
-		},
-	})
-	if err != nil {
+	pass.sched, pass.leafLo, pass.leafHi = gs.sched, leafLo, leafHi
+	pass.dst, pass.base, pass.cols = p.Direct, rowLo, cols
+	if err := pass.run(opts); err != nil {
 		// Like the single-engine path, aborted spill buffers may hold
 		// partial updates: drop them to the GC instead of pooling dirty.
 		return nil, err
@@ -222,7 +166,7 @@ func S3TTMcPartial(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool
 
 	// Extract each leaf's spill into the sparse wire form, then re-zero and
 	// pool the buffers (the all-zero invariant getSpill relies on).
-	for i, sp := range spills {
+	for i, sp := range spills.bufs {
 		ls := LeafSpill{Leaf: leafLo + i}
 		for row := 0; row < x.Dim; row++ {
 			if !sp.has(row) {
@@ -242,6 +186,6 @@ func S3TTMcPartial(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool
 			p.Spills = append(p.Spills, ls)
 		}
 	}
-	opts.Schedules.putSpill(spills)
+	opts.Schedules.putSpill(spills.bufs)
 	return p, nil
 }

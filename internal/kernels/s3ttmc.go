@@ -181,13 +181,7 @@ func (w *workspace) get(p *css.Plan) *latticeBufs {
 	}
 	b := &latticeBufs{levels: make([][][]float64, len(p.Levels))}
 	for li, lvl := range p.Levels {
-		l := li + 1
-		var size int64
-		if w.compact {
-			size = dense.Count(l, w.r)
-		} else {
-			size = dense.Pow64(int64(w.r), l)
-		}
+		size := tensorSize(li+1, w.r, w.compact)
 		b.levels[li] = make([][]float64, len(lvl))
 		for n := range lvl {
 			b.levels[li][n] = make([]float64, size)
@@ -197,19 +191,22 @@ func (w *workspace) get(p *css.Plan) *latticeBufs {
 	return b
 }
 
+// tensorSize is the storage length of an order-l K tensor: its S_{l,r}
+// IOU entries when compact, all r^l entries otherwise. An order-(N-1) K
+// tensor is one output row.
+func tensorSize(l, r int, compact bool) int64 {
+	if compact {
+		return dense.Count(l, r)
+	}
+	return dense.Pow64(int64(r), l)
+}
+
 // latticeBytes estimates one worker's buffer footprint for the
 // all-distinct signature of the given order (the widest lattice).
 func latticeBytes(order, r int, compact bool) int64 {
 	var floats int64
 	for l := 1; l <= order-1; l++ {
-		nodes := dense.Binomial(order, l)
-		var size int64
-		if compact {
-			size = dense.Count(l, r)
-		} else {
-			size = dense.Pow64(int64(r), l)
-		}
-		v := nodes * size
+		v := dense.Binomial(order, l) * tensorSize(l, r, compact)
 		if v < 0 || floats+v < 0 {
 			return 1 << 62
 		}
@@ -271,12 +268,16 @@ func fullOuterAccum(dst, src, u []float64) {
 	}
 }
 
-// latticeState is the per-worker mutable state of one lattice plan
-// (s3ttmc.owner here, the shard partial in partial.go): each installs one
-// per worker slot via the plan's Scratch hook and returns it in Finish;
-// the underlying buffers recycle across calls through the WorkspacePool.
+// latticeState is one worker's lattice emitter, the per-non-zero step of
+// S3TTMcSymProp, S3TTMcCSS and S3TTMcPartial. latticePass installs one
+// per worker slot and returns its workspace in Finish; the underlying
+// buffers recycle across calls through the WorkspacePool.
 type latticeState struct {
-	ws *workspace
+	x     *spsym.Tensor
+	u     *linalg.Matrix
+	cache *css.Cache
+	iter  IterationStrategy
+	ws    *workspace
 	// fused is the per-(order, rank) fused evaluator for all-distinct
 	// non-zeros, nil when the call runs fully generic (see resolveFusion);
 	// fusedTops is its output scratch, topSize the per-slot block width.
@@ -285,140 +286,61 @@ type latticeState struct {
 	topSize   int
 }
 
-func newLatticeState(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) *latticeState {
-	st := &latticeState{ws: opts.Pool.get(x.Order, u.Cols, compact)}
-	if fk := resolveFusion(opts, compact, x.Order, u.Cols); fk != nil {
-		st.fused = fk
-		st.fusedTops = st.ws.fusedScratch()
-		st.topSize = len(st.fusedTops) / x.Order
-	}
-	return st
-}
-
-// evalNonZero computes the K lattice of non-zero k into st's buffers
-// through the plan interpreter. It returns the plan and the distinct index
-// values; the caller reads the top level from the returned buffers.
-func evalNonZero(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool,
-	cache *css.Cache, st *latticeState, k int) (*css.Plan, []int32, *latticeBufs, error) {
-	tuple := x.IndexAt(k)
-	values, sig := css.Signature(tuple, st.ws.values, st.ws.sig)
-	plan, err := cache.Get(sig)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	bufs := st.ws.get(plan)
-	evalLattice(plan, bufs, values, u, compact, opts.Iteration)
-	return plan, values, bufs, nil
-}
-
-// runLattice is the shared driver: computes the K lattice for every IOU
-// non-zero and accumulates each top tensor into its output row of y,
-// scaled by the non-zero's value, under owner-computes scheduling.
-func runLattice(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool, y *linalg.Matrix) error {
-	cache := opts.cache()
-	nnz := x.NNZ()
-	if nnz == 0 {
-		return nil
-	}
-	workers := min(opts.workers(), nnz)
-	// Cheap early exit before the schedule is built or spill bytes are
-	// reserved; exec.Run re-checks before spawning workers.
-	if exec.IsCanceled(opts.Ctx) {
-		return exec.Cause(opts.Ctx)
-	}
-	workers, release := reserveSpills(opts.Guard, y.Rows, y.Cols, workers)
-	defer release()
-	return runLatticeOwner(x, u, opts, compact, cache, workers, y)
-}
-
-// latticeScratch installs a fresh per-worker lattice state (warm buffers
-// via Options.Pool) and latticeFinish returns its workspace to the pool
-// after the plan joins, for every worker that started, success or not.
-func latticeScratch(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) func(*exec.Worker) error {
-	return func(w *exec.Worker) error {
-		w.Scratch = newLatticeState(x, u, opts, compact)
-		return nil
-	}
-}
-
-func latticeFinish(opts Options) func(*exec.Worker) {
-	return func(w *exec.Worker) {
-		if st, ok := w.Scratch.(*latticeState); ok {
-			opts.Pool.put(st.ws)
+// emit adds non-zero k's top tensors, scaled by its value, through s in
+// slot order: tuple order on the fused path, plan.Tops order in the plan
+// interpreter.
+func (st *latticeState) emit(k int, s *sink) error {
+	tuple := st.x.IndexAt(k)
+	val := st.x.Values[k]
+	if st.fused != nil && allDistinct(tuple) {
+		// Fused fast path: slot t's value is tuple[t], so one generated
+		// pass computes every top tensor without plan or workspace lookups.
+		st.fused(st.u, tuple, st.fusedTops)
+		for slot, row := range tuple {
+			s.add(int(row), val, st.fusedTops[slot*st.topSize:(slot+1)*st.topSize])
 		}
+		return nil
 	}
-}
-
-// runLatticeOwner is the owner-computes driver (schedule.go): workers
-// process the non-zeros binned to their row partition, write owned rows
-// directly, spill foreign rows into private buffers, and a deterministic
-// reduction folds the spills into y. The engine's PerWorker partition is
-// the explicit owner entry point: Body runs once per owner index.
-func runLatticeOwner(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool,
-	cache *css.Cache, workers int, y *linalg.Matrix) error {
-	sched := opts.Schedules.get(x, workers)
-	workers = sched.workers // clamped to the row count
-	spills := newSpillSet(opts.Schedules, workers, y.Rows, y.Cols)
-	err := exec.Run(opts.execConfig(), exec.Plan{
-		Name:      "s3ttmc.owner",
-		Partition: exec.PerWorker,
-		Workers:   workers,
-		Scratch:   latticeScratch(x, u, opts, compact),
-		Finish:    latticeFinish(opts),
-		Body: func(wk *exec.Worker, w, _ int) error {
-			st := wk.Scratch.(*latticeState)
-			rowLo, rowHi := sched.ownedRows(w)
-			spill := spills.buffer(w)
-			for _, k32 := range sched.bin(w) {
-				k := int(k32)
-				if err := wk.Tick(k); err != nil {
-					return err
-				}
-				if st.fused != nil {
-					// Fused fast path: all-distinct non-zeros (slot t's
-					// value is tuple[t]) skip the plan/workspace lookups and
-					// compute every top tensor in one generated pass.
-					tuple := x.IndexAt(k)
-					if allDistinct(tuple) {
-						st.fused(u, tuple, st.fusedTops)
-						val := x.Values[k]
-						for slot := range tuple {
-							row := int(tuple[slot])
-							top := st.fusedTops[slot*st.topSize : (slot+1)*st.topSize]
-							if row >= rowLo && row < rowHi {
-								dense.AxpyCompact(val, top, y.Row(row))
-							} else {
-								spill.add(row, val, top)
-							}
-						}
-						continue
-					}
-				}
-				plan, values, bufs, err := evalNonZero(x, u, opts, compact, cache, st, k)
-				if err != nil {
-					return err
-				}
-				topLevel := bufs.levels[len(plan.Levels)-1]
-				val := x.Values[k]
-				for slot, node := range plan.Tops {
-					row := int(values[slot])
-					if row >= rowLo && row < rowHi {
-						dense.AxpyCompact(val, topLevel[node], y.Row(row))
-					} else {
-						spill.add(row, val, topLevel[node])
-					}
-				}
-			}
-			return nil
-		},
-	})
+	values, sig := css.Signature(tuple, st.ws.values, st.ws.sig)
+	plan, err := st.cache.Get(sig)
 	if err != nil {
-		// The spill buffers may hold partial updates from aborted workers;
-		// skipping reduceInto leaves them to the GC instead of returning
-		// dirty memory to the pool's all-zero free list.
 		return err
 	}
-	return spills.reduceInto(y, workers, opts.Schedules, opts.Exec, opts.Obs)
+	bufs := st.ws.get(plan)
+	evalLattice(plan, bufs, values, st.u, st.ws.compact, st.iter)
+	topLevel := bufs.levels[len(plan.Levels)-1]
+	for slot, node := range plan.Tops {
+		s.add(int(values[slot]), val, topLevel[node])
+	}
+	return nil
+}
+
+// latticePass is the owner-computes pass of the lattice kernels, run as
+// plan name. Each worker's emitter is a latticeState on warm buffers from
+// Options.Pool, stashed in the worker's Scratch; Finish returns the
+// workspace to the pool after the plan joins, for every worker that
+// started, success or not.
+func latticePass(name string, x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) ownerPass {
+	cache := opts.cache()
+	return ownerPass{
+		name: name,
+		emitter: func(w *exec.Worker, s *sink) func(int) error {
+			st := &latticeState{x: x, u: u, cache: cache, iter: opts.Iteration,
+				ws: opts.Pool.get(x.Order, u.Cols, compact)}
+			if fk := resolveFusion(opts, compact, x.Order, u.Cols); fk != nil {
+				st.fused = fk
+				st.fusedTops = st.ws.fusedScratch()
+				st.topSize = len(st.fusedTops) / x.Order
+			}
+			w.Scratch = st
+			return func(k int) error { return st.emit(k, s) }
+		},
+		finish: func(w *exec.Worker) {
+			if st, ok := w.Scratch.(*latticeState); ok {
+				opts.Pool.put(st.ws)
+			}
+		},
+	}
 }
 
 // S3TTMcSymProp computes the SymProp S³TTMc (paper §III): the chain product
@@ -426,43 +348,67 @@ func runLatticeOwner(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bo
 // unfolding Y_p(1) of shape I x S_{N-1,R} — row k holds the IOU entries of
 // the fully symmetric order-(N-1) slice Y(k, :, …, :).
 func S3TTMcSymProp(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
+	return s3ttmc(x, u, opts, true)
+}
+
+// S3TTMcCSS computes the same chain product with the prior-art CSS
+// baseline: lattice memoization but full dense intermediates, returning
+// the full unfolding Y(1) of shape I x R^{N-1}.
+func S3TTMcCSS(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
+	return s3ttmc(x, u, opts, false)
+}
+
+// s3ttmc is the entry of both lattice kernels; compact selects SymProp's
+// compact storage over CSS's full storage. The single-engine path computes
+// the K lattice of every IOU non-zero and accumulates each top tensor into
+// its output row, scaled by the non-zero's value, under owner-computes
+// scheduling.
+func s3ttmc(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) (*linalg.Matrix, error) {
 	if err := validate(x, u); err != nil {
 		return nil, err
 	}
-	recordFusionMiss(opts, true, x.Order, u.Cols)
+	recordFusionMiss(opts, compact, x.Order, u.Cols)
+	site, yLabel, wsLabel := "s3ttmc.css", "full Y(1)", "CSS lattice workspaces"
+	if compact {
+		site, yLabel, wsLabel = "s3ttmc.symprop", "compact Y_p(1)", "SymProp lattice workspaces"
+	}
+	var y *linalg.Matrix
 	if b := opts.Backend; b != nil {
 		opts.Backend = nil
-		y, err := b.S3TTMc(x, u, true, opts)
-		if err != nil {
+		var err error
+		if y, err = b.S3TTMc(x, u, compact, opts); err != nil {
 			return nil, err
 		}
-		// Same output fault site as the single-engine path, so the
-		// resilience matrix covers both routes identically.
-		if err := exec.FireOutput("s3ttmc.symprop", y); err != nil {
+	} else {
+		r := u.Cols
+		if !compact {
+			treeBytes := cssTreeBytes(x.NNZ(), x.Order, r)
+			if err := opts.Guard.Reserve(treeBytes, "CSS tree-resident K tensors"); err != nil {
+				return nil, err
+			}
+			defer opts.Guard.Release(treeBytes)
+		}
+		cols := tensorSize(x.Order-1, r, compact)
+		yBytes := memguard.Float64Bytes(int64(x.Dim) * cols)
+		wsBytes := latticeBytes(x.Order, r, compact) * int64(opts.workers())
+		if err := opts.Guard.Reserve(yBytes, yLabel); err != nil {
 			return nil, err
 		}
-		return y, nil
-	}
-	r := u.Cols
-	cols := dense.Count(x.Order-1, r)
-	yBytes := memguard.Float64Bytes(int64(x.Dim) * cols)
-	wsBytes := latticeBytes(x.Order, r, true) * int64(opts.workers())
-	if err := opts.Guard.Reserve(yBytes, "compact Y_p(1)"); err != nil {
-		return nil, err
-	}
-	defer opts.Guard.Release(yBytes)
-	if err := opts.Guard.Reserve(wsBytes, "SymProp lattice workspaces"); err != nil {
-		return nil, err
-	}
-	defer opts.Guard.Release(wsBytes)
+		defer opts.Guard.Release(yBytes)
+		if err := opts.Guard.Reserve(wsBytes, wsLabel); err != nil {
+			return nil, err
+		}
+		defer opts.Guard.Release(wsBytes)
 
-	y := linalg.NewMatrix(x.Dim, int(cols))
-	if err := runLattice(x, u, opts, true, y); err != nil {
-		return nil, err
+		y = linalg.NewMatrix(x.Dim, int(cols))
+		if err := scatter(x, opts, y, latticePass("s3ttmc.owner", x, u, opts, compact)); err != nil {
+			return nil, err
+		}
 	}
-	// Fault-injection point for numeric-health tests: an armed hook may
-	// poison y (e.g. write a NaN) or abort the kernel with an error.
-	if err := exec.FireOutput("s3ttmc.symprop", y); err != nil {
+	// Fault-injection point for numeric-health tests, the same for the
+	// single-engine and the backend route: an armed hook may poison y
+	// (e.g. write a NaN) or abort the kernel with an error.
+	if err := exec.FireOutput(site, y); err != nil {
 		return nil, err
 	}
 	return y, nil
@@ -487,53 +433,6 @@ func cssTreeBytes(nnz, order, r int) int64 {
 		return 1 << 62
 	}
 	return memguard.Float64Bytes(total)
-}
-
-// S3TTMcCSS computes the same chain product with the prior-art CSS
-// baseline: lattice memoization but full dense intermediates, returning
-// the full unfolding Y(1) of shape I x R^{N-1}.
-func S3TTMcCSS(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
-	if err := validate(x, u); err != nil {
-		return nil, err
-	}
-	recordFusionMiss(opts, false, x.Order, u.Cols)
-	if b := opts.Backend; b != nil {
-		opts.Backend = nil
-		y, err := b.S3TTMc(x, u, false, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := exec.FireOutput("s3ttmc.css", y); err != nil {
-			return nil, err
-		}
-		return y, nil
-	}
-	r := u.Cols
-	treeBytes := cssTreeBytes(x.NNZ(), x.Order, r)
-	if err := opts.Guard.Reserve(treeBytes, "CSS tree-resident K tensors"); err != nil {
-		return nil, err
-	}
-	defer opts.Guard.Release(treeBytes)
-	cols := dense.Pow64(int64(r), x.Order-1)
-	yBytes := memguard.Float64Bytes(int64(x.Dim) * cols)
-	wsBytes := latticeBytes(x.Order, r, false) * int64(opts.workers())
-	if err := opts.Guard.Reserve(yBytes, "full Y(1)"); err != nil {
-		return nil, err
-	}
-	defer opts.Guard.Release(yBytes)
-	if err := opts.Guard.Reserve(wsBytes, "CSS lattice workspaces"); err != nil {
-		return nil, err
-	}
-	defer opts.Guard.Release(wsBytes)
-
-	y := linalg.NewMatrix(x.Dim, int(cols))
-	if err := runLattice(x, u, opts, false, y); err != nil {
-		return nil, err
-	}
-	if err := exec.FireOutput("s3ttmc.css", y); err != nil {
-		return nil, err
-	}
-	return y, nil
 }
 
 // mustCompactShape panics when yp's column count disagrees with the

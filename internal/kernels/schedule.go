@@ -22,6 +22,9 @@ package kernels
 //     across workers, spill buffers added in worker order) folds the spills
 //     into Y afterwards.
 //
+// Every scatter kernel runs the one loop of steps 2 and 3, ownerPass, and
+// supplies only its per-non-zero emitter.
+//
 // The schedule depends only on (tensor, worker count), so ScheduleCache
 // memoizes it next to the lattice plan cache and the workspace pool:
 // a Tucker run builds it once and reuses it every sweep. When the memory
@@ -333,6 +336,105 @@ func spillBytes(rows, cols int64, workers int) int64 {
 		return 1 << 62
 	}
 	return total
+}
+
+// sink routes one leaf's emissions: a row the leaf owns, in [lo, hi), goes
+// straight into dst, which holds cols-wide output rows from row base on;
+// any other row goes into the leaf's spill buffer.
+type sink struct {
+	lo, hi, base, cols int
+	dst                []float64
+	spill              *spillBuffer
+}
+
+// add accumulates scale*v into output row row.
+func (s *sink) add(row int, scale float64, v []float64) {
+	if row < s.lo || row >= s.hi {
+		s.spill.add(row, scale, v)
+		return
+	}
+	off := (row - s.base) * s.cols
+	dense.AxpyCompact(scale, v, s.dst[off:off+s.cols])
+}
+
+// ownerPass is the one owner-computes loop behind every scatter kernel: the
+// schedule leaves [leafLo, leafHi) run as the PerWorker plan name, one
+// worker slot per leaf. Each leaf walks its bin in ascending non-zero
+// order, ticks every non-zero and hands it to its worker's emitter, which
+// adds the non-zero's row contributions through the leaf's sink in a fixed
+// order. spills holds one buffer per slot, nil when the run has one leaf.
+//
+// A kernel supplies name, emitter and, optionally, finish (the plan's
+// Finish hook); scatterWorkers and S3TTMcPartial fill in the rest.
+type ownerPass struct {
+	name           string
+	sched          *schedule
+	leafLo, leafHi int
+	dst            []float64
+	base, cols     int
+	spills         *spillSet
+	// emitter builds the emitter of worker w's leaf, on w's goroutine,
+	// before the leaf's first non-zero.
+	emitter func(w *exec.Worker, s *sink) func(k int) error
+	finish  func(*exec.Worker)
+}
+
+func (p *ownerPass) run(opts Options) error {
+	return exec.Run(opts.execConfig(), exec.Plan{
+		Name:      p.name,
+		Partition: exec.PerWorker,
+		Workers:   p.leafHi - p.leafLo,
+		Finish:    p.finish,
+		Body: func(wk *exec.Worker, w, _ int) error {
+			leaf := p.leafLo + w
+			s := &sink{base: p.base, cols: p.cols, dst: p.dst, spill: p.spills.buffer(w)}
+			s.lo, s.hi = p.sched.ownedRows(leaf)
+			emit := p.emitter(wk, s)
+			for _, k := range p.sched.bin(leaf) {
+				if err := wk.Tick(int(k)); err != nil {
+					return err
+				}
+				if err := emit(int(k)); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
+}
+
+// scatter is the single-engine owner-computes run of a kernel with output
+// y: it resolves the worker count (clamped to the non-zeros, then shrunk
+// until the spill buffers fit the guard) and runs scatterWorkers.
+func scatter(x *spsym.Tensor, opts Options, y *linalg.Matrix, pass ownerPass) error {
+	nnz := x.NNZ()
+	if nnz == 0 {
+		return nil
+	}
+	// Cheap early exit before the schedule is built or spill bytes are
+	// reserved; exec.Run re-checks before spawning workers.
+	if exec.IsCanceled(opts.Ctx) {
+		return exec.Cause(opts.Ctx)
+	}
+	workers, release := reserveSpills(opts.Guard, y.Rows, y.Cols, min(opts.workers(), nnz))
+	defer release()
+	return scatterWorkers(x, opts, workers, y, pass)
+}
+
+// scatterWorkers runs pass over every leaf of the (x, workers) schedule,
+// writing into y, and then folds the spills into y with schedule.reduce.
+func scatterWorkers(x *spsym.Tensor, opts Options, workers int, y *linalg.Matrix, pass ownerPass) error {
+	pass.sched = opts.Schedules.get(x, workers)
+	workers = pass.sched.workers // clamped to the row count
+	pass.leafHi, pass.dst, pass.cols = workers, y.Data, y.Cols
+	pass.spills = newSpillSet(opts.Schedules, workers, y.Rows, y.Cols)
+	if err := pass.run(opts); err != nil {
+		// The spill buffers may hold partial updates from aborted workers;
+		// skipping reduceInto leaves them to the GC instead of returning
+		// dirty memory to the pool's all-zero free list.
+		return err
+	}
+	return pass.spills.reduceInto(y, workers, opts.Schedules, opts.Exec, opts.Obs)
 }
 
 // reserveSpills charges the owner-computes spill buffers of a rows x cols

@@ -35,70 +35,35 @@ func S3TTMcUCOO(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix
 	defer opts.Guard.Release(wsBytes)
 
 	y := linalg.NewMatrix(x.Dim, int(cols))
-	nnz := x.NNZ()
-	if nnz == 0 {
+	if x.NNZ() == 0 {
 		return y, nil
 	}
-	if exec.IsCanceled(opts.Ctx) {
-		return nil, exec.Cause(opts.Ctx)
-	}
-	workers, release := reserveSpills(opts.Guard, y.Rows, y.Cols, min(opts.workers(), nnz))
-	defer release()
-	if err := ucooOwner(x, u, opts, workers, y); err != nil {
+	// Every expanded permutation of a non-zero emits its Kronecker chain
+	// into the row of its first index, which ranges over the tuple's
+	// distinct values — the lattice kernels' emission pattern, so the same
+	// schedule (bin by leading row, spill the rest) applies.
+	err := scatter(x, opts, y, ownerPass{
+		name: "ucoo.owner",
+		emitter: func(_ *exec.Worker, s *sink) func(int) error {
+			kron := make([]float64, y.Cols)
+			perm := make([]int32, x.Order)
+			each := func(idx []int32, val float64) {
+				kronRows(u, idx[1:], kron)
+				s.add(int(idx[0]), val, kron)
+			}
+			return func(k int) error {
+				x.ForEachExpandedOf(k, perm, each)
+				return nil
+			}
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := exec.FireOutput("ucoo", y); err != nil {
 		return nil, err
 	}
 	return y, nil
-}
-
-// ucooOwner is the owner-computes UCOO scatter: every expanded permutation
-// of a non-zero emits into the row of its first index, which ranges over
-// the tuple's distinct values — the same emission pattern as the lattice
-// kernels, so the same schedule (bin by leading row, spill the rest)
-// applies. Each owner runs once via the engine's PerWorker partition.
-func ucooOwner(x *spsym.Tensor, u *linalg.Matrix, opts Options, workers int, y *linalg.Matrix) error {
-	sched := opts.Schedules.get(x, workers)
-	workers = sched.workers
-	spills := newSpillSet(opts.Schedules, workers, y.Rows, y.Cols)
-	err := exec.Run(opts.execConfig(), exec.Plan{
-		Name:      "ucoo.owner",
-		Partition: exec.PerWorker,
-		Workers:   workers,
-		Body: func(wk *exec.Worker, w, _ int) error {
-			// Per-range state: kron scratch, permutation scratch, and the
-			// emission closure are all built once here so the per-non-zero
-			// loop below allocates nothing (hotalloc).
-			kron := make([]float64, y.Cols)
-			perm := make([]int32, x.Order)
-			rowLo, rowHi := sched.ownedRows(w)
-			spill := spills.buffer(w)
-			emit := func(idx []int32, val float64) {
-				kronRows(u, idx[1:], kron)
-				row := int(idx[0])
-				if row >= rowLo && row < rowHi {
-					dense.AxpyCompact(val, kron, y.Row(row))
-				} else {
-					spill.add(row, val, kron)
-				}
-			}
-			for _, k32 := range sched.bin(w) {
-				k := int(k32)
-				if err := wk.Tick(k); err != nil {
-					return err
-				}
-				x.ForEachExpandedOf(k, perm, emit)
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		// Dirty spill buffers go to the GC, not the pool (see
-		// runLatticeOwner).
-		return err
-	}
-	return spills.reduceInto(y, workers, opts.Schedules, opts.Exec, opts.Obs)
 }
 
 // EstimateUCOOBytes returns the UCOO kernel footprint: full Y(1) plus

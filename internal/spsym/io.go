@@ -67,9 +67,10 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 				order < 1 || order > dense.MaxOrder || dim < 1 || nnz < 0 {
 				return nil, fmt.Errorf("spsym: line %d: malformed header %q (order must be in [1,%d])", line, text, dense.MaxOrder)
 			}
+			// The slices grow with the entries that arrive: sizing them from
+			// the declared count would let a short input demand any
+			// allocation, one the runtime cannot refuse with an error.
 			t = New(order, dim)
-			t.Index = make([]int32, 0, nnz*order)
-			t.Values = make([]float64, 0, nnz)
 			declared = nnz
 			continue
 		}

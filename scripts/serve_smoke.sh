@@ -11,6 +11,10 @@
 #      job back to the queue, and exits 0; yet another restart completes
 #      the drained job. No job is ever lost.
 #
+# Before phase 1, two hostile submits must be refused (400 for a tensor
+# header declaring two billion non-zeros, 413 for a body one byte over the
+# cap) while the same server process keeps serving.
+#
 # Usage: scripts/serve_smoke.sh [workdir]
 set -euo pipefail
 
@@ -66,8 +70,30 @@ wait_status() {
     return 1
 }
 
-echo "serve-smoke: phase 1 — SIGKILL mid-job, restart, bit-identical resume"
+# expect_code <want> <what> <curl args...>: the request must answer <want>.
+expect_code() {
+    local want=$1 what=$2 got
+    shift 2
+    got=$(curl -s -o "$dir/response" -w '%{http_code}' "$@") || true
+    if [[ $got != "$want" ]]; then
+        echo "serve-smoke: FAIL — $what: HTTP $got, want $want" >&2
+        cat "$dir/response" 2>/dev/null >&2 || true
+        exit 1
+    fi
+    echo "serve-smoke: $what -> HTTP $got"
+}
+
 start_server a
+echo "serve-smoke: phase 0 — hostile submits are refused, the server keeps serving"
+expect_code 400 "tensor header declaring 2e9 non-zeros" -H 'Content-Type: application/json' \
+    --data-binary '{"rank": 2, "tensor": "sym 3 1000 2000000000\n1 2 3 1.5\n"}' "$server_url/v1/jobs"
+# One byte of JSON whitespace past maxSubmitBytes (internal/jobs/server.go).
+head -c $(((32 << 20) + 1)) /dev/zero | tr '\0' ' ' |
+    expect_code 413 "body one byte over the cap" -H 'Content-Type: application/json' \
+        --data-binary @- "$server_url/v1/jobs"
+expect_code 200 "healthz after both" "$server_url/healthz"
+
+echo "serve-smoke: phase 1 — SIGKILL mid-job, restart, bit-identical resume"
 job=$("$dir/symprop-serve" submit -server "$server_url" "${submit_args[@]}" "$dir/x.tns")
 echo "serve-smoke: submitted $job"
 # Wait until the run has produced at least one resumable snapshot, so the
