@@ -349,6 +349,12 @@ func BenchmarkIndexIteration(b *testing.B) {
 				dense.OuterAccumRecursive(c.order, dst, src, u, c.rank)
 			}
 		})
+		off := dense.ColexOffsets(c.order, c.rank)
+		b.Run("Colex/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				dense.ColexNode(dst, off, [][]float64{src}, [][]float64{u})
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // paper's own figures:
 //
 //  1. iteration strategy inside the full S³TTMc kernel (end-to-end version
-//     of §VI-B.4): generated loop nests vs recursive closures vs
+//     of §VI-B.4): the default colex blocks vs recursive closures vs
 //     index-mapped iteration;
 //  2. kernel memoization: HOQRI-SymProp vs the original HOQRI n-ary
 //     contraction (Table II rows 3/4 made executable);
@@ -167,7 +167,7 @@ func ablateIteration(w io.Writer, p Profile) error {
 		name string
 		iter kernels.IterationStrategy
 	}{
-		{"generated (metaprogramming analog)", kernels.IterGenerated},
+		{"colex blocks (default)", kernels.IterGenerated},
 		{"recursive closures", kernels.IterRecursive},
 		{"index-mapped (Ballard et al.)", kernels.IterIndexMapped},
 	} {
@@ -182,7 +182,7 @@ func ablateIteration(w io.Writer, p Profile) error {
 		}
 		rows = append(rows, []string{tc.name, m.Format(), speedup(m, base)})
 	}
-	table(w, []string{"strategy", "time", "slowdown vs generated"}, rows)
+	table(w, []string{"strategy", "time", "slowdown vs colex"}, rows)
 	return nil
 }
 

@@ -69,7 +69,7 @@ func Verify(w io.Writer, trials int, seed int64) error {
 			name string
 			iter kernels.IterationStrategy
 		}{
-			{"SymProp/generated", kernels.IterGenerated},
+			{"SymProp/colex", kernels.IterGenerated},
 			{"SymProp/recursive", kernels.IterRecursive},
 			{"SymProp/index-mapped", kernels.IterIndexMapped},
 		} {

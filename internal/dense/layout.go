@@ -8,13 +8,15 @@
 // Count(N, R) = C(N+R-1, N) values instead of R^N — asymptotically an N!
 // reduction (paper §II-B).
 //
-// The hot paths of SymProp iterate this layout with perfectly nested loops
-// (paper Algorithm 1). Go has no template metaprogramming, so the loop nests
-// for every order up to MaxGenOrder are generated ahead of time by
-// tools/geniterate and checked in as iterate_gen.go; higher orders fall back
-// to a recursive implementation. A third strategy — the boundary-trace
-// index-mapping iterator of Ballard et al. — exists solely as the comparison
-// baseline for the paper's §VI-B.4 ablation.
+// Paper Algorithm 1 iterates this layout with perfectly nested loops. Go
+// has no template metaprogramming, so the loop nests for every order up to
+// MaxGenOrder are generated ahead of time by tools/geniterate and checked
+// in as iterate_gen.go; higher orders fall back to a recursive
+// implementation. A third strategy — the boundary-trace index-mapping
+// iterator of Ballard et al. — exists solely as the comparison baseline
+// for the paper's §VI-B.4 ablation. The SymProp lattice interpreter keeps
+// its K tensors in the colexicographic order of colex.go instead, where
+// each Algorithm-1 term is a run of contiguous axpys.
 package dense
 
 import (

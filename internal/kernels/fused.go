@@ -3,7 +3,6 @@ package kernels
 import (
 	"fmt"
 
-	"github.com/symprop/symprop/internal/dense"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/obs"
 )
@@ -104,11 +103,10 @@ func allDistinct(tuple []int32) bool {
 }
 
 // fusedScratch returns the workspace's tops buffer for the fused
-// evaluators, sized order · S_{order-1,r} and recycled with the workspace
-// through the WorkspacePool.
+// evaluators: the top level of its K buffers, order · S_{order-1,r}
+// contiguous entries, recycled with the workspace through the
+// WorkspacePool.
 func (w *workspace) fusedScratch() []float64 {
-	if w.fusedTops == nil {
-		w.fusedTops = make([]float64, w.order*int(dense.Count(w.order-1, w.r)))
-	}
-	return w.fusedTops
+	w.buffers()
+	return w.tops
 }

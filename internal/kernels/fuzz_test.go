@@ -14,7 +14,9 @@ import (
 // and UCOO must agree bit-for-bit within floating-point tolerance, and the
 // fused dispatch (FusionAuto, the SymProp default here) must be bitwise
 // equal to the forced-generic path whether the (order, rank) pair hits a
-// generated kernel or falls back.
+// generated kernel or falls back. The generic path's colex evaluator
+// (IterGenerated) must in turn be bitwise equal to the lex loop nests of
+// IterRecursive.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(3), uint8(10))
 	f.Add(int64(2), uint8(2), uint8(2), uint8(1), uint8(1))
@@ -45,10 +47,18 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("SymProp generic: %v", err)
 		}
+		lex, err := S3TTMcSymProp(x, u, Options{Iteration: IterRecursive})
+		if err != nil {
+			t.Fatalf("SymProp recursive: %v", err)
+		}
 		for i := range yp.Data {
 			if math.Float64bits(yp.Data[i]) != math.Float64bits(generic.Data[i]) {
 				t.Fatalf("fused vs generic differ at %d: %v vs %v (N=%d I=%d R=%d nnz=%d)",
 					i, yp.Data[i], generic.Data[i], order, dim, rank, nnz)
+			}
+			if math.Float64bits(generic.Data[i]) != math.Float64bits(lex.Data[i]) {
+				t.Fatalf("colex vs lex (IterRecursive) differ at %d: %v vs %v (N=%d I=%d R=%d nnz=%d)",
+					i, generic.Data[i], lex.Data[i], order, dim, rank, nnz)
 			}
 		}
 		sp := ExpandCompactColumns(yp, order, rank)

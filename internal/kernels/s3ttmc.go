@@ -35,8 +35,11 @@ import (
 type IterationStrategy int
 
 const (
-	// IterGenerated (default) dispatches to the fully unrolled loop nests
-	// of internal/dense — the metaprogramming analog.
+	// IterGenerated (default) stores the K tensors in colexicographic
+	// order and sums each lattice node's edges block by block
+	// (dense.ColexNode): each Algorithm-1 term becomes R contiguous axpys
+	// over a prefix of the child's buffer. Output stays in lexicographic
+	// order, bit-identical to the lex loop nests of the other strategies.
 	IterGenerated IterationStrategy = iota
 	// IterRecursive uses the recursive-closure loop nest.
 	IterRecursive
@@ -59,7 +62,7 @@ type Options struct {
 	// iterations). nil uses a fresh per-call cache.
 	PlanCache *css.Cache
 	// Iteration selects the compact-layout iteration strategy (SymProp
-	// kernels only); the default is the generated loop nests.
+	// kernels only); the default is the colex block evaluator.
 	Iteration IterationStrategy
 	// Pool recycles per-worker lattice workspaces across calls (e.g.
 	// across Tucker sweeps). nil allocates fresh workspaces per call.
@@ -143,52 +146,82 @@ func validate(x *spsym.Tensor, u *linalg.Matrix) error {
 	return nil
 }
 
-// latticeBufs holds per-worker K-tensor buffers for one plan: one buffer
-// per lattice node, level-major.
-type latticeBufs struct {
-	levels [][][]float64
-}
-
-// workspace is the per-worker state: lattice buffers per plan plus reusable
-// signature scratch.
+// workspace is the per-worker state: one set of K buffers sized for the
+// widest lattice — the all-distinct one, with C(order, l) nodes at level l
+// — plus reusable signature and edge scratch. Every plan's level l has at
+// most C(order, l) nodes and each evaluation rewrites every node it reads,
+// so plan p uses a prefix of each level and one set serves every plan.
+// The compact workspace also holds the colex tables and the lex scratch
+// of the IterGenerated evaluator (evalLattice).
 type workspace struct {
-	byPlan  map[*css.Plan]*latticeBufs
+	// levels[l-1][n] is node n's buffer at level l, all carved from one
+	// slab; nil until first use (buffers). tops is the slab's top level,
+	// order contiguous buffers, which is also the output scratch of the
+	// fused evaluators (fusedScratch).
+	levels  [][][]float64
+	tops    []float64
 	values  []int32
 	sig     []int
+	srcs    [][]float64
+	us      [][]float64
 	compact bool
 	r       int
 	order   int
-	// fusedTops is the output scratch of the fused evaluators (order
-	// slot-major blocks of S_{order-1,r} entries), allocated on first use
-	// by fusedScratch and recycled with the workspace.
-	fusedTops []float64
+	// off[l-1] holds the colex block offsets of level l, gather the
+	// colex→lex table of the top level, and lex the top-level tensor in
+	// lex order, as sink.add takes it (compact workspaces only).
+	off    [][]int32
+	gather []int32
+	lex    []float64
 }
 
 func newWorkspace(order, r int, compact bool) *workspace {
 	return &workspace{
-		byPlan:  make(map[*css.Plan]*latticeBufs),
 		values:  make([]int32, order),
 		sig:     make([]int, order),
+		srcs:    make([][]float64, 0, order),
+		us:      make([][]float64, 0, order),
 		compact: compact,
 		r:       r,
 		order:   order,
 	}
 }
 
-func (w *workspace) get(p *css.Plan) *latticeBufs {
-	if b, ok := w.byPlan[p]; ok {
-		return b
+// buffers returns the K buffers, allocating them and, for the compact
+// layout, the colex tables on first use.
+func (w *workspace) buffers() [][][]float64 {
+	if w.levels != nil {
+		return w.levels
 	}
-	b := &latticeBufs{levels: make([][][]float64, len(p.Levels))}
-	for li, lvl := range p.Levels {
-		size := tensorSize(li+1, w.r, w.compact)
-		b.levels[li] = make([][]float64, len(lvl))
-		for n := range lvl {
-			b.levels[li][n] = make([]float64, size)
+	var total int64
+	for l := 1; l < w.order; l++ {
+		total += dense.Binomial(w.order, l) * tensorSize(l, w.r, w.compact)
+	}
+	slab := make([]float64, total)
+	w.tops = slab[total-int64(w.order)*tensorSize(w.order-1, w.r, w.compact):]
+	w.levels = make([][][]float64, w.order-1)
+	for li := range w.levels {
+		size := int(tensorSize(li+1, w.r, w.compact))
+		w.levels[li] = make([][]float64, dense.Binomial(w.order, li+1))
+		for n := range w.levels[li] {
+			w.levels[li][n], slab = slab[:size:size], slab[size:]
 		}
 	}
-	w.byPlan[p] = b
-	return b
+	if w.compact {
+		w.off = make([][]int32, w.order-1)
+		for li := range w.off {
+			w.off[li] = dense.ColexOffsets(li+1, w.r)
+		}
+		w.gather = dense.ColexGather(w.order-1, w.r)
+		w.lex = make([]float64, len(w.gather))
+	}
+	return w.levels
+}
+
+// colex reports whether evaluations under iter keep this workspace's K
+// buffers in colex order: the compact layout on the IterGenerated path.
+func (w *workspace) colex(iter IterationStrategy) bool {
+	return w.compact && iter == IterGenerated
 }
 
 // tensorSize is the storage length of an order-l K tensor: its S_{l,r}
@@ -201,10 +234,11 @@ func tensorSize(l, r int, compact bool) int64 {
 	return dense.Pow64(int64(r), l)
 }
 
-// latticeBytes estimates one worker's buffer footprint for the
-// all-distinct signature of the given order (the widest lattice).
+// latticeBytes is one worker's workspace footprint: the K buffers of the
+// widest lattice and, for the compact layout, the colex tables and the
+// lex scratch — exactly what a workspace holds once buffers has run.
 func latticeBytes(order, r int, compact bool) int64 {
-	var floats int64
+	var floats, int32s int64
 	for l := 1; l <= order-1; l++ {
 		v := dense.Binomial(order, l) * tensorSize(l, r, compact)
 		if v < 0 || floats+v < 0 {
@@ -212,47 +246,66 @@ func latticeBytes(order, r int, compact bool) int64 {
 		}
 		floats += v
 	}
-	return memguard.Float64Bytes(floats)
+	if compact {
+		top := dense.Count(order-1, r)
+		floats += top
+		int32s = top + int64(order-1)*int64(r+1)
+	}
+	if floats < 0 || int32s < 0 {
+		return 1 << 62
+	}
+	return satBytes(memguard.Float64Bytes(floats), 4*int32s)
 }
 
-// evalLattice fills b's buffers for the non-zero with the given distinct
-// values, running the Eq. (7) recursion level by level.
-func evalLattice(p *css.Plan, b *latticeBufs, values []int32, u *linalg.Matrix, compact bool, iter IterationStrategy) {
-	r := u.Cols
+// evalLattice fills the workspace's K buffers for the non-zero with the
+// given distinct values, running the Eq. (7) recursion level by level, and
+// returns the top level. The compact IterGenerated path keeps every K
+// tensor in colex order and sums each node's edges block by block
+// (dense.ColexNode); the recursive and index-mapped ablations and the CSS
+// full storage clear each node and add its edges one outer product at a
+// time in lex order. Both give every entry the same products in the same
+// order.
+func evalLattice(p *css.Plan, ws *workspace, values []int32, u *linalg.Matrix, iter IterationStrategy) [][]float64 {
+	levels := ws.buffers()
 	for n := range p.Levels[0] {
-		copy(b.levels[0][n], u.Row(int(values[n])))
+		copy(levels[0][n], u.Row(int(values[n])))
 	}
+	colex := ws.colex(iter)
 	outer := outerFor(iter)
 	for li := 1; li < len(p.Levels); li++ {
-		l := li + 1
-		for n := range p.Levels[li] {
-			dst := b.levels[li][n]
-			for i := range dst {
-				dst[i] = 0
+		for n, node := range p.Levels[li] {
+			dst := levels[li][n]
+			if colex {
+				srcs, us := ws.srcs[:0], ws.us[:0]
+				for _, e := range node.Edges {
+					srcs = append(srcs, levels[li-1][e.Child])
+					us = append(us, u.Row(int(values[e.Slot])))
+				}
+				dense.ColexNode(dst, ws.off[li], srcs, us)
+				continue
 			}
-			for _, e := range p.Levels[li][n].Edges {
-				src := b.levels[li-1][e.Child]
+			clear(dst)
+			for _, e := range node.Edges {
+				src := levels[li-1][e.Child]
 				urow := u.Row(int(values[e.Slot]))
-				if compact {
-					outer(l, dst, src, urow, r)
+				if ws.compact {
+					outer(li+1, dst, src, urow, u.Cols)
 				} else {
 					fullOuterAccum(dst, src, urow)
 				}
 			}
 		}
 	}
+	return levels[len(p.Levels)-1]
 }
 
-// outerFor maps an iteration strategy to its outer-product kernel.
+// outerFor maps a lex-layout iteration strategy to its outer-product
+// kernel: the recursive closures, or the index-mapped baseline.
 func outerFor(iter IterationStrategy) func(int, []float64, []float64, []float64, int) {
-	switch iter {
-	case IterRecursive:
-		return dense.OuterAccumRecursive
-	case IterIndexMapped:
+	if iter == IterIndexMapped {
 		return dense.OuterAccumIndexMapped
-	default:
-		return dense.OuterAccum
 	}
+	return dense.OuterAccumRecursive
 }
 
 // fullOuterAccum is the baseline outer product on full R^l storage with the
@@ -306,11 +359,14 @@ func (st *latticeState) emit(k int, s *sink) error {
 	if err != nil {
 		return err
 	}
-	bufs := st.ws.get(plan)
-	evalLattice(plan, bufs, values, st.u, st.ws.compact, st.iter)
-	topLevel := bufs.levels[len(plan.Levels)-1]
+	top := evalLattice(plan, st.ws, values, st.u, st.iter)
 	for slot, node := range plan.Tops {
-		s.add(int(values[slot]), val, topLevel[node])
+		kt := top[node]
+		if st.ws.colex(st.iter) {
+			dense.GatherLex(st.ws.lex, kt, st.ws.gather)
+			kt = st.ws.lex
+		}
+		s.add(int(values[slot]), val, kt)
 	}
 	return nil
 }

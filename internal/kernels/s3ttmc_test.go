@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -445,46 +446,54 @@ func TestWorkspacePoolRecycles(t *testing.T) {
 }
 
 // The three compact-layout iteration strategies run the same lattice plan
-// with different outer-product loop nests; they must agree on all-distinct
-// tensors (the widest lattices) up to order 8.
+// with different outer-product walks — colex blocks for IterGenerated, lex
+// loop nests for the two ablations — and must agree bit for bit, on
+// all-distinct tensors (the widest lattices) and on padded ones (many
+// signatures, repeated indices) up to order 8.
 func TestIterationStrategiesAgree(t *testing.T) {
 	for order := 3; order <= 8; order++ {
-		x, err := spsym.Random(spsym.RandomOptions{
-			Order: order, Dim: 12, NNZ: 15, Seed: int64(order), ForbidRepeats: true,
+		distinct, err := spsym.Random(spsym.RandomOptions{
+			Order: order, Dim: 12, NNZ: 15, Seed: int64(order), Values: spsym.ValueNormal, ForbidRepeats: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		u := linalg.RandomNormal(12, 3, rand.New(rand.NewSource(int64(order)+40)))
-		gen, err := S3TTMcSymProp(x, u, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Relative tolerance: order-8 entries sum 8! = 40320 permutation
-		// products, so absolute magnitudes are large.
-		scale := 1.0
-		for _, v := range gen.Data {
-			if v > scale {
-				scale = v
-			} else if -v > scale {
-				scale = -v
-			}
-		}
-		for _, iter := range []IterationStrategy{IterRecursive, IterIndexMapped} {
-			other, err := S3TTMcSymProp(x, u, Options{Iteration: iter})
+		padded, pu := paddedCase(t, order, 11, 40, 3, int64(order)+60)
+		for _, tc := range []struct {
+			name string
+			x    *spsym.Tensor
+			u    *linalg.Matrix
+		}{{"distinct", distinct, u}, {"padded", padded, pu}} {
+			gen, err := S3TTMcSymProp(tc.x, tc.u, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := linalg.MaxAbsDiff(gen, other); d > 1e-12*scale {
-				t.Errorf("order %d: iteration strategy %d differs from the generated loop nests by %v", order, iter, d)
+			for _, iter := range []IterationStrategy{IterRecursive, IterIndexMapped} {
+				other, err := S3TTMcSymProp(tc.x, tc.u, Options{Iteration: iter})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range gen.Data {
+					if math.Float64bits(gen.Data[i]) != math.Float64bits(other.Data[i]) {
+						t.Fatalf("order %d %s: iteration strategy %d gives %v at %d, the colex evaluator %v",
+							order, tc.name, iter, other.Data[i], i, gen.Data[i])
+					}
+				}
 			}
-		}
-		// The (expensive) brute-force oracle only up to order 6; beyond
-		// that the strategy comparison above carries the check.
-		if order <= 6 {
-			want := referenceTTMc(x, u)
-			if d := linalg.MaxAbsDiff(ExpandCompactColumns(gen, order, 3), want); d > 1e-9*scale {
-				t.Errorf("order %d: SymProp differs from reference by %v", order, d)
+			// The (expensive) brute-force oracle only up to order 6; beyond
+			// that the strategy comparison above carries the check.
+			// Relative tolerance: order-6 entries sum 6! permutation
+			// products, so absolute magnitudes are large.
+			if order <= 6 {
+				scale := 1.0
+				for _, v := range gen.Data {
+					scale = math.Max(scale, math.Abs(v))
+				}
+				want := referenceTTMc(tc.x, tc.u)
+				if d := linalg.MaxAbsDiff(ExpandCompactColumns(gen, order, 3), want); d > 1e-9*scale {
+					t.Errorf("order %d %s: SymProp differs from reference by %v", order, tc.name, d)
+				}
 			}
 		}
 	}

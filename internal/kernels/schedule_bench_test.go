@@ -73,12 +73,17 @@ func BenchmarkUCOOScheduling(b *testing.B) {
 // (FusionAuto) and off (FusionOff, the generic lattice path), across grid
 // cells of different order and rank. Output is bit-identical either way
 // (TestFusedMatchesGenericBitwise), so the delta is pure dispatch +
-// fusion overhead recovery.
+// fusion overhead recovery. The rank-8 cells at orders 4 and 5 are where
+// the colex lattice interpreter overtakes the fused evaluators
+// (docs/CODEGEN.md, crossover table); they are sized so one iteration of
+// each stays well under a second.
 func BenchmarkS3TTMcFused(b *testing.B) {
 	for _, sh := range []struct{ order, dim, nnz, r int }{
 		{3, 1024, 50000, 4},
 		{3, 1024, 50000, 8},
 		{4, 256, 20000, 4},
+		{4, 256, 20000, 8},
+		{5, 200, 5000, 8},
 	} {
 		x, err := spsym.Random(spsym.RandomOptions{
 			Order: sh.order, Dim: sh.dim, NNZ: sh.nnz, Seed: 7, Values: spsym.ValueNormal,
