@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet lint fuzz-smoke fault-matrix resume-smoke obs-smoke serve-smoke shard-smoke load-smoke bench bench-json bench-guard verify examples reproduce generate clean
+.PHONY: all build test test-race vet fmt-check lint fuzz-smoke fault-matrix resume-smoke obs-smoke serve-smoke shard-smoke load-smoke bench bench-json bench-guard verify examples reproduce generate clean
 
 all: build vet lint test
 
@@ -11,6 +11,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite any
+# tracked Go file.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # symlint: the repo's own go/analysis suite (see docs/LINTING.md;
 # `go run ./tools/symlint -list` prints the analyzer roster). Enforces

@@ -94,7 +94,7 @@ func TestKernelDeterminismMatrix(t *testing.T) {
 			shared := Options{PlanCache: &css.Cache{}, Pool: &WorkspacePool{}, Schedules: &ScheduleCache{}}
 			for _, workers := range []int{1, 2, 7} {
 				for _, pooled := range []bool{false, true} {
-					for _, fusion := range []Fusion{FusionAuto, FusionOff} {
+					for _, fusion := range []string{"auto", "off"} {
 						for _, caches := range []string{"per-call", "shared"} {
 							name := fmt.Sprintf("%s/%s/workers=%d/pooled=%v/fusion=%s/caches=%s",
 								fx.name, k.name, workers, pooled, fusion, caches)
@@ -104,7 +104,7 @@ func TestKernelDeterminismMatrix(t *testing.T) {
 									pool = exec.NewPool(workers)
 									defer pool.Close()
 								}
-								opts := Options{Workers: workers, Exec: pool, Fusion: fusion}
+								opts := Options{Workers: workers, Exec: pool, noFusion: fusion == "off"}
 								if caches == "shared" {
 									opts.PlanCache, opts.Pool, opts.Schedules = shared.PlanCache, shared.Pool, shared.Schedules
 								}

@@ -12,9 +12,9 @@ import (
 // FuzzKernelEquivalence drives the cross-implementation oracle from fuzzed
 // shape parameters: for any small random tensor, SymProp (expanded), CSS
 // and UCOO must agree bit-for-bit within floating-point tolerance, and the
-// fused dispatch (FusionAuto, the SymProp default here) must be bitwise
-// equal to the forced-generic path whether the (order, rank) pair hits a
-// generated kernel or falls back. The generic path's colex evaluator
+// default SymProp dispatch must be bitwise equal to the interpreter alone
+// (noFusion) whether the (order, rank) pair hits a generated kernel or
+// falls back. The generic path's colex evaluator
 // (IterGenerated) must in turn be bitwise equal to the lex loop nests of
 // IterRecursive.
 func FuzzKernelEquivalence(f *testing.F) {
@@ -43,7 +43,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("SymProp: %v", err)
 		}
-		generic, err := S3TTMcSymProp(x, u, Options{Fusion: FusionOff})
+		generic, err := S3TTMcSymProp(x, u, Options{noFusion: true})
 		if err != nil {
 			t.Fatalf("SymProp generic: %v", err)
 		}

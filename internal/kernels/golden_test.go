@@ -23,7 +23,7 @@ var scatterKernels = []struct {
 }{
 	{"symprop", S3TTMcSymProp},
 	{"symprop-off", func(x *spsym.Tensor, u *linalg.Matrix, o Options) (*linalg.Matrix, error) {
-		o.Fusion = FusionOff
+		o.noFusion = true
 		return S3TTMcSymProp(x, u, o)
 	}},
 	{"css", S3TTMcCSS},

@@ -62,17 +62,14 @@ type Options struct {
 	// iterations). nil uses a fresh per-call cache.
 	PlanCache *css.Cache
 	// Iteration selects the compact-layout iteration strategy (SymProp
-	// kernels only); the default is the colex block evaluator.
+	// kernels only); the default is the colex block evaluator, with the
+	// all-distinct non-zeros of a fused-grid shape on the generated
+	// evaluators (fused.go). The two lex ablations interpret every
+	// non-zero; either way the output bits are the same.
 	Iteration IterationStrategy
 	// Pool recycles per-worker lattice workspaces across calls (e.g.
 	// across Tucker sweeps). nil allocates fresh workspaces per call.
 	Pool *WorkspacePool
-	// Fusion selects whether all-distinct non-zeros may dispatch to the
-	// fused per-(order, rank) evaluators of fused_gen.go (FusionAuto, the
-	// default) or must take the generic lattice path (FusionOff, the
-	// codegen-v2 ablation baseline). SymProp compact kernels only; the two
-	// paths produce bit-identical output. See fused.go and docs/CODEGEN.md.
-	Fusion Fusion
 	// Schedules carries owner-computes schedules across calls (e.g. across
 	// Tucker iterations), the scheduling analog of PlanCache. nil rebuilds
 	// the schedule per call.
@@ -94,6 +91,10 @@ type Options struct {
 	// these Options to the backend, so backends reuse the remaining
 	// options for their per-shard calls without re-entering themselves.
 	Backend Backend
+	// noFusion sends every non-zero through the lattice interpreter, even
+	// on the fused grid: the reference this package's tests and
+	// BenchmarkS3TTMcFused hold the fused evaluators to.
+	noFusion bool
 }
 
 // Backend is the seam a sharded (or, later, networked) execution layer
@@ -383,7 +384,7 @@ func latticePass(name string, x *spsym.Tensor, u *linalg.Matrix, opts Options, c
 		emitter: func(w *exec.Worker, s *sink) func(int) error {
 			st := &latticeState{x: x, u: u, cache: cache, iter: opts.Iteration,
 				ws: opts.Pool.get(x.Order, u.Cols, compact)}
-			if fk := resolveFusion(opts, compact, x.Order, u.Cols); fk != nil {
+			if fk, _ := resolveFusion(opts, compact, x.Order, u.Cols); fk != nil {
 				st.fused = fk
 				st.fusedTops = st.ws.fusedScratch()
 				st.topSize = len(st.fusedTops) / x.Order

@@ -70,43 +70,46 @@ func BenchmarkUCOOScheduling(b *testing.B) {
 
 // BenchmarkS3TTMcFused is the codegen-v2 ablation behind docs/CODEGEN.md:
 // the same SymProp kernel with the fused per-(order, rank) evaluators on
-// (FusionAuto) and off (FusionOff, the generic lattice path), across grid
-// cells of different order and rank. Output is bit-identical either way
-// (TestFusedMatchesGenericBitwise), so the delta is pure dispatch +
-// fusion overhead recovery. The rank-8 cells at orders 4 and 5 are where
-// the colex lattice interpreter overtakes the fused evaluators
-// (docs/CODEGEN.md, crossover table); they are sized so one iteration of
-// each stays well under a second.
+// (fusion=auto, the default dispatch) and off (fusion=off, the lattice
+// interpreter alone), on every cell of the fused grid. Output is
+// bit-identical either way (TestFusedMatchesGenericBitwise), so the delta
+// is what the generated code buys over the colex interpreter; a cell stays
+// on the grid only while auto beats off. Each order's tensor is shared by
+// its ranks and sized so one iteration of each row stays well under a
+// second.
 func BenchmarkS3TTMcFused(b *testing.B) {
-	for _, sh := range []struct{ order, dim, nnz, r int }{
-		{3, 1024, 50000, 4},
-		{3, 1024, 50000, 8},
-		{4, 256, 20000, 4},
-		{4, 256, 20000, 8},
-		{5, 200, 5000, 8},
+	for _, tc := range []struct {
+		order, dim, nnz int
+		ranks           []int
+	}{
+		{3, 1024, 50000, []int{2, 4, 8}},
+		{4, 256, 20000, []int{2, 4}},
+		{5, 200, 5000, []int{2, 4}},
 	} {
 		x, err := spsym.Random(spsym.RandomOptions{
-			Order: sh.order, Dim: sh.dim, NNZ: sh.nnz, Seed: 7, Values: spsym.ValueNormal,
+			Order: tc.order, Dim: tc.dim, NNZ: tc.nnz, Seed: 7, Values: spsym.ValueNormal,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		u := linalg.RandomNormal(sh.dim, sh.r, rand.New(rand.NewSource(8)))
-		for _, fusion := range []Fusion{FusionAuto, FusionOff} {
-			name := fmt.Sprintf("order=%d/rank=%d/fusion=%v", sh.order, sh.r, fusion)
-			b.Run(name, func(b *testing.B) {
-				var scheds ScheduleCache
-				m := obs.New()
-				opts := Options{Workers: 4, Schedules: &scheds, Fusion: fusion, Obs: m}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := S3TTMcSymProp(x, u, opts); err != nil {
-						b.Fatal(err)
+		for _, r := range tc.ranks {
+			u := linalg.RandomNormal(tc.dim, r, rand.New(rand.NewSource(8)))
+			for _, fusion := range []string{"auto", "off"} {
+				name := fmt.Sprintf("order=%d/rank=%d/fusion=%s", tc.order, r, fusion)
+				b.Run(name, func(b *testing.B) {
+					var scheds ScheduleCache
+					m := obs.New()
+					opts := Options{Workers: 4, Schedules: &scheds, Obs: m, noFusion: fusion == "off"}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := S3TTMcSymProp(x, u, opts); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
-				b.StopTimer()
-				reportPlanMetrics(b, m)
-			})
+					b.StopTimer()
+					reportPlanMetrics(b, m)
+				})
+			}
 		}
 	}
 }

@@ -16,20 +16,14 @@ import (
 var permCountCache sync.Map // key uint64 -> []float64
 
 // PermCounts returns the memoized multinomial permutation-count vector for
-// the compact symmetric layout of the given order and rank. The pairs on
-// the fused-kernel grid come from the baked constant tables of
-// fused_gen.go (bit-equal to the computed vectors — the counts are small
-// exact integers); everything else is computed on first use.
+// the compact symmetric layout of the given order and rank, computed by
+// dense.PermCounts on first use.
 func PermCounts(order, r int) []float64 {
 	key := uint64(order)<<32 | uint64(uint32(r))
 	if v, ok := permCountCache.Load(key); ok {
 		return v.([]float64)
 	}
-	p := fusedPermCounts(order, r)
-	if p == nil {
-		p = dense.PermCounts(order, r)
-	}
-	actual, _ := permCountCache.LoadOrStore(key, p)
+	actual, _ := permCountCache.LoadOrStore(key, dense.PermCounts(order, r))
 	return actual.([]float64)
 }
 

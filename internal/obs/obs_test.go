@@ -171,9 +171,9 @@ func TestImbalanceRatioGuard(t *testing.T) {
 		want          float64
 	}{
 		{0, 0, 0},
-		{100, 0, 0},   // recorded max but no busy sum: still guarded
-		{100, -5, 0},  // clock skew must not produce a negative ratio
-		{0, 100, 0},   // idle max over busy interval
+		{100, 0, 0},  // recorded max but no busy sum: still guarded
+		{100, -5, 0}, // clock skew must not produce a negative ratio
+		{0, 100, 0},  // idle max over busy interval
 		{150, 100, 1.5},
 		{100, 100, 1},
 	}

@@ -65,7 +65,12 @@ func mustEqualBits(t *testing.T, want, got *linalg.Matrix, label string) {
 // at shards ∈ {1, 2, 4, 8} must reproduce the single-engine kernel bit for
 // bit, both on a fresh engine and on a warm one whose second call reuses
 // the per-engine plan, workspace, schedule and spill caches the first call
-// filled (the sweep-to-sweep pattern of a sharded Tucker run).
+// filled (the sweep-to-sweep pattern of a sharded Tucker run). The fusion
+// column "auto" is the default dispatch: the rank-3 fixtures run the
+// lattice interpreter, order3r4 the fused evaluator. "off" takes the
+// IterRecursive ablation, which switches the fused evaluators off, so
+// order3r4 runs the interpreter too; both columns are held to the default
+// single-engine bits.
 func TestShardDeterminismMatrix(t *testing.T) {
 	fixtures := []struct {
 		name                  string
@@ -78,10 +83,14 @@ func TestShardDeterminismMatrix(t *testing.T) {
 	for _, fx := range fixtures {
 		x, u := dyadicTensor(t, fx.order, fx.dim, fx.nnz, fx.rank, 7)
 		for _, workers := range []int{1, 2, 7} {
-			for _, fusion := range []kernels.Fusion{kernels.FusionAuto, kernels.FusionOff} {
-				ref, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Workers: workers, Fusion: fusion})
-				if err != nil {
-					t.Fatal(err)
+			ref, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fusion := range []string{"auto", "off"} {
+				opts := kernels.Options{Workers: workers}
+				if fusion == "off" {
+					opts.Iteration = kernels.IterRecursive
 				}
 				for _, engine := range []string{"fresh", "warm"} {
 					calls := 1
@@ -89,12 +98,14 @@ func TestShardDeterminismMatrix(t *testing.T) {
 						calls = 2
 					}
 					for _, shards := range []int{1, 2, 4, 8} {
-						name := fmt.Sprintf("%s/w%d/%s/%v/s%d", fx.name, workers, engine, fusion, shards)
+						name := fmt.Sprintf("%s/w%d/%s/%s/s%d", fx.name, workers, engine, fusion, shards)
 						t.Run(name, func(t *testing.T) {
 							e := New(shards, workers)
 							defer e.Close()
+							o := opts
+							o.Backend = e
 							for call := 1; call <= calls; call++ {
-								got, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Workers: workers, Fusion: fusion, Backend: e})
+								got, err := kernels.S3TTMcSymProp(x, u, o)
 								if err != nil {
 									t.Fatal(err)
 								}

@@ -27,7 +27,7 @@ func badLoopAllocs(xs, out []float64, s *sink) {
 				p := new(node)            // want `new in plan-body loop allocates per iteration`
 				q := &node{row: i}        // want `composite literal address in plan-body loop`
 				var tmp []int
-				tmp = append(tmp, i) // want `append to loop-local slice tmp re-allocates every iteration`
+				tmp = append(tmp, i)  // want `append to loop-local slice tmp re-allocates every iteration`
 				s.slot = node{row: i} // want `storing a .* into an interface in a plan-body loop`
 				out[i] = xs[i] + buf[0] + p.val + q.val + float64(len(tmp))
 			}
