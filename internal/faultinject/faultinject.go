@@ -51,15 +51,11 @@ const (
 	// server's retry classifier as a retryable worker failure; a hook may
 	// also panic to simulate a runner crash.
 	SiteJobRun Site = "jobs.run"
-	// SiteShardEncode fires inside internal/shard each time a per-shard
-	// partial is serialized to the wire format, with the encoded frame
-	// ([]byte) as payload. Hooks may corrupt the frame — simulating a
-	// transport fault the decoder's CRC must catch — or return an error,
-	// which aborts the sharded kernel call.
-	SiteShardEncode Site = "shard.encode"
-	// SiteShardMerge fires inside internal/shard before the deterministic
-	// merge folds the decoded partials into the output, with the partial
-	// count as payload. A non-nil hook error aborts the merge.
+	// SiteShardMerge fires inside internal/shard once the engines' groups
+	// of a sharded call have joined, before the caller folds their results
+	// (schedule.reduce for S³TTMc; the Gram bands are already in place),
+	// with the engine count as payload. A non-nil hook error aborts the
+	// call.
 	SiteShardMerge Site = "shard.merge"
 )
 

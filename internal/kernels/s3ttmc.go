@@ -84,12 +84,12 @@ type Options struct {
 	// per-worker busy time, span, load imbalance) for every engine plan
 	// this kernel call runs. nil records nothing.
 	Obs *obs.Metrics
-	// Backend, when non-nil, routes S3TTMcSymProp/S3TTMcCSS through an
-	// alternative execution backend — in practice internal/shard's
-	// multi-engine fan-out (docs/SHARDING.md). nil runs the single-engine
-	// path in this package. The kernel clears the field before handing
-	// these Options to the backend, so backends reuse the remaining
-	// options for their per-shard calls without re-entering themselves.
+	// Backend, when non-nil, runs the owner-computes leaves of
+	// S3TTMcSymProp/S3TTMcCSS as contiguous groups on an alternative
+	// execution backend's worker pools — in practice internal/shard's
+	// engines (docs/SHARDING.md). The call is otherwise the single-engine
+	// one: the same guard charges, schedule, spill buffers and reduction,
+	// so the same bits. nil runs every leaf on Exec.
 	Backend Backend
 	// noFusion sends every non-zero through the lattice interpreter, even
 	// on the fused grid: the reference this package's tests and
@@ -97,16 +97,15 @@ type Options struct {
 	noFusion bool
 }
 
-// Backend is the seam a sharded (or, later, networked) execution layer
-// plugs into: it receives exactly the arguments of the single-engine
-// kernel — opts with Backend already cleared — and must return an output
-// bitwise identical to it. internal/shard implements it; the interface
-// lives here so kernels do not import the layer above them.
+// Backend is the seam a sharded execution layer plugs into; internal/shard
+// implements it, and the interface lives here so kernels do not import the
+// layer above them.
 type Backend interface {
-	// S3TTMc computes the chain product for x and u. compact selects the
-	// SymProp compact unfolding (S3TTMcSymProp) versus the full CSS
-	// unfolding (S3TTMcCSS).
-	S3TTMc(x *spsym.Tensor, u *linalg.Matrix, compact bool, opts Options) (*linalg.Matrix, error)
+	// Fan splits [0, n) into contiguous groups, one per engine, runs
+	// group(s, lo, hi, pool) for every non-empty group s concurrently,
+	// engine s's worker pool as pool, under the plan name, and returns
+	// the first error in group order. opts contributes Ctx and Obs.
+	Fan(name string, n int, opts Options, group func(s, lo, hi int, pool *exec.Pool) error) error
 }
 
 func (o Options) workers() int {
@@ -118,8 +117,7 @@ func (o Options) workers() int {
 
 // EffectiveWorkers resolves the requested worker count the way every
 // kernel in this package does (GOMAXPROCS when Workers <= 0) — exported
-// so layered backends (internal/shard) size their engines and merge plans
-// identically.
+// so layered backends (internal/shard) size their engines identically.
 func (o Options) EffectiveWorkers() int { return o.workers() }
 
 // execConfig bundles the engine inputs of one kernel call.
@@ -323,7 +321,7 @@ func fullOuterAccum(dst, src, u []float64) {
 }
 
 // latticeState is one worker's lattice emitter, the per-non-zero step of
-// S3TTMcSymProp, S3TTMcCSS and S3TTMcPartial. latticePass installs one
+// S3TTMcSymProp and S3TTMcCSS. latticePass installs one
 // per worker slot and returns its workspace in Finish; the underlying
 // buffers recycle across calls through the WorkspacePool.
 type latticeState struct {
@@ -416,10 +414,11 @@ func S3TTMcCSS(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix,
 }
 
 // s3ttmc is the entry of both lattice kernels; compact selects SymProp's
-// compact storage over CSS's full storage. The single-engine path computes
-// the K lattice of every IOU non-zero and accumulates each top tensor into
-// its output row, scaled by the non-zero's value, under owner-computes
-// scheduling.
+// compact storage over CSS's full storage. It computes the K lattice of
+// every IOU non-zero and accumulates each top tensor into its output row,
+// scaled by the non-zero's value, under owner-computes scheduling — on
+// opts.Exec, or with the leaves grouped across opts.Backend's engines
+// after the same charges (scatterWorkers).
 func s3ttmc(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) (*linalg.Matrix, error) {
 	if err := validate(x, u); err != nil {
 		return nil, err
@@ -429,42 +428,34 @@ func s3ttmc(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) (*lin
 	if compact {
 		site, yLabel, wsLabel = "s3ttmc.symprop", "compact Y_p(1)", "SymProp lattice workspaces"
 	}
-	var y *linalg.Matrix
-	if b := opts.Backend; b != nil {
-		opts.Backend = nil
-		var err error
-		if y, err = b.S3TTMc(x, u, compact, opts); err != nil {
+	r := u.Cols
+	if !compact {
+		treeBytes := cssTreeBytes(x.NNZ(), x.Order, r)
+		if err := opts.Guard.Reserve(treeBytes, "CSS tree-resident K tensors"); err != nil {
 			return nil, err
 		}
-	} else {
-		r := u.Cols
-		if !compact {
-			treeBytes := cssTreeBytes(x.NNZ(), x.Order, r)
-			if err := opts.Guard.Reserve(treeBytes, "CSS tree-resident K tensors"); err != nil {
-				return nil, err
-			}
-			defer opts.Guard.Release(treeBytes)
-		}
-		cols := tensorSize(x.Order-1, r, compact)
-		yBytes := memguard.Float64Bytes(int64(x.Dim) * cols)
-		wsBytes := latticeBytes(x.Order, r, compact) * int64(opts.workers())
-		if err := opts.Guard.Reserve(yBytes, yLabel); err != nil {
-			return nil, err
-		}
-		defer opts.Guard.Release(yBytes)
-		if err := opts.Guard.Reserve(wsBytes, wsLabel); err != nil {
-			return nil, err
-		}
-		defer opts.Guard.Release(wsBytes)
-
-		y = linalg.NewMatrix(x.Dim, int(cols))
-		if err := scatter(x, opts, y, latticePass("s3ttmc.owner", x, u, opts, compact)); err != nil {
-			return nil, err
-		}
+		defer opts.Guard.Release(treeBytes)
 	}
-	// Fault-injection point for numeric-health tests, the same for the
-	// single-engine and the backend route: an armed hook may poison y
-	// (e.g. write a NaN) or abort the kernel with an error.
+	cols := tensorSize(x.Order-1, r, compact)
+	yBytes := memguard.Float64Bytes(int64(x.Dim) * cols)
+	wsBytes := latticeBytes(x.Order, r, compact) * int64(opts.workers())
+	if err := opts.Guard.Reserve(yBytes, yLabel); err != nil {
+		return nil, err
+	}
+	defer opts.Guard.Release(yBytes)
+	if err := opts.Guard.Reserve(wsBytes, wsLabel); err != nil {
+		return nil, err
+	}
+	defer opts.Guard.Release(wsBytes)
+
+	y := linalg.NewMatrix(x.Dim, int(cols))
+	pass := latticePass("s3ttmc.owner", x, u, opts, compact)
+	pass.shard = "s3ttmc"
+	if err := scatter(x, opts, y, pass); err != nil {
+		return nil, err
+	}
+	// Fault-injection point for numeric-health tests: an armed hook may
+	// poison y (e.g. write a NaN) or abort the kernel with an error.
 	if err := exec.FireOutput(site, y); err != nil {
 		return nil, err
 	}

@@ -23,7 +23,10 @@ package kernels
 //     into Y afterwards.
 //
 // Every scatter kernel runs the one loop of steps 2 and 3, ownerPass, and
-// supplies only its per-non-zero emitter.
+// supplies only its per-non-zero emitter. The lattice kernels may run the
+// leaves as contiguous groups on the engines of an Options.Backend
+// (internal/shard); the schedule, the spill buffers and the reduction are
+// the same, so the output bits are too.
 //
 // The schedule depends only on (tensor, worker count), so ScheduleCache
 // memoizes it next to the lattice plan cache and the workspace pool:
@@ -339,12 +342,12 @@ func spillBytes(rows, cols int64, workers int) int64 {
 }
 
 // sink routes one leaf's emissions: a row the leaf owns, in [lo, hi), goes
-// straight into dst, which holds cols-wide output rows from row base on;
-// any other row goes into the leaf's spill buffer.
+// straight into dst, which holds the cols-wide output rows; any other row
+// goes into the leaf's spill buffer.
 type sink struct {
-	lo, hi, base, cols int
-	dst                []float64
-	spill              *spillBuffer
+	lo, hi, cols int
+	dst          []float64
+	spill        *spillBuffer
 }
 
 // add accumulates scale*v into output row row.
@@ -353,7 +356,7 @@ func (s *sink) add(row int, scale float64, v []float64) {
 		s.spill.add(row, scale, v)
 		return
 	}
-	off := (row - s.base) * s.cols
+	off := row * s.cols
 	dense.AxpyCompact(scale, v, s.dst[off:off+s.cols])
 }
 
@@ -362,21 +365,26 @@ func (s *sink) add(row int, scale float64, v []float64) {
 // worker slot per leaf. Each leaf walks its bin in ascending non-zero
 // order, ticks every non-zero and hands it to its worker's emitter, which
 // adds the non-zero's row contributions through the leaf's sink in a fixed
-// order. spills holds one buffer per slot, nil when the run has one leaf.
+// order. spills holds one buffer per leaf, nil when the run has one leaf.
 //
 // A kernel supplies name, emitter and, optionally, finish (the plan's
-// Finish hook); scatterWorkers and S3TTMcPartial fill in the rest.
+// Finish hook) and shard; scatterWorkers fills in the rest.
 type ownerPass struct {
 	name           string
 	sched          *schedule
 	leafLo, leafHi int
 	dst            []float64
-	base, cols     int
+	cols           int
 	spills         *spillSet
 	// emitter builds the emitter of worker w's leaf, on w's goroutine,
 	// before the leaf's first non-zero.
 	emitter func(w *exec.Worker, s *sink) func(k int) error
 	finish  func(*exec.Worker)
+	// shard, when set, is the per-shard plan base of a kernel that honors
+	// Options.Backend: with a backend installed, the leaves run as the
+	// backend's contiguous groups, group s as plan "<shard>.shard[s]" on
+	// engine s's pool (runLeaves).
+	shard string
 }
 
 func (p *ownerPass) run(opts Options) error {
@@ -387,7 +395,7 @@ func (p *ownerPass) run(opts Options) error {
 		Finish:    p.finish,
 		Body: func(wk *exec.Worker, w, _ int) error {
 			leaf := p.leafLo + w
-			s := &sink{base: p.base, cols: p.cols, dst: p.dst, spill: p.spills.buffer(w)}
+			s := &sink{cols: p.cols, dst: p.dst, spill: p.spills.buffer(leaf)}
 			s.lo, s.hi = p.sched.ownedRows(leaf)
 			emit := p.emitter(wk, s)
 			for _, k := range p.sched.bin(leaf) {
@@ -403,9 +411,29 @@ func (p *ownerPass) run(opts Options) error {
 	})
 }
 
-// scatter is the single-engine owner-computes run of a kernel with output
-// y: it resolves the worker count (clamped to the non-zeros, then shrunk
-// until the spill buffers fit the guard) and runs scatterWorkers.
+// runLeaves runs every leaf of the pass: on opts.Exec as one plan, or, when
+// the pass names a shard base and a Backend is installed, as the backend's
+// leaf groups, each on its engine's pool. A group is the same loop over a
+// sub-range of the same leaves, writing the same rows of the same output
+// and spilling into the same per-leaf buffers, so the bits do not depend
+// on the grouping.
+func (p *ownerPass) runLeaves(opts Options) error {
+	b := opts.Backend
+	if b == nil || p.shard == "" {
+		return p.run(opts)
+	}
+	opts.Backend = nil
+	return b.Fan("shard.fanout", p.leafHi, opts, func(s, lo, hi int, pool *exec.Pool) error {
+		g, o := *p, opts
+		g.name, g.leafLo, g.leafHi = obs.ShardPlanName(p.shard, s), lo, hi
+		o.Exec = pool
+		return g.run(o)
+	})
+}
+
+// scatter is the owner-computes run of a kernel with output y: it
+// resolves the worker count (clamped to the non-zeros, then shrunk until
+// the spill buffers fit the guard) and runs scatterWorkers.
 func scatter(x *spsym.Tensor, opts Options, y *linalg.Matrix, pass ownerPass) error {
 	nnz := x.NNZ()
 	if nnz == 0 {
@@ -421,14 +449,15 @@ func scatter(x *spsym.Tensor, opts Options, y *linalg.Matrix, pass ownerPass) er
 	return scatterWorkers(x, opts, workers, y, pass)
 }
 
-// scatterWorkers runs pass over every leaf of the (x, workers) schedule,
-// writing into y, and then folds the spills into y with schedule.reduce.
+// scatterWorkers draws the (x, workers) schedule and its spill buffers
+// once, runs pass over every leaf (runLeaves), writing into y, and then
+// folds the spills into y with schedule.reduce.
 func scatterWorkers(x *spsym.Tensor, opts Options, workers int, y *linalg.Matrix, pass ownerPass) error {
 	pass.sched = opts.Schedules.get(x, workers)
 	workers = pass.sched.workers // clamped to the row count
 	pass.leafHi, pass.dst, pass.cols = workers, y.Data, y.Cols
 	pass.spills = newSpillSet(opts.Schedules, workers, y.Rows, y.Cols)
-	if err := pass.run(opts); err != nil {
+	if err := pass.runLeaves(opts); err != nil {
 		// The spill buffers may hold partial updates from aborted workers;
 		// skipping reduceInto leaves them to the GC instead of returning
 		// dirty memory to the pool's all-zero free list.

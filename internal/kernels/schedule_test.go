@@ -334,11 +334,10 @@ func TestScatterWorkerCountsAgree(t *testing.T) {
 }
 
 // TestScheduleCacheConcurrentEngines hammers one ScheduleCache from many
-// goroutines at once — the shard fan-out access pattern, where P engines
-// resolve schedules and recycle spill buffers against a shared cache
-// simultaneously (internal/shard keeps the leaf-schedule cache global
-// across its engines). Under -race this is the data-race gate; the
-// assertions pin the memoization and the 64-buffer spill-pool bound.
+// goroutines at once, as concurrent kernel calls sharing one cache do
+// (the cache is documented safe for it). Under -race this is the
+// data-race gate; the assertions pin the memoization and the 64-buffer
+// spill-pool bound.
 func TestScheduleCacheConcurrentEngines(t *testing.T) {
 	x, _ := randomCase(t, 3, 10, 30, 2, 41)
 	x2, _ := randomCase(t, 3, 12, 40, 2, 42)

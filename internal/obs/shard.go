@@ -1,75 +1,12 @@
 package obs
 
-// Per-shard attribution for the sharded S³TTMc backend (internal/shard,
-// docs/SHARDING.md). Each shard runs its leaf group as a plan named
-// "<base>.shard[i]", so the regular per-plan collector already separates
-// the shards; the helpers here fold a snapshot back into a per-shard view
-// and a cross-shard imbalance ratio — the shard-level analog of
-// PlanMetrics.Imbalance, which only sees the slots *inside* one plan.
-
-import (
-	"strconv"
-	"strings"
-)
+import "strconv"
 
 // ShardPlanName returns the canonical per-shard plan name "<base>.shard[i]"
-// — the naming contract shared by the shard backend, these helpers, and
-// tools/obscheck's schema gate.
+// of the sharded backend (internal/shard, docs/SHARDING.md): engine i runs
+// its share of a sharded call under it, so the regular per-plan collector
+// separates the shards' busy time and imbalance, and tools/obscheck's
+// schema gate admits it.
 func ShardPlanName(base string, shard int) string {
 	return base + ".shard[" + strconv.Itoa(shard) + "]"
-}
-
-// shardIndex parses the shard index out of a "<base>.shard[i]" plan name,
-// returning (i, true) when the name matches the convention for this base.
-func shardIndex(name, base string) (int, bool) {
-	rest, ok := strings.CutPrefix(name, base+".shard[")
-	if !ok {
-		return 0, false
-	}
-	digits, ok := strings.CutSuffix(rest, "]")
-	if !ok {
-		return 0, false
-	}
-	i, err := strconv.Atoi(digits)
-	if err != nil || i < 0 {
-		return 0, false
-	}
-	return i, true
-}
-
-// ShardBusy folds a snapshot into per-shard busy nanoseconds: every plan
-// named "<base>.shard[i]" contributes its BusyNs to slot i of the result.
-// The slice is dense, indexed by shard (length = highest shard index + 1);
-// nil when the snapshot holds no matching plans.
-func ShardBusy(snapshot []PlanMetrics, base string) []int64 {
-	var busy []int64
-	for _, pm := range snapshot {
-		i, ok := shardIndex(pm.Name, base)
-		if !ok {
-			continue
-		}
-		for len(busy) <= i {
-			busy = append(busy, 0)
-		}
-		busy[i] += pm.BusyNs
-	}
-	return busy
-}
-
-// ShardImbalance is the cross-shard load-imbalance ratio max/mean over the
-// per-shard busy times: 1.0 is perfectly balanced, 0 when busy is empty or
-// records no work. It deliberately mirrors the per-plan Imbalance
-// semantics so dashboards can compare the two directly.
-func ShardImbalance(busy []int64) float64 {
-	var sum, max int64
-	for _, b := range busy {
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
-	if sum <= 0 {
-		return 0
-	}
-	return float64(max) * float64(len(busy)) / float64(sum)
 }

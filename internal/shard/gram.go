@@ -1,24 +1,22 @@
 package shard
 
 // Sharded Gram-side products for the Tucker drivers. Each product is
-// banded over *output* rows: shard s computes its contiguous band on its
-// own engine via the linalg Range kernels — documented bitwise
-// independent of the band split — encodes the band as a gram-band wire
-// frame, and the merge stacks the decoded bands in ascending shard order.
-// Output rows never sum across shards, so the result is bitwise identical
-// to the single-engine linalg call, and the whole sharded decomposition
-// stays bit-for-bit equal to the unsharded one.
+// banded over *output* rows: engine s fills its contiguous band of the
+// output in place via the linalg Range kernels, which are documented
+// bitwise independent of the band split. Output rows never sum across
+// shards, so the result is bitwise identical to the single-engine linalg
+// call, and the whole sharded decomposition stays bit-for-bit equal to the
+// unsharded one.
 //
 // (The Chakaravarthy-style K-split — per-shard Gram *summands* G_s with a
-// reduction — is what a network transport will want once shards stop
+// reduction — is what a network transport would want once shards stop
 // sharing an address space, at the cost of cross-shard-count bit
-// identity; docs/SHARDING.md tracks that trade-off.)
+// identity; docs/SHARDING.md keeps that trade-off out of scope.)
 
 import (
 	"fmt"
 
 	"github.com/symprop/symprop/internal/exec"
-	"github.com/symprop/symprop/internal/faultinject"
 	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/obs"
@@ -27,70 +25,27 @@ import (
 // rangeKernel computes output rows [lo, hi) of one product into c.
 type rangeKernel func(c *linalg.Matrix, lo, hi int)
 
-// bandedThroughWire is the shared driver: fan the output rows of a
-// product out across the engines, round-trip every band through the wire
-// format, and stack the decoded bands. opts contributes Ctx and Obs only.
-func (e *Engines) bandedThroughWire(name string, rows, cols int, opts kernels.Options, kern rangeKernel) (*linalg.Matrix, error) {
-	scratch := linalg.NewMatrix(rows, cols)
-	frames := make([][]byte, e.shards)
-	err := exec.Run(exec.Config{Ctx: opts.Ctx, Metrics: opts.Obs}, exec.Plan{
-		Name:      name,
-		Partition: exec.PerWorker,
-		Workers:   e.shards,
-		Body: func(wk *exec.Worker, s, _ int) error {
-			if err := wk.Tick(s); err != nil {
-				return err
-			}
-			lo, hi := exec.ChunkRange(rows, e.shards, s)
-			if lo < hi {
-				// Split the shard's band across its own pool; re-banding
-				// is bitwise-safe per the Range kernels' contract.
-				eng := e.engines[s]
-				err := exec.Run(exec.Config{Ctx: opts.Ctx, Workers: eng.pool.Size(), Pool: eng.pool, Metrics: opts.Obs}, exec.Plan{
-					Name:  obs.ShardPlanName(name, s),
-					Items: hi - lo,
-					Body: func(iwk *exec.Worker, ilo, ihi int) error {
-						if err := iwk.Tick(ilo); err != nil {
-							return err
-						}
-						kern(scratch, lo+ilo, lo+ihi)
-						return nil
-					},
-				})
-				if err != nil {
+// banded fans the output rows of a product out across the engines as plan
+// name; engine s splits its band across its own pool as plan
+// "<name>.shard[s]". opts contributes Ctx and Obs only.
+func (e *Engines) banded(name string, rows, cols int, opts kernels.Options, kern rangeKernel) (*linalg.Matrix, error) {
+	out := linalg.NewMatrix(rows, cols)
+	err := e.Fan(name, rows, opts, func(s, lo, hi int, pool *exec.Pool) error {
+		// Re-banding is bitwise-safe per the Range kernels' contract.
+		return exec.Run(exec.Config{Ctx: opts.Ctx, Workers: pool.Size(), Pool: pool, Metrics: opts.Obs}, exec.Plan{
+			Name:  obs.ShardPlanName(name, s),
+			Items: hi - lo,
+			Body: func(wk *exec.Worker, ilo, ihi int) error {
+				if err := wk.Tick(ilo); err != nil {
 					return err
 				}
-			}
-			var err error
-			frames[s], err = encodeGramBand(gramBand{
-				shard: s, rowLo: lo, rowHi: hi, cols: cols,
-				data: scratch.Data[lo*cols : hi*cols],
-			})
-			return err
-		},
+				kern(out, lo+ilo, lo+ihi)
+				return nil
+			},
+		})
 	})
 	if err != nil {
 		return nil, err
-	}
-	if err := faultinject.Fire(faultinject.SiteShardMerge, e.shards); err != nil {
-		return nil, err
-	}
-	out := linalg.NewMatrix(rows, cols)
-	next := 0
-	for s, frame := range frames {
-		b, err := decodeGramBand(frame)
-		if err != nil {
-			return nil, err
-		}
-		if b.shard != s || b.cols != cols || b.rowLo != next || b.rowHi < b.rowLo || b.rowHi > rows {
-			return nil, fmt.Errorf("shard: gram band %d/%d claims shard %d rows [%d,%d) x %d cols (want start %d)",
-				s, e.shards, b.shard, b.rowLo, b.rowHi, b.cols, next)
-		}
-		copy(out.Data[b.rowLo*cols:b.rowHi*cols], b.data)
-		next = b.rowHi
-	}
-	if next != rows {
-		return nil, fmt.Errorf("shard: gram bands cover %d of %d rows", next, rows)
 	}
 	return out, nil
 }
@@ -102,7 +57,7 @@ func (e *Engines) MulTN(a, b *linalg.Matrix, opts kernels.Options) (*linalg.Matr
 	if a.Rows != b.Rows {
 		return nil, fmt.Errorf("shard: MulTN shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	return e.bandedThroughWire("shard.gram", a.Cols, b.Cols, opts, func(c *linalg.Matrix, lo, hi int) {
+	return e.banded("shard.gram", a.Cols, b.Cols, opts, func(c *linalg.Matrix, lo, hi int) {
 		linalg.MulTNRange(c, a, b, lo, hi)
 	})
 }
@@ -114,7 +69,7 @@ func (e *Engines) MulNTWeighted(a, b *linalg.Matrix, w []float64, opts kernels.O
 	if a.Cols != b.Cols || len(w) != a.Cols {
 		return nil, fmt.Errorf("shard: MulNTWeighted shape mismatch %dx%d, %dx%d, |w|=%d", a.Rows, a.Cols, b.Rows, b.Cols, len(w))
 	}
-	return e.bandedThroughWire("shard.tc", a.Rows, b.Rows, opts, func(c *linalg.Matrix, lo, hi int) {
+	return e.banded("shard.tc", a.Rows, b.Rows, opts, func(c *linalg.Matrix, lo, hi int) {
 		linalg.MulNTWeightedRange(c, a, b, w, lo, hi)
 	})
 }

@@ -6,9 +6,11 @@ import (
 	"math"
 	"testing"
 
+	"github.com/symprop/symprop/internal/css"
 	"github.com/symprop/symprop/internal/faultinject"
 	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
+	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/obs"
 	"github.com/symprop/symprop/internal/spsym"
 )
@@ -63,14 +65,15 @@ func mustEqualBits(t *testing.T, want, got *linalg.Matrix, label string) {
 // TestShardDeterminismMatrix is the shards dimension of the determinism
 // matrix: for every (fixture, workers, fusion) cell, the sharded backend
 // at shards ∈ {1, 2, 4, 8} must reproduce the single-engine kernel bit for
-// bit, both on a fresh engine and on a warm one whose second call reuses
-// the per-engine plan, workspace, schedule and spill caches the first call
-// filled (the sweep-to-sweep pattern of a sharded Tucker run). The fusion
-// column "auto" is the default dispatch: the rank-3 fixtures run the
-// lattice interpreter, order3r4 the fused evaluator. "off" takes the
-// IterRecursive ablation, which switches the fused evaluators off, so
-// order3r4 runs the interpreter too; both columns are held to the default
-// single-engine bits.
+// bit, both on fresh caches and on warm ones: a warm cell hands both calls
+// one plan cache, workspace pool and schedule cache, so the second call
+// reuses the plans, workspaces, schedule and spill buffers the first call
+// filled, from every engine at once (the sweep-to-sweep pattern of a
+// sharded Tucker run). The fusion column "auto" is the default dispatch:
+// the rank-3 fixtures run the lattice interpreter, order3r4 the fused
+// evaluator. "off" takes the IterRecursive ablation, which switches the
+// fused evaluators off, so order3r4 runs the interpreter too; both columns
+// are held to the default single-engine bits.
 func TestShardDeterminismMatrix(t *testing.T) {
 	fixtures := []struct {
 		name                  string
@@ -104,6 +107,11 @@ func TestShardDeterminismMatrix(t *testing.T) {
 							defer e.Close()
 							o := opts
 							o.Backend = e
+							if engine == "warm" {
+								o.PlanCache = &css.Cache{}
+								o.Pool = &kernels.WorkspacePool{}
+								o.Schedules = &kernels.ScheduleCache{}
+							}
 							for call := 1; call <= calls; call++ {
 								got, err := kernels.S3TTMcSymProp(x, u, o)
 								if err != nil {
@@ -178,83 +186,8 @@ func TestShardEmptyTensor(t *testing.T) {
 	mustEqualBits(t, ref, got, "empty tensor")
 }
 
-// TestWireRoundTrip: partials survive encode/decode exactly, and the
-// decoder rejects corruption, truncation, version skew, and kind mixups.
-func TestWireRoundTrip(t *testing.T) {
-	p := &kernels.Partial{
-		Shard: 1, LeafLo: 2, LeafHi: 4, RowLo: 10, RowHi: 13, Cols: 2,
-		Direct: []float64{1.5, -2.25, math.Pi, 0, math.SmallestNonzeroFloat64, math.MaxFloat64},
-		Spills: []kernels.LeafSpill{
-			{Leaf: 2, Rows: []int32{0, 7}, Data: []float64{1, 2, 3, 4}},
-			{Leaf: 3, Rows: []int32{5}, Data: []float64{-0.5, 42}},
-		},
-	}
-	frame, err := EncodePartial(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodePartial(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Shard != p.Shard || got.LeafLo != p.LeafLo || got.LeafHi != p.LeafHi ||
-		got.RowLo != p.RowLo || got.RowHi != p.RowHi || got.Cols != p.Cols {
-		t.Fatalf("header mismatch: %+v vs %+v", got, p)
-	}
-	for i, v := range p.Direct {
-		if math.Float64bits(got.Direct[i]) != math.Float64bits(v) {
-			t.Fatalf("direct[%d] %v != %v", i, got.Direct[i], v)
-		}
-	}
-	if len(got.Spills) != 2 || got.Spills[1].Leaf != 3 || got.Spills[1].Rows[0] != 5 ||
-		math.Float64bits(got.Spills[1].Data[1]) != math.Float64bits(42) {
-		t.Fatalf("spills mismatch: %+v", got.Spills)
-	}
-
-	t.Run("corruption", func(t *testing.T) {
-		bad := append([]byte(nil), frame...)
-		bad[len(bad)/2] ^= 0x40
-		if _, err := DecodePartial(bad); err == nil {
-			t.Fatal("decoder accepted a corrupted frame")
-		}
-	})
-	t.Run("truncation", func(t *testing.T) {
-		if _, err := DecodePartial(frame[:len(frame)-5]); err == nil {
-			t.Fatal("decoder accepted a truncated frame")
-		}
-	})
-	t.Run("version", func(t *testing.T) {
-		bad := append([]byte(nil), frame...)
-		bad[4] = 99 // version field
-		if _, err := DecodePartial(bad); err == nil {
-			t.Fatal("decoder accepted an unknown wire version")
-		}
-	})
-	t.Run("kind", func(t *testing.T) {
-		if _, err := decodeGramBand(frame); err == nil {
-			t.Fatal("gram decoder accepted a Y-partial frame")
-		}
-	})
-
-	t.Run("gram", func(t *testing.T) {
-		b := gramBand{shard: 2, rowLo: 3, rowHi: 5, cols: 3, data: []float64{1, 2, 3, 4, 5, 6}}
-		frame, err := encodeGramBand(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := decodeGramBand(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.shard != 2 || got.rowLo != 3 || got.rowHi != 5 || got.cols != 3 || got.data[5] != 6 {
-			t.Fatalf("gram band mismatch: %+v", got)
-		}
-	})
-}
-
-// TestShardFaultSites: the shard.encode site fires once per shard and can
-// abort the call; an in-flight corruption is caught by the CRC; the
-// shard.merge site can abort the merge.
+// TestShardFaultSites: the shard.merge site fires once the engines' leaf
+// groups join, with the engine count, and its error aborts the call.
 func TestShardFaultSites(t *testing.T) {
 	x, u := dyadicTensor(t, 3, 24, 200, 2, 3)
 	run := func() (*linalg.Matrix, error) {
@@ -263,34 +196,6 @@ func TestShardFaultSites(t *testing.T) {
 		return kernels.S3TTMcSymProp(x, u, kernels.Options{Workers: 4, Backend: e})
 	}
 
-	t.Run("encode-count", func(t *testing.T) {
-		hook, fires := faultinject.Counter()
-		defer faultinject.Arm(faultinject.SiteShardEncode, hook)()
-		if _, err := run(); err != nil {
-			t.Fatal(err)
-		}
-		if fires() != 4 {
-			t.Fatalf("shard.encode fired %d times, want 4", fires())
-		}
-	})
-	t.Run("encode-error", func(t *testing.T) {
-		boom := errors.New("encode transport down")
-		defer faultinject.Arm(faultinject.SiteShardEncode, func(any) error { return boom })()
-		if _, err := run(); !errors.Is(err, boom) {
-			t.Fatalf("err = %v, want %v", err, boom)
-		}
-	})
-	t.Run("encode-corruption-caught", func(t *testing.T) {
-		defer faultinject.Arm(faultinject.SiteShardEncode, func(payload any) error {
-			frame := payload.([]byte)
-			frame[len(frame)/3] ^= 0x10
-			return nil
-		})()
-		_, err := run()
-		if err == nil {
-			t.Fatal("corrupted frame was not rejected")
-		}
-	})
 	t.Run("merge-error", func(t *testing.T) {
 		boom := errors.New("merge quorum lost")
 		defer faultinject.Arm(faultinject.SiteShardMerge, func(payload any) error {
@@ -305,8 +210,8 @@ func TestShardFaultSites(t *testing.T) {
 	})
 }
 
-// TestShardGramProducts: the banded wire-round-tripped products equal the
-// single-engine linalg calls bit for bit.
+// TestShardGramProducts: the banded products equal the single-engine
+// linalg calls bit for bit, shard counts beyond the row count included.
 func TestShardGramProducts(t *testing.T) {
 	a := linalg.NewMatrix(37, 11)
 	b := linalg.NewMatrix(37, 5)
@@ -341,8 +246,9 @@ func TestShardGramProducts(t *testing.T) {
 	}
 }
 
-// TestShardMetrics: per-shard plan names land in the collector and the
-// obs helpers attribute busy time / imbalance per shard.
+// TestShardMetrics: a sharded call runs shard.fanout, each engine's leaf
+// group as s3ttmc.shard[i], and then the single-engine schedule.reduce;
+// the per-shard plans record their own busy time.
 func TestShardMetrics(t *testing.T) {
 	x, u := dyadicTensor(t, 3, 48, 900, 3, 5)
 	m := obs.New()
@@ -351,25 +257,99 @@ func TestShardMetrics(t *testing.T) {
 	if _, err := kernels.S3TTMcSymProp(x, u, kernels.Options{Workers: 4, Backend: e, Obs: m}); err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Snapshot()
-	names := map[string]bool{}
-	for _, pm := range snap {
-		names[pm.Name] = true
+	plans := map[string]obs.PlanMetrics{}
+	for _, pm := range m.Snapshot() {
+		plans[pm.Name] = pm
 	}
-	for _, want := range []string{"shard.fanout", "shard.merge", "s3ttmc.shard[0]", "s3ttmc.shard[1]"} {
-		if !names[want] {
-			t.Fatalf("plan %q missing from snapshot (have %v)", want, names)
+	for _, want := range []string{"shard.fanout", "schedule.reduce", "s3ttmc.shard[0]", "s3ttmc.shard[1]"} {
+		if _, ok := plans[want]; !ok {
+			t.Fatalf("plan %q missing from snapshot (have %v)", want, plans)
 		}
 	}
-	busy := obs.ShardBusy(snap, "s3ttmc")
-	if len(busy) != 2 {
-		t.Fatalf("ShardBusy returned %d shards, want 2", len(busy))
+	for _, name := range []string{"s3ttmc.shard[0]", "s3ttmc.shard[1]"} {
+		if plans[name].BusyNs <= 0 {
+			t.Fatalf("%s recorded no busy time: %+v", name, plans[name])
+		}
 	}
-	if busy[0] <= 0 || busy[1] <= 0 {
-		t.Fatalf("per-shard busy not recorded: %v", busy)
-	}
-	if imb := obs.ShardImbalance(busy); imb < 1 {
-		t.Fatalf("cross-shard imbalance %v, want >= 1", imb)
+}
+
+// TestShardBudgetMatchesSingleEngine: a sharded call is charged exactly
+// like a single-engine one, so under every memory budget from the single
+// engine's smallest fitting one to twice its full-worker one, the sharded
+// call fits exactly when the single engine does — shrinking its workers
+// to fit the spill buffers the same way — and returns the same bits.
+func TestShardBudgetMatchesSingleEngine(t *testing.T) {
+	const workers = 4
+	x, u := normalTensor(t, 3, 60, 900, 4, 5)
+	for _, k := range []struct {
+		name   string
+		kernel func(*spsym.Tensor, *linalg.Matrix, kernels.Options) (*linalg.Matrix, error)
+	}{
+		{"symprop", kernels.S3TTMcSymProp},
+		{"css", kernels.S3TTMcCSS},
+	} {
+		run := func(t *testing.T, budget int64, b kernels.Backend, m *obs.Metrics) (*linalg.Matrix, error) {
+			t.Helper()
+			g := memguard.New(budget)
+			y, err := k.kernel(x, u, kernels.Options{Workers: workers, Guard: g, Backend: b, Obs: m})
+			if used := g.Used(); used != 0 {
+				t.Fatalf("%s at budget %d: %d bytes still reserved after the call", k.name, budget, used)
+			}
+			return y, err
+		}
+		// leaves is the worker count the single engine runs at under
+		// budget, 0 when it does not fit; it never falls as budget grows.
+		leaves := func(budget int64) int64 {
+			m := obs.New()
+			if _, err := run(t, budget, nil, m); err != nil {
+				return 0
+			}
+			for _, pm := range m.Snapshot() {
+				if pm.Name == "s3ttmc.owner" {
+					return pm.Items
+				}
+			}
+			t.Fatalf("%s: no s3ttmc.owner plan recorded", k.name)
+			return 0
+		}
+		// smallest bisects for the least budget satisfying ok, which holds
+		// at every budget above it (a budget of 0 disables the guard).
+		smallest := func(ok func(int64) bool) int64 {
+			lo, hi := int64(1), int64(1<<30)
+			for lo < hi {
+				if mid := (lo + hi) / 2; ok(mid) {
+					hi = mid
+				} else {
+					lo = mid + 1
+				}
+			}
+			return lo
+		}
+		fit := smallest(func(b int64) bool { return leaves(b) > 0 })
+		full := smallest(func(b int64) bool { return leaves(b) == workers })
+		if fit >= full {
+			t.Fatalf("%s: smallest fitting budget %d, full-worker budget %d: the range has no shrunk runs", k.name, fit, full)
+		}
+		budgets := []int64{fit - 1, fit, full - 1, full, 2 * full}
+		for i := int64(1); i < 16; i++ {
+			budgets = append(budgets, fit+i*(2*full-fit)/16)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/s%d", k.name, shards), func(t *testing.T) {
+				e := New(shards, workers)
+				defer e.Close()
+				for _, budget := range budgets {
+					want, wantErr := run(t, budget, nil, nil)
+					got, err := run(t, budget, e, nil)
+					if (err == nil) != (wantErr == nil) {
+						t.Fatalf("budget %d: sharded err %v, single-engine err %v", budget, err, wantErr)
+					}
+					if err == nil {
+						mustEqualBits(t, want, got, fmt.Sprintf("budget %d", budget))
+					}
+				}
+			})
+		}
 	}
 }
 

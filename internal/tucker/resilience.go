@@ -337,11 +337,11 @@ func (rs *runState) wrapKernelErr(u *linalg.Matrix, err error) error {
 
 // degrade is the one-shot budget-rejection recovery: one worker (shrinking
 // the per-worker lattice workspaces N-fold; a single owner needs no spill
-// buffers) and single-engine execution (the sharded backend charges an
-// extra Y of partial staging, so it is uninstalled along with everything
-// else memory-hungry). Sticky for the rest of the run; note the reduction
-// order — and hence the trace — follows the degraded worker count from
-// here on.
+// buffers) and single-engine execution (a sharded call is charged exactly
+// like an unsharded one, so uninstalling the backend frees no budget, but
+// one worker leaves the engines nothing to split). Sticky for the rest of
+// the run; note the reduction order — and hence the trace — follows the
+// degraded worker count from here on.
 func (rs *runState) degrade(why error) {
 	rs.degraded = true
 	rs.kopts.Workers = 1

@@ -6,12 +6,15 @@ package tucker
 // and checkpoint fingerprints that ignore the shard count).
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
 
 	"github.com/symprop/symprop/internal/checkpoint"
 	"github.com/symprop/symprop/internal/linalg"
+	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/spsym"
 )
 
@@ -119,5 +122,53 @@ func TestShardedResumeAcrossShardCounts(t *testing.T) {
 			}
 		}
 		mustEqualMatrixBits(t, "U", resumed.U, straight.U)
+	}
+}
+
+// TestShardedBudgetMatchesUnsharded: a sharded kernel call is charged
+// exactly like an unsharded one, so under a tight memory budget a sharded
+// run takes the same budget retries as the unsharded run and ends on the
+// same factor bits. The budgets sit around 18,784 (HOQRI) and 21,728
+// (HOOI) bytes, where the runs shrink their spill buffers; at 6,000 bytes
+// HOQRI fits only after its one retry.
+func TestShardedBudgetMatchesUnsharded(t *testing.T) {
+	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 60, NNZ: 900, Seed: 5, Values: spsym.ValueNormal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		run     func(*spsym.Tensor, Options) (*Result, error)
+		budgets []int64
+	}{
+		{"hoqri", HOQRI, []int64{6000, 16736, 18272, 18784, 19296, 20832}},
+		{"hooi", HOOI, []int64{19680, 21216, 21728, 22240, 23776}},
+	} {
+		for _, budget := range c.budgets {
+			t.Run(fmt.Sprintf("%s/%d", c.name, budget), func(t *testing.T) {
+				run := func(shards int) (*Result, error) {
+					return c.run(x, Options{Rank: 4, MaxIters: 4, Seed: 3, Workers: 4,
+						Shards: shards, Guard: memguard.New(budget)})
+				}
+				ref, refErr := run(0)
+				if refErr != nil && !errors.Is(refErr, ErrBudget) {
+					t.Fatal(refErr)
+				}
+				for _, shards := range []int{2, 4} {
+					res, err := run(shards)
+					if (err == nil) != (refErr == nil) {
+						t.Fatalf("shards=%d: err %v, unsharded err %v", shards, err, refErr)
+					}
+					if err != nil {
+						continue
+					}
+					if res.Health.BudgetRetries != ref.Health.BudgetRetries {
+						t.Fatalf("shards=%d: %d budget retries, unsharded %d",
+							shards, res.Health.BudgetRetries, ref.Health.BudgetRetries)
+					}
+					mustEqualMatrixBits(t, fmt.Sprintf("shards=%d U", shards), res.U, ref.U)
+				}
+			})
+		}
 	}
 }

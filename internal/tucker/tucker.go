@@ -65,9 +65,9 @@ type Options struct {
 	// Workers is the kernel goroutine count; 0 means GOMAXPROCS.
 	Workers int
 	// Shards, when > 1, runs every S³TTMc call — and the Gram-side products
-	// consuming its output — on that many isolated shard engines
-	// (internal/shard) behind the kernels.Backend seam, each engine with its
-	// own worker pool and caches. The sharded result is bitwise identical to
+	// consuming its output — on that many shard engines (internal/shard)
+	// behind the kernels.Backend seam, each engine with its own worker
+	// pool. The sharded result is bitwise identical to
 	// the single-engine path for every shard count, so Shards — unlike
 	// Workers — does not enter the checkpoint fingerprint: a snapshot may be
 	// resumed under any shard count. HOQRINary's n-ary kernel predates the

@@ -5,10 +5,13 @@
 # -shards 4 and requires byte-identical factor files — the bit-identity
 # contract of the shard map (docs/SHARDING.md) through the full binary,
 # not just the package tests. The sharded run's -metrics artifact must
-# pass obscheck, which pins the per-shard plan names (s3ttmc.shard[i],
-# shard.fanout, shard.merge) to the registered roster. Finally the shard
-# package's determinism matrix and wire-format tests run under -race:
-# the fan-out is the one place P engines touch shared kernel state.
+# pass obscheck, which pins the per-shard plan names (shard.fanout,
+# s3ttmc.shard[i], shard.gram, shard.tc) to the registered roster. A
+# budgeted pass repeats the comparison under SYMPROP_MEM_BUDGET=30000,
+# where the kernels shrink their spill buffers: a sharded call is charged
+# exactly like an unsharded one, so the factors must still match. Finally
+# the shard package's tests run under -race: the fan-out is the one place
+# P engines share the caller's caches, spill buffers and output.
 #
 # Usage: scripts/shard_smoke.sh [workdir]
 set -euo pipefail
@@ -38,6 +41,19 @@ for algo in hooi hoqri; do
     fi
     "$dir/obscheck" -metrics "$dir/$algo.sharded.metrics.json" \
         -trace "$dir/$algo.sharded.trace.jsonl" -sweeps $iters
+done
+
+budget=30000
+for algo in hooi hoqri; do
+    echo "shard-smoke: $algo unsharded vs -shards 4 under SYMPROP_MEM_BUDGET=$budget"
+    SYMPROP_MEM_BUDGET=$budget "$dir/symprop" decompose -rank 4 -algo "$algo" -iters $iters -tol 0 -seed 3 \
+        -workers 2 -out "$dir/$algo.budget.single.u" "$dir/x.tns" >/dev/null
+    SYMPROP_MEM_BUDGET=$budget "$dir/symprop" decompose -rank 4 -algo "$algo" -iters $iters -tol 0 -seed 3 \
+        -workers 2 -shards 4 -out "$dir/$algo.budget.sharded.u" "$dir/x.tns" >/dev/null
+    if ! cmp -s "$dir/$algo.budget.single.u" "$dir/$algo.budget.sharded.u"; then
+        echo "shard-smoke: FAIL: $algo factors differ between shards=4 and single engine at budget $budget" >&2
+        exit 1
+    fi
 done
 
 echo "shard-smoke: shard package under -race"

@@ -173,9 +173,9 @@ type Options struct {
 	// Workers is the kernel parallelism (0 = GOMAXPROCS).
 	Workers int
 	// Shards, when > 1, runs the S³TTMc kernel and the Gram-side products
-	// on that many isolated shard engines (internal/shard), each with its
-	// own worker pool and caches. The result is bitwise identical to the
-	// single-engine run for every shard count; see docs/SHARDING.md.
+	// on that many shard engines (internal/shard), each with its own
+	// worker pool. The result is bitwise identical to the single-engine
+	// run for every shard count; see docs/SHARDING.md.
 	Shards int
 	// Ctx, when non-nil, cancels the run cooperatively; see
 	// tucker.Options.Ctx. A canceled run returns a *CanceledError.
