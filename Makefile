@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race vet fmt-check lint fuzz-smoke fault-matrix resume-smoke obs-smoke serve-smoke shard-smoke load-smoke bench bench-json bench-guard verify examples reproduce generate clean
+.PHONY: all build test test-race vet fmt-check fma-check lint fuzz-smoke fault-matrix resume-smoke obs-smoke serve-smoke shard-smoke load-smoke bench bench-json bench-guard verify examples reproduce generate clean
 
 all: build vet lint test
 
@@ -17,6 +17,12 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# FMA gate: cross-builds cmd/symprop for arm64 and fails if MulNT's and
+# MulNTWeighted's dot kernels contain a fused multiply-add, or if a kernel
+# symbol is missing (see scripts/fma_check.sh).
+fma-check:
+	./scripts/fma_check.sh
 
 # symlint: the repo's own go/analysis suite (see docs/LINTING.md;
 # `go run ./tools/symlint -list` prints the analyzer roster). Enforces

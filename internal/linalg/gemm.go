@@ -7,12 +7,11 @@ import "runtime"
 // threading knob — and are built on the register-blocked micro-kernels in
 // microkernel.go: Mul and MulTN stream K in gemmKC panels through axpy8
 // (eight source rows folded into one destination pass, stepping down to
-// axpy4 and scalar on the K tail), while the dot-shaped variants walk
-// output tiles of row-dot accumulators — 8x4 for MulNT, 4x4 for
-// MulNTWeighted. Row-major layout keeps every inner loop on contiguous
-// memory; tails smaller than a tile fall back to the narrower tile and
-// finally the scalar helpers, which preserve the naive loops' semantics
-// exactly.
+// axpy4 and scalar on the K tail), while the dot-shaped variants MulNT and
+// MulNTWeighted walk 4x2 output tiles of running row-dot sums. Row-major
+// layout keeps every inner loop on contiguous memory; tails smaller than a
+// tile fall back to the scalar helpers, which preserve the naive loops'
+// semantics exactly.
 
 // Mul returns C = A·B.
 func Mul(a, b *Matrix) *Matrix {
@@ -116,9 +115,9 @@ func MulTNRange(c, a, b *Matrix, lo, hi int) {
 }
 
 // MulNT returns C = A·Bᵀ (C is a.Rows x b.Rows). Both operands stream
-// row-contiguously; output is computed in 8x4 tiles of row-dot products,
-// stepping down to 4x4 tiles and scalar dots on the tails, so each loaded
-// row element of B serves eight dots.
+// row-contiguously; output is computed in 4x2 tiles of row-dot products,
+// then a scalar column tail and scalar rows, so each loaded row element of
+// B serves four dots and every entry is one running sum over ascending k.
 //
 // Called as MulNT(a, a) it is the Gram A·Aᵀ, and only the tiles that start
 // at or right of each row tile's first row are computed; the strict upper
@@ -140,51 +139,25 @@ func MulNT(a, b *Matrix) *Matrix {
 	}
 	ParallelChunks(a.Rows, runtime.GOMAXPROCS(0), 8, func(lo, hi int) {
 		i := lo
-		for ; i+7 < hi; i += 8 {
-			ar0, ar1, ar2, ar3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-			ar4, ar5, ar6, ar7 := a.Row(i+4), a.Row(i+5), a.Row(i+6), a.Row(i+7)
-			j := firstCol(i)
-			for ; j+3 < b.Rows; j += 4 {
-				var acc [32]float64
-				dot8x4(ar0, ar1, ar2, ar3, ar4, ar5, ar6, ar7,
-					b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), &acc)
-				for ii := 0; ii < 8; ii++ {
-					crow := c.Row(i + ii)
-					crow[j], crow[j+1], crow[j+2], crow[j+3] = acc[ii*4], acc[ii*4+1], acc[ii*4+2], acc[ii*4+3]
-				}
-			}
-			for ; j < b.Rows; j++ {
-				brow := b.Row(j)
-				for ii, arow := range [][]float64{ar0, ar1, ar2, ar3, ar4, ar5, ar6, ar7} {
-					c.Row(i + ii)[j] = dot(arow, brow)
-				}
-			}
-		}
 		for ; i+3 < hi; i += 4 {
-			ar0, ar1, ar2, ar3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-			cr0, cr1, cr2, cr3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
+			a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+			c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
 			j := firstCol(i)
-			for ; j+3 < b.Rows; j += 4 {
-				var acc [16]float64
-				dot4x4(ar0, ar1, ar2, ar3, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), &acc)
-				cr0[j], cr0[j+1], cr0[j+2], cr0[j+3] = acc[0], acc[1], acc[2], acc[3]
-				cr1[j], cr1[j+1], cr1[j+2], cr1[j+3] = acc[4], acc[5], acc[6], acc[7]
-				cr2[j], cr2[j+1], cr2[j+2], cr2[j+3] = acc[8], acc[9], acc[10], acc[11]
-				cr3[j], cr3[j+1], cr3[j+2], cr3[j+3] = acc[12], acc[13], acc[14], acc[15]
+			for ; j+1 < b.Rows; j += 2 {
+				var acc [8]float64
+				dot4x2(a0, a1, a2, a3, b.Row(j), b.Row(j+1), &acc)
+				c0[j], c0[j+1], c1[j], c1[j+1] = acc[0], acc[1], acc[2], acc[3]
+				c2[j], c2[j+1], c3[j], c3[j+1] = acc[4], acc[5], acc[6], acc[7]
 			}
-			for ; j < b.Rows; j++ {
-				brow := b.Row(j)
-				cr0[j] = dot(ar0, brow)
-				cr1[j] = dot(ar1, brow)
-				cr2[j] = dot(ar2, brow)
-				cr3[j] = dot(ar3, brow)
+			if j < b.Rows {
+				bj := b.Row(j)
+				c0[j], c1[j], c2[j], c3[j] = dot(a0, bj), dot(a1, bj), dot(a2, bj), dot(a3, bj)
 			}
 		}
 		for ; i < hi; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
+			ai, ci := a.Row(i), c.Row(i)
 			for j := firstCol(i); j < b.Rows; j++ {
-				crow[j] = dot(arow, b.Row(j))
+				ci[j] = dot(ai, b.Row(j))
 			}
 		}
 	})
@@ -222,30 +195,24 @@ func MulNTWeightedRange(c, a, b *Matrix, w []float64, lo, hi int) {
 		a.Rows, a.Cols, b.Rows, b.Cols, len(w), c.Rows, c.Cols)
 	i := lo
 	for ; i+3 < hi; i += 4 {
-		ar0, ar1, ar2, ar3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-		cr0, cr1, cr2, cr3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
+		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
 		j := 0
-		for ; j+3 < b.Rows; j += 4 {
-			var acc [16]float64
-			dotW4x4(ar0, ar1, ar2, ar3, w, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3), &acc)
-			cr0[j], cr0[j+1], cr0[j+2], cr0[j+3] = acc[0], acc[1], acc[2], acc[3]
-			cr1[j], cr1[j+1], cr1[j+2], cr1[j+3] = acc[4], acc[5], acc[6], acc[7]
-			cr2[j], cr2[j+1], cr2[j+2], cr2[j+3] = acc[8], acc[9], acc[10], acc[11]
-			cr3[j], cr3[j+1], cr3[j+2], cr3[j+3] = acc[12], acc[13], acc[14], acc[15]
+		for ; j+1 < b.Rows; j += 2 {
+			var acc [8]float64
+			dotW4x2(a0, a1, a2, a3, w, b.Row(j), b.Row(j+1), &acc)
+			c0[j], c0[j+1], c1[j], c1[j+1] = acc[0], acc[1], acc[2], acc[3]
+			c2[j], c2[j+1], c3[j], c3[j+1] = acc[4], acc[5], acc[6], acc[7]
 		}
-		for ; j < b.Rows; j++ {
-			brow := b.Row(j)
-			cr0[j] = dotW(ar0, w, brow)
-			cr1[j] = dotW(ar1, w, brow)
-			cr2[j] = dotW(ar2, w, brow)
-			cr3[j] = dotW(ar3, w, brow)
+		if j < b.Rows {
+			bj := b.Row(j)
+			c0[j], c1[j], c2[j], c3[j] = dotW(a0, w, bj), dotW(a1, w, bj), dotW(a2, w, bj), dotW(a3, w, bj)
 		}
 	}
 	for ; i < hi; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
+		ai, ci := a.Row(i), c.Row(i)
 		for j := 0; j < b.Rows; j++ {
-			crow[j] = dotW(arow, w, b.Row(j))
+			ci[j] = dotW(ai, w, b.Row(j))
 		}
 	}
 }

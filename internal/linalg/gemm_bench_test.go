@@ -11,7 +11,8 @@ import (
 // against the pre-blocking one-level loops (impl=naive, preserved in
 // gemm_test.go as the golden reference). Square operands; the 256 and 512
 // points are the acceptance sizes, 64 shows the small-operand regime the
-// Tucker drivers mostly live in.
+// Tucker drivers mostly live in. The shape= rows are the dense products that
+// dominate a perfbench workload, at that workload's operand shapes.
 var gemmBenchSizes = []int{64, 256, 512}
 
 func benchPair(n int) (*Matrix, *Matrix, []float64) {
@@ -79,6 +80,44 @@ func BenchmarkMulNT(b *testing.B) {
 			}
 		})
 	}
+	// hooi-contact's Gram: the 245 x 20,736 full unfolding times itself.
+	b.Run("impl=aliased/shape=245x20736", func(b *testing.B) {
+		y := RandomNormal(245, 20736, rand.New(rand.NewSource(245)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulNT(y, y)
+		}
+	})
+}
+
+func BenchmarkMulNTWeighted(b *testing.B) {
+	for _, n := range gemmBenchSizes[1:] {
+		a, bb, w := benchPair(n)
+		b.Run(fmt.Sprintf("impl=blocked/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MulNTWeighted(a, bb, w)
+			}
+		})
+		b.Run(fmt.Sprintf("impl=naive/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				naiveMulNTWeighted(a, bb, w)
+			}
+		})
+	}
+	// hoqri-walmart's times-core product: Y_p (1,000 x 11,440) times
+	// diag(p)·C_pᵀ at rank 10.
+	b.Run("impl=blocked/shape=1000x11440x10", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1000))
+		yp, cp := RandomNormal(1000, 11440, rng), RandomNormal(10, 11440, rng)
+		p := make([]float64, 11440)
+		for i := range p {
+			p[i] = rng.Float64() + 0.5
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			MulNTWeighted(yp, cp, p)
+		}
+	})
 }
 
 // naiveMulRows is the pre-blocking ikj loop of Mul (naiveMul in

@@ -7,9 +7,11 @@ import (
 	"testing"
 )
 
-// Golden references: the pre-blocking one-level loops, kept verbatim so the
+// Golden references: the pre-blocking one-level loops, so the
 // register-blocked kernels in gemm.go are pinned to the exact semantics they
-// replaced. naiveMul lives in matrix_test.go.
+// replaced. The row-dot references convert each product explicitly, as the
+// kernels do, so that no target fuses it with the add and the bitwise
+// comparison holds everywhere. naiveMul lives in matrix_test.go.
 
 func naiveMulTN(a, b *Matrix) *Matrix {
 	c := NewMatrix(a.Cols, b.Cols)
@@ -39,7 +41,7 @@ func naiveMulNT(a, b *Matrix) *Matrix {
 			brow := b.Row(j)
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			crow[j] = s
 		}
@@ -56,7 +58,7 @@ func naiveMulNTWeighted(a, b *Matrix, w []float64) *Matrix {
 			brow := b.Row(j)
 			var s float64
 			for k, av := range arow {
-				s += av * w[k] * brow[k]
+				s += float64(av * w[k] * brow[k])
 			}
 			crow[j] = s
 		}
@@ -65,19 +67,32 @@ func naiveMulNTWeighted(a, b *Matrix, w []float64) *Matrix {
 }
 
 // gemmGoldenShapes exercises every tail the blocked kernels have: dimensions
-// below one 4-wide tile, exactly on tile boundaries, one past them, empty
-// operands, and a K larger than the gemmKC panel width.
+// below one tile, exactly on tile boundaries, one past them, empty operands,
+// row counts of every residue mod 4 with odd column counts (so each 4x2
+// tile's row and column tails run), and K larger than the gemmKC panel
+// width. The last two shapes run thousands of k steps per dot, the second
+// at hoqri-walmart's rank 10.
 var gemmGoldenShapes = []struct{ m, k, n int }{
 	{0, 3, 3}, {3, 0, 3}, {3, 3, 0}, {0, 0, 0},
 	{1, 1, 1}, {2, 3, 2}, {3, 5, 7},
 	{4, 4, 4}, {5, 4, 3}, {4, 5, 4}, {4, 4, 5},
+	{6, 5, 7}, {7, 9, 5}, {10, 3, 9}, {11, 7, 3},
 	{8, 8, 8}, {9, 7, 6}, {13, 17, 11},
 	{6, gemmKC, 5}, {3, gemmKC + 3, 4}, {5, 2*gemmKC + 1, 6},
+	{7, 4097, 5}, {10, 5003, 10},
 }
 
+// TestBlockedGEMMGolden checks Mul and MulTN against the naive loops within
+// rounding, and MulNT and MulNTWeighted bit for bit: both sides are one
+// running sum per entry over ascending k, whatever the tile or the worker
+// count.
 func TestBlockedGEMMGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var grams []*Matrix
+	type ntCase struct {
+		a, b *Matrix
+		w    []float64
+	}
+	var nts []ntCase
 	for _, sh := range gemmGoldenShapes {
 		a := RandomNormal(sh.m, sh.k, rng)
 		b := RandomNormal(sh.k, sh.n, rng)
@@ -91,37 +106,41 @@ func TestBlockedGEMMGolden(t *testing.T) {
 		}
 
 		bt := RandomNormal(sh.n, sh.k, rng)
-		if d := MaxAbsDiff(MulNT(a, bt), naiveMulNT(a, bt)); d > 1e-10 {
-			t.Errorf("MulNT %dx%d·%dx%dᵀ differs from naive by %v", sh.m, sh.k, sh.n, sh.k, d)
-		}
-
 		w := make([]float64, sh.k)
 		for i := range w {
 			w[i] = rng.NormFloat64()
 		}
-		if d := MaxAbsDiff(MulNTWeighted(a, bt, w), naiveMulNTWeighted(a, bt, w)); d > 1e-10 {
-			t.Errorf("MulNTWeighted %dx%d differs from naive by %v", sh.m, sh.n, d)
-		}
-		grams = append(grams, a)
+		nts = append(nts, ntCase{a, bt, w})
 	}
-
 	// The aliased MulNT(a, a) computes the upper triangle and mirrors it.
 	// It must equal the full walk over a distinct copy bit for bit, and so
-	// be exactly symmetric, at every worker count.
+	// be exactly symmetric.
+	var grams []*Matrix
+	for _, c := range nts {
+		grams = append(grams, c.a)
+	}
 	for _, rows := range []int{0, 1, 7, 9, 245} {
 		grams = append(grams, RandomNormal(rows, 33, rng))
+	}
+
+	sameBits := func(procs int, what string, got, want *Matrix) {
+		t.Helper()
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("procs=%d: %s %dx%d entry %d = %v, want %v", procs, what, got.Rows, got.Cols, i, v, want.Data[i])
+			}
+		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 3} {
 		runtime.GOMAXPROCS(procs)
+		for _, c := range nts {
+			sameBits(procs, "MulNT", MulNT(c.a, c.b), naiveMulNT(c.a, c.b))
+			sameBits(procs, "MulNTWeighted", MulNTWeighted(c.a, c.b, c.w), naiveMulNTWeighted(c.a, c.b, c.w))
+		}
 		for _, a := range grams {
-			g, full := MulNT(a, a), MulNT(a, a.Clone())
-			for i, v := range g.Data {
-				if math.Float64bits(v) != math.Float64bits(full.Data[i]) {
-					t.Fatalf("procs=%d: MulNT(a, a) %dx%d entry %d = %v, full walk %v",
-						procs, a.Rows, a.Cols, i, v, full.Data[i])
-				}
-			}
+			g := MulNT(a, a)
+			sameBits(procs, "MulNT(a, a)", g, MulNT(a, a.Clone()))
 			for i := 0; i < g.Rows; i++ {
 				for j := i + 1; j < g.Cols; j++ {
 					if math.Float64bits(g.At(i, j)) != math.Float64bits(g.At(j, i)) {
@@ -229,29 +248,37 @@ func TestWideMicrokernels(t *testing.T) {
 			}
 		}
 	}
-	// dot8x4 must agree bitwise with the scalar dot: each accumulator uses
-	// the same per-k association, so no tolerance is needed.
+	// dot4x2 and dotW4x2 must agree bitwise with the scalar helpers: each
+	// sum uses the same per-k association, so no tolerance is needed. acc
+	// is output only, so the NaNs it starts with must not reach a sum.
 	n := 13
-	var a [8][]float64
-	var bm [4][]float64
+	randRow := func() []float64 {
+		r := make([]float64, n)
+		for k := range r {
+			r[k] = rng.NormFloat64()
+		}
+		return r
+	}
+	var a [4][]float64
 	for r := range a {
-		a[r] = make([]float64, n)
-		for k := range a[r] {
-			a[r][k] = rng.NormFloat64()
-		}
+		a[r] = randRow()
 	}
-	for r := range bm {
-		bm[r] = make([]float64, n)
-		for k := range bm[r] {
-			bm[r][k] = rng.NormFloat64()
-		}
+	bm := [2][]float64{randRow(), randRow()}
+	w := randRow()
+	var acc, accW [8]float64
+	for e := range acc {
+		acc[e], accW[e] = math.NaN(), math.NaN()
 	}
-	var acc [32]float64
-	dot8x4(a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7], bm[0], bm[1], bm[2], bm[3], &acc)
-	for ii := 0; ii < 8; ii++ {
-		for jj := 0; jj < 4; jj++ {
-			if want := dot(a[ii], bm[jj]); acc[ii*4+jj] != want {
-				t.Fatalf("dot8x4 acc[%d][%d]=%v, scalar dot %v", ii, jj, acc[ii*4+jj], want)
+	dot4x2(a[0], a[1], a[2], a[3], bm[0], bm[1], &acc)
+	dotW4x2(a[0], a[1], a[2], a[3], w, bm[0], bm[1], &accW)
+	for ii := 0; ii < 4; ii++ {
+		for jj := 0; jj < 2; jj++ {
+			e := ii*2 + jj
+			if want := dot(a[ii], bm[jj]); acc[e] != want {
+				t.Fatalf("dot4x2 acc[%d][%d]=%v, scalar dot %v", ii, jj, acc[e], want)
+			}
+			if want := dotW(a[ii], w, bm[jj]); accW[e] != want {
+				t.Fatalf("dotW4x2 acc[%d][%d]=%v, scalar dotW %v", ii, jj, accW[e], want)
 			}
 		}
 	}

@@ -392,31 +392,42 @@ func bitsHash(xs ...[]float64) uint64 {
 // hashes of Objective, U and CoreP were recorded before the drivers shared
 // one sweep loop, at one and two workers. The same run on two shard
 // engines must reproduce the two-worker hashes (HOQRINary ignores Shards).
+// The rank-13 cell was recorded before MulNT and MulNTWeighted moved to
+// 4x2 tiles: its HOOI Gram takes dots 2,197 columns long, and its 13 core
+// columns leave a column tail after HOQRI's times-core tiles.
 func TestDriverGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes recorded on amd64; other targets may fuse multiply-adds")
 	}
-	x := testTensor(t, 3, 12, 60, 47)
 	type hashes struct{ objective, u, core uint64 }
+	small, wide := testTensor(t, 3, 12, 60, 47), testTensor(t, 4, 40, 300, 51)
 	for _, c := range []struct {
-		driver string
-		w1, w2 hashes
+		driver      string
+		x           *spsym.Tensor
+		rank, iters int
+		w1, w2      hashes
 	}{
-		{"hooi",
+		{"hooi", small, 3, 5,
 			hashes{0xb7af8f0727d90c4e, 0x80ca38f862a0257f, 0x533ff7bc1ca3a3aa},
 			hashes{0x9b10243df6ae0b2f, 0x95343b2b8f263323, 0x7d4f83817263d4c5}},
-		{"hoqri",
+		{"hoqri", small, 3, 5,
 			hashes{0x47999cfd517e935a, 0x6e2668b037e1148c, 0xa302a7391f65f0b1},
 			hashes{0x19c7879e0b87e445, 0x40af63ec4db31726, 0xfb03ec90a7209985}},
-		{"hooi-randomized",
+		{"hooi-randomized", small, 3, 5,
 			hashes{0x3d57695bd920df30, 0x7f427df0f751b2b0, 0xeef570e7eda2bada},
 			hashes{0x2e0265bbb6ccf212, 0xf1a41e5cdf73e7ac, 0xb7bb46bda2eb1fe3}},
-		{"hooi-css",
+		{"hooi-css", small, 3, 5,
 			hashes{0x5d46b97f38fcb18e, 0x80ca38f862a0257f, 0x52ed60833c744522},
 			hashes{0x9b10243df6ae0b2f, 0x95343b2b8f263323, 0x0e577223c1abc923}},
-		{"hoqri-nary",
+		{"hoqri-nary", small, 3, 5,
 			hashes{0xdb370a06cf8d0240, 0x161c53ff846ec5d2, 0x109b37592e0a81bc},
 			hashes{0x5def824190565696, 0x8e9bd71bdd9496ab, 0x88cb81c4342b535a}},
+		{"hooi", wide, 13, 3,
+			hashes{0xec4b6797ea9c376e, 0xc65a0aaf02c3669a, 0x25d9494f2ad13f99},
+			hashes{0xec4b6797ea9c376e, 0x20ed1a1b5055337e, 0x5be6e61d858b61c2}},
+		{"hoqri", wide, 13, 3,
+			hashes{0xe2d1b409a0614439, 0x25bc56b9c83e5bf9, 0xa83b474fa0aec86d},
+			hashes{0xe2d1b409a0614439, 0x99857a4c077ce061, 0xe36eb805bd06901d}},
 	} {
 		run := driverByName(t, c.driver)
 		for _, cfg := range []struct {
@@ -424,14 +435,14 @@ func TestDriverGoldenBits(t *testing.T) {
 			workers, shards int
 			want            hashes
 		}{{"workers=1", 1, 0, c.w1}, {"workers=2", 2, 0, c.w2}, {"shards=2", 2, 2, c.w2}} {
-			res, err := run(x, Options{Rank: 3, MaxIters: 5, Seed: 9, Workers: cfg.workers, Shards: cfg.shards})
+			res, err := run(c.x, Options{Rank: c.rank, MaxIters: c.iters, Seed: 9, Workers: cfg.workers, Shards: cfg.shards})
 			if err != nil {
-				t.Fatalf("%s %s: %v", c.driver, cfg.name, err)
+				t.Fatalf("%s rank=%d %s: %v", c.driver, c.rank, cfg.name, err)
 			}
 			got := hashes{bitsHash(res.Objective), bitsHash(res.U.Data), bitsHash(res.CoreP.Data)}
 			if got != cfg.want {
-				t.Errorf("%s %s: hashes {%#016x, %#016x, %#016x}, want {%#016x, %#016x, %#016x}",
-					c.driver, cfg.name, got.objective, got.u, got.core, cfg.want.objective, cfg.want.u, cfg.want.core)
+				t.Errorf("%s rank=%d %s: hashes {%#016x, %#016x, %#016x}, want {%#016x, %#016x, %#016x}",
+					c.driver, c.rank, cfg.name, got.objective, got.u, got.core, cfg.want.objective, cfg.want.u, cfg.want.core)
 			}
 		}
 	}
