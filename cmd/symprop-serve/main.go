@@ -7,7 +7,7 @@
 //	        [-job-workers W] [-mem BYTES] [-max-queued N] [-max-queued-per-tenant N]
 //	        [-queue-ttl D] [-retry-after D] [-max-attempts N]
 //	symprop-serve submit -server URL -rank R [-algo A] [-iters N] [-tol T]
-//	        [-seed S] [-workers W] [-shards P] [-checkpoint-every K] [-timeout SEC]
+//	        [-seed S] [-workers W] [-checkpoint-every K] [-timeout SEC]
 //	        [-tenant T] [-wait] <tensor.tns>
 //	symprop-serve status -server URL <job-id>
 //	symprop-serve result -server URL [-out U.txt] <job-id>
@@ -75,7 +75,7 @@ func usage() {
           [-mem BYTES] [-max-queued N] [-max-queued-per-tenant N] [-queue-ttl D]
           [-retry-after D] [-max-attempts N]
   symprop-serve submit -server URL -rank R [-algo hoqri|hooi|hooi-randomized] [-iters N]
-          [-tol T] [-seed S] [-workers W] [-shards P] [-checkpoint-every K] [-timeout SEC]
+          [-tol T] [-seed S] [-workers W] [-checkpoint-every K] [-timeout SEC]
           [-tenant T] [-wait] <tensor.tns>
   symprop-serve status -server URL <job-id>
   symprop-serve result -server URL [-out U.txt] <job-id>
@@ -229,7 +229,7 @@ func runSubmit(args []string) error {
 	tol := fs.Float64("tol", 0, "relative-objective stopping tolerance (0 = run all sweeps)")
 	seed := fs.Int64("seed", 1, "random-initialization seed")
 	workers := fs.Int("workers", 0, "kernel workers (0 = server default)")
-	shards := fs.Int("shards", 0, "shard engines for the job's kernels (<= 1 = single engine; output is bit-identical either way)")
+	fs.Int("shards", 0, "deprecated: ignored, accepted so that old command lines still run")
 	ckptEvery := fs.Int("checkpoint-every", 0, "snapshot period in sweeps (0 = server default)")
 	timeout := fs.Float64("timeout", 0, "per-job wall-clock deadline in seconds (0 = none)")
 	tenant := fs.String("tenant", "", "tenant for queue fairness and bounds")
@@ -257,7 +257,6 @@ func runSubmit(args []string) error {
 		Tol:             *tol,
 		Seed:            *seed,
 		Workers:         *workers,
-		Shards:          *shards,
 		CheckpointEvery: *ckptEvery,
 		TimeoutSec:      *timeout,
 	}

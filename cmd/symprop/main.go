@@ -4,7 +4,7 @@
 //
 //	symprop info <tensor.tns>
 //	symprop decompose -rank R [-algo hoqri|hooi] [-iters N] [-tol T]
-//	        [-hosvd] [-seed S] [-workers W] [-shards P] [-out factor.txt]
+//	        [-hosvd] [-seed S] [-workers W] [-out factor.txt]
 //	        [-convergence conv.csv] [-metrics out.json] [-trace trace.jsonl] [-pprof :6060]
 //	        [-checkpoint run.ckpt [-checkpoint-every K] [-resume]] <tensor.tns>
 //	symprop ttmc -rank R [-seed S] <tensor.tns>
@@ -93,7 +93,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   symprop info <tensor.tns>
   symprop decompose -rank R [-algo hoqri|hooi] [-iters N] [-tol T] [-hosvd] [-seed S] [-workers W]
-          [-shards P] [-out U.txt] [-convergence conv.csv] [-metrics out.json] [-trace trace.jsonl] [-pprof :6060]
+          [-out U.txt] [-convergence conv.csv] [-metrics out.json] [-trace trace.jsonl] [-pprof :6060]
           [-checkpoint run.ckpt [-checkpoint-every K] [-resume]] <tensor.tns>
   symprop ttmc -rank R [-seed S] <tensor.tns>
   symprop cp -rank R [-iters N] [-tol T] [-seed S] <tensor.tns>`)
@@ -173,7 +173,7 @@ func runDecompose(ctx context.Context, args []string) error {
 	hosvd := fs.Bool("hosvd", false, "initialize with HOSVD instead of randomly")
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "shard engines for the kernels (<= 1 = single engine; output is bit-identical either way)")
+	fs.Int("shards", 0, "deprecated: ignored, accepted so that old command lines still run")
 	out := fs.String("out", "", "write the factor matrix U to this file")
 	convergence := fs.String("convergence", "", "write the per-iteration convergence trace as CSV to this file")
 	metrics := fs.String("metrics", "", "write the aggregated per-plan engine counters as JSON to this file")
@@ -192,7 +192,7 @@ func runDecompose(ctx context.Context, args []string) error {
 
 	opts := symprop.Options{
 		Rank: *rank, MaxIters: *iters, Tol: *tol, HOSVDInit: *hosvd, Seed: *seed,
-		Workers: *workers, Shards: *shards, Ctx: ctx,
+		Workers: *workers, Ctx: ctx,
 		CheckpointPath: *ckpt, CheckpointEvery: *ckptEvery, Resume: *resume,
 	}
 	if *pprofAddr != "" {

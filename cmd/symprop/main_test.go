@@ -56,7 +56,8 @@ func TestRunDecompose(t *testing.T) {
 	if len(data) == 0 {
 		t.Error("trace file empty")
 	}
-	if err := runDecompose(context.Background(), []string{"-rank", "2", "-algo", "hooi", "-iters", "2", path}); err != nil {
+	// -shards is deprecated and ignored, but old command lines must parse.
+	if err := runDecompose(context.Background(), []string{"-rank", "2", "-algo", "hooi", "-iters", "2", "-shards", "4", path}); err != nil {
 		t.Fatal(err)
 	}
 	if err := runDecompose(context.Background(), []string{"-rank", "2", "-algo", "bogus", path}); err == nil {

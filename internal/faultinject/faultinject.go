@@ -51,12 +51,6 @@ const (
 	// server's retry classifier as a retryable worker failure; a hook may
 	// also panic to simulate a runner crash.
 	SiteJobRun Site = "jobs.run"
-	// SiteShardMerge fires inside internal/shard once the engines' groups
-	// of a sharded call have joined, before the caller folds their results
-	// (schedule.reduce for S³TTMc; the Gram bands are already in place),
-	// with the engine count as payload. A non-nil hook error aborts the
-	// call.
-	SiteShardMerge Site = "shard.merge"
 )
 
 // Hook inspects (and may mutate) the payload fired at a site. Returning a

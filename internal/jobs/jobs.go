@@ -137,11 +137,9 @@ type Spec struct {
 	// Config.JobWorkers. The resolved value is persisted in the manifest
 	// so a resumed job keeps its reduction order (bit-identity).
 	Workers int `json:"workers,omitempty"`
-	// Shards, when > 1, runs the job's kernels on that many shard engines
-	// (internal/shard), each with its own worker pool — bitwise identical
-	// to single-engine execution for any count. The resolved value is pinned in the
-	// manifest so every attempt of the job, including post-crash resumes,
-	// runs the same execution layout.
+	// Deprecated: ignored. Every job runs on one owner-computes engine of
+	// Workers goroutines. A negative value is still rejected, so a
+	// request that was invalid stays invalid.
 	Shards int `json:"shards,omitempty"`
 	// CheckpointEvery is the snapshot period in iterations; <= 0 uses
 	// tucker.DefaultCheckpointEvery.

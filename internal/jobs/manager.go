@@ -14,9 +14,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"github.com/symprop/symprop/internal/faultinject"
@@ -272,10 +274,6 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	if workers <= 0 {
 		workers = m.cfg.JobWorkers
 	}
-	shards := spec.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	est := estimateBytes(x, spec.Rank, workers)
 	if err := m.guard.Reserve(est, "job admission"); err != nil {
 		m.counters.Add("jobs.rejected.saturated", 1)
@@ -289,7 +287,6 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 			Spec:       spec,
 			State:      StateQueued,
 			Workers:    workers,
-			Shards:     shards,
 			EnqueuedAt: time.Now(),
 		},
 		x:        x,
@@ -336,18 +333,49 @@ func loadSpecTensor(spec *Spec) (*spsym.Tensor, error) {
 	var x *spsym.Tensor
 	var err error
 	if spec.Tensor != "" {
-		x, err = spsym.ReadFrom(strings.NewReader(spec.Tensor))
-	} else {
-		x, err = spsym.LoadAuto(spec.TensorPath)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: tensor: %v", ErrInvalidSpec, err)
+		if x, err = spsym.ReadFrom(strings.NewReader(spec.Tensor)); err != nil {
+			return nil, fmt.Errorf("%w: tensor: %v", ErrInvalidSpec, err)
+		}
+	} else if x, err = loadTensorPath(spec.TensorPath); err != nil {
+		return nil, err
 	}
 	if err := x.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: tensor: %v", ErrInvalidSpec, err)
 	}
 	if spec.Rank > x.Dim {
 		return nil, fmt.Errorf("%w: rank %d exceeds dimension %d", ErrInvalidSpec, spec.Rank, x.Dim)
+	}
+	return x, nil
+}
+
+// loadTensorPath reads a tensor_path, a server-local file the client
+// names. The open does not block and the file must be regular, so a FIFO
+// or a device cannot hold the handler. A file that does not parse is
+// refused without quoting it: the client may not otherwise read it.
+func loadTensorPath(path string) (*spsym.Tensor, error) {
+	f, err := os.OpenFile(path, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		return nil, fmt.Errorf("%w: tensor_path: %v", ErrInvalidSpec, err)
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("%w: tensor_path: %v", ErrInvalidSpec, err)
+	}
+	if !info.Mode().IsRegular() {
+		return nil, fmt.Errorf("%w: tensor_path %q is not a regular file", ErrInvalidSpec, path)
+	}
+	// spsym.LoadAuto sniffs the format from a path it opens itself; on
+	// this open file, try the binary format, then seek back for the text
+	// one. A text file fails the binary reader at its 8-byte magic.
+	x, err := spsym.ReadBinary(f)
+	if err != nil {
+		if _, err = f.Seek(0, io.SeekStart); err == nil {
+			x, err = spsym.ReadFrom(f)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: tensor_path %q is not a symmetric tensor file", ErrInvalidSpec, path)
 	}
 	return x, nil
 }

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -543,11 +545,10 @@ func TestDrainRequeuesAndResumesBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedJobResumesBitIdentical is the sharded twin of the drain test:
-// a Shards=4 job interrupted mid-run and resumed by a "restarted server"
-// must produce the same result file as an uninterrupted *unsharded* run of
-// the same spec — sharding is bitwise invisible, and the manifest pins the
-// shard count so every attempt runs the same layout.
+// TestShardedJobResumesBitIdentical pins Spec.Shards as ignored: a
+// Shards=4 job interrupted mid-run and resumed by a "restarted server"
+// must produce the same result file as an uninterrupted run of the same
+// spec without Shards.
 func TestShardedJobResumesBitIdentical(t *testing.T) {
 	checkGoroutines(t)
 	spoolDir := t.TempDir()
@@ -591,19 +592,15 @@ func TestShardedJobResumesBitIdentical(t *testing.T) {
 
 	b := newManager(t, Config{SpoolDir: spoolDir, Runners: 1})
 	waitState(t, b, id, StateSucceeded)
-	man, err := b.spool.LoadManifest(id)
-	if err != nil {
+	if _, err := b.spool.LoadManifest(id); err != nil {
 		t.Fatal(err)
-	}
-	if man.Shards != 4 {
-		t.Errorf("manifest pinned shards=%d, want 4", man.Shards)
 	}
 	resumed, err := os.ReadFile(b.spool.ResultPath(id))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Control: same spec, uninterrupted, and single-engine.
+	// Control: same spec, uninterrupted, and without Shards.
 	control := spec
 	control.Shards = 0
 	c := newManager(t, Config{Runners: 1})
@@ -618,6 +615,85 @@ func TestShardedJobResumesBitIdentical(t *testing.T) {
 	}
 	if string(resumed) != string(plain) {
 		t.Error("sharded resumed factor differs from unsharded control run (bit-identity broken)")
+	}
+}
+
+// TestManifestWithShardsResumes: a spool manifest that carries "shards",
+// at the top level and in its spec, as servers that ran shard engines
+// wrote it, still rescans. Its job resumes from its checkpoint and ends on
+// the bits of an uninterrupted run.
+func TestManifestWithShardsResumes(t *testing.T) {
+	checkGoroutines(t)
+	spoolDir := t.TempDir()
+	spool, err := OpenSpool(spoolDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := testTensorText(t, 3, 12, 60, 6)
+	x, err := spsym.ReadFrom(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Rank: 4, MaxIters: 8, Seed: 9, Workers: 2, Shards: 4, CheckpointEvery: 1}
+	man := &Manifest{ID: NewJobID(), Spec: spec, State: StateRunning, Workers: 2, Attempt: 1,
+		EnqueuedAt: time.Now(), StartedAt: time.Now()}
+	if err := spool.CreateJob(man, x); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(spool.JobDir(man.ID), manifestFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["shards"] = 4
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	// The three sweeps the crashed server finished.
+	if _, err := tucker.HOQRI(x, tucker.Options{Rank: 4, MaxIters: 3, Seed: 9, Workers: 2,
+		CheckpointPath: spool.CheckpointPath(man.ID), CheckpointEvery: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	var first atomic.Int64
+	first.Store(-1)
+	disarm := faultinject.Arm(faultinject.SiteIteration, func(p any) error {
+		first.CompareAndSwap(-1, int64(p.(int)))
+		return nil
+	})
+	defer disarm()
+	m := newManager(t, Config{SpoolDir: spoolDir, Runners: 1})
+	waitState(t, m, man.ID, StateSucceeded)
+	disarm()
+	if got := first.Load(); got != 3 {
+		t.Errorf("the restarted job began at sweep %d, want 3 (resumed from its checkpoint)", got)
+	}
+	resumed, err := os.ReadFile(m.spool.ResultPath(man.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	control := spec
+	control.Tensor, control.Shards = text, 0
+	c := newManager(t, Config{Runners: 1})
+	cid, err := c.Submit(control)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c, cid, StateSucceeded)
+	plain, err := os.ReadFile(c.spool.ResultPath(cid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(resumed) != string(plain) {
+		t.Error("resumed factor differs from the uninterrupted run")
 	}
 }
 

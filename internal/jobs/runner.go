@@ -253,7 +253,6 @@ func (m *Manager) runAttempt(ctx context.Context, j *job, x *spsym.Tensor, pool 
 		Tol:             spec.Tol,
 		Seed:            spec.Seed,
 		Workers:         j.man.Workers, // resolved at admission: fingerprint-stable
-		Shards:          j.man.Shards,  // pinned at admission: same layout every attempt
 		Guard:           m.guard,
 		Pool:            pool,
 		Ctx:             ctx,

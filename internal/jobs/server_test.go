@@ -214,6 +214,26 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 }
 
+// TestHTTPShardsFieldAccepted: a submit body's deprecated "shards" field
+// is still accepted and ignored, and a negative value is still a 400.
+func TestHTTPShardsFieldAccepted(t *testing.T) {
+	checkGoroutines(t)
+	_, ts := newHTTP(t, Config{Runners: 1})
+	spec := baseSpec(t)
+	spec.Shards = 4
+	var accepted struct {
+		ID string `json:"id"`
+	}
+	if resp := doJSON(t, "POST", ts.URL+"/v1/jobs", spec, &accepted); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("shards 4: HTTP %d, want 202", resp.StatusCode)
+	}
+	httpWaitState(t, ts.URL, accepted.ID, StateSucceeded)
+	spec.Shards = -1
+	if resp := doJSON(t, "POST", ts.URL+"/v1/jobs", spec, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("shards -1: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
 // spaces reads as endless JSON whitespace.
 type spaces struct{}
 

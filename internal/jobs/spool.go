@@ -48,12 +48,6 @@ type Manifest struct {
 	// fingerprint, so it is fixed at admission, not re-derived from the
 	// server config that happens to be live at resume time.
 	Workers int `json:"workers"`
-	// Shards is the resolved shard-engine count (>= 1), pinned at
-	// admission like Workers. Sharding is bitwise invisible to the result,
-	// but the pinned count keeps every attempt's execution layout — and
-	// hence its metrics and memory profile — identical across resumes.
-	// Manifests from before sharding decode as 0, which runs single-engine.
-	Shards int `json:"shards,omitempty"`
 	// Attempt and Retries survive restarts so a crash-looping job still
 	// exhausts its retry budget instead of retrying forever.
 	Attempt int `json:"attempt"`

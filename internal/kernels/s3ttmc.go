@@ -84,28 +84,10 @@ type Options struct {
 	// per-worker busy time, span, load imbalance) for every engine plan
 	// this kernel call runs. nil records nothing.
 	Obs *obs.Metrics
-	// Backend, when non-nil, runs the owner-computes leaves of
-	// S3TTMcSymProp/S3TTMcCSS as contiguous groups on an alternative
-	// execution backend's worker pools — in practice internal/shard's
-	// engines (docs/SHARDING.md). The call is otherwise the single-engine
-	// one: the same guard charges, schedule, spill buffers and reduction,
-	// so the same bits. nil runs every leaf on Exec.
-	Backend Backend
 	// noFusion sends every non-zero through the lattice interpreter, even
 	// on the fused grid: the reference this package's tests and
 	// BenchmarkS3TTMcFused hold the fused evaluators to.
 	noFusion bool
-}
-
-// Backend is the seam a sharded execution layer plugs into; internal/shard
-// implements it, and the interface lives here so kernels do not import the
-// layer above them.
-type Backend interface {
-	// Fan splits [0, n) into contiguous groups, one per engine, runs
-	// group(s, lo, hi, pool) for every non-empty group s concurrently,
-	// engine s's worker pool as pool, under the plan name, and returns
-	// the first error in group order. opts contributes Ctx and Obs.
-	Fan(name string, n int, opts Options, group func(s, lo, hi int, pool *exec.Pool) error) error
 }
 
 func (o Options) workers() int {
@@ -114,11 +96,6 @@ func (o Options) workers() int {
 	}
 	return runtime.GOMAXPROCS(0)
 }
-
-// EffectiveWorkers resolves the requested worker count the way every
-// kernel in this package does (GOMAXPROCS when Workers <= 0) — exported
-// so layered backends (internal/shard) size their engines identically.
-func (o Options) EffectiveWorkers() int { return o.workers() }
 
 // execConfig bundles the engine inputs of one kernel call.
 func (o Options) execConfig() exec.Config {
@@ -416,9 +393,7 @@ func S3TTMcCSS(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix,
 // s3ttmc is the entry of both lattice kernels; compact selects SymProp's
 // compact storage over CSS's full storage. It computes the K lattice of
 // every IOU non-zero and accumulates each top tensor into its output row,
-// scaled by the non-zero's value, under owner-computes scheduling — on
-// opts.Exec, or with the leaves grouped across opts.Backend's engines
-// after the same charges (scatterWorkers).
+// scaled by the non-zero's value, under owner-computes scheduling.
 func s3ttmc(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) (*linalg.Matrix, error) {
 	if err := validate(x, u); err != nil {
 		return nil, err
@@ -449,9 +424,7 @@ func s3ttmc(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) (*lin
 	defer opts.Guard.Release(wsBytes)
 
 	y := linalg.NewMatrix(x.Dim, int(cols))
-	pass := latticePass("s3ttmc.owner", x, u, opts, compact)
-	pass.shard = "s3ttmc"
-	if err := scatter(x, opts, y, pass); err != nil {
+	if err := scatter(x, opts, y, latticePass("s3ttmc.owner", x, u, opts, compact)); err != nil {
 		return nil, err
 	}
 	// Fault-injection point for numeric-health tests: an armed hook may

@@ -23,10 +23,7 @@ package kernels
 //     into Y afterwards.
 //
 // Every scatter kernel runs the one loop of steps 2 and 3, ownerPass, and
-// supplies only its per-non-zero emitter. The lattice kernels may run the
-// leaves as contiguous groups on the engines of an Options.Backend
-// (internal/shard); the schedule, the spill buffers and the reduction are
-// the same, so the output bits are too.
+// supplies only its per-non-zero emitter.
 //
 // The schedule depends only on (tensor, worker count), so ScheduleCache
 // memoizes it next to the lattice plan cache and the workspace pool:
@@ -361,40 +358,33 @@ func (s *sink) add(row int, scale float64, v []float64) {
 }
 
 // ownerPass is the one owner-computes loop behind every scatter kernel: the
-// schedule leaves [leafLo, leafHi) run as the PerWorker plan name, one
-// worker slot per leaf. Each leaf walks its bin in ascending non-zero
-// order, ticks every non-zero and hands it to its worker's emitter, which
-// adds the non-zero's row contributions through the leaf's sink in a fixed
-// order. spills holds one buffer per leaf, nil when the run has one leaf.
+// schedule's leaves run as the PerWorker plan name, one worker slot per
+// leaf. Each leaf walks its bin in ascending non-zero order, ticks every
+// non-zero and hands it to its worker's emitter, which adds the non-zero's
+// row contributions through the leaf's sink in a fixed order. spills holds
+// one buffer per leaf, nil when the run has one leaf.
 //
 // A kernel supplies name, emitter and, optionally, finish (the plan's
-// Finish hook) and shard; scatterWorkers fills in the rest.
+// Finish hook); scatterWorkers fills in the rest.
 type ownerPass struct {
-	name           string
-	sched          *schedule
-	leafLo, leafHi int
-	dst            []float64
-	cols           int
-	spills         *spillSet
+	name   string
+	sched  *schedule
+	dst    []float64
+	cols   int
+	spills *spillSet
 	// emitter builds the emitter of worker w's leaf, on w's goroutine,
 	// before the leaf's first non-zero.
 	emitter func(w *exec.Worker, s *sink) func(k int) error
 	finish  func(*exec.Worker)
-	// shard, when set, is the per-shard plan base of a kernel that honors
-	// Options.Backend: with a backend installed, the leaves run as the
-	// backend's contiguous groups, group s as plan "<shard>.shard[s]" on
-	// engine s's pool (runLeaves).
-	shard string
 }
 
 func (p *ownerPass) run(opts Options) error {
 	return exec.Run(opts.execConfig(), exec.Plan{
 		Name:      p.name,
 		Partition: exec.PerWorker,
-		Workers:   p.leafHi - p.leafLo,
+		Workers:   p.sched.workers,
 		Finish:    p.finish,
-		Body: func(wk *exec.Worker, w, _ int) error {
-			leaf := p.leafLo + w
+		Body: func(wk *exec.Worker, leaf, _ int) error {
 			s := &sink{cols: p.cols, dst: p.dst, spill: p.spills.buffer(leaf)}
 			s.lo, s.hi = p.sched.ownedRows(leaf)
 			emit := p.emitter(wk, s)
@@ -408,26 +398,6 @@ func (p *ownerPass) run(opts Options) error {
 			}
 			return nil
 		},
-	})
-}
-
-// runLeaves runs every leaf of the pass: on opts.Exec as one plan, or, when
-// the pass names a shard base and a Backend is installed, as the backend's
-// leaf groups, each on its engine's pool. A group is the same loop over a
-// sub-range of the same leaves, writing the same rows of the same output
-// and spilling into the same per-leaf buffers, so the bits do not depend
-// on the grouping.
-func (p *ownerPass) runLeaves(opts Options) error {
-	b := opts.Backend
-	if b == nil || p.shard == "" {
-		return p.run(opts)
-	}
-	opts.Backend = nil
-	return b.Fan("shard.fanout", p.leafHi, opts, func(s, lo, hi int, pool *exec.Pool) error {
-		g, o := *p, opts
-		g.name, g.leafLo, g.leafHi = obs.ShardPlanName(p.shard, s), lo, hi
-		o.Exec = pool
-		return g.run(o)
 	})
 }
 
@@ -450,14 +420,14 @@ func scatter(x *spsym.Tensor, opts Options, y *linalg.Matrix, pass ownerPass) er
 }
 
 // scatterWorkers draws the (x, workers) schedule and its spill buffers
-// once, runs pass over every leaf (runLeaves), writing into y, and then
-// folds the spills into y with schedule.reduce.
+// once, runs pass over every leaf, writing into y, and then folds the
+// spills into y with schedule.reduce.
 func scatterWorkers(x *spsym.Tensor, opts Options, workers int, y *linalg.Matrix, pass ownerPass) error {
 	pass.sched = opts.Schedules.get(x, workers)
 	workers = pass.sched.workers // clamped to the row count
-	pass.leafHi, pass.dst, pass.cols = workers, y.Data, y.Cols
+	pass.dst, pass.cols = y.Data, y.Cols
 	pass.spills = newSpillSet(opts.Schedules, workers, y.Rows, y.Cols)
-	if err := pass.runLeaves(opts); err != nil {
+	if err := pass.run(opts); err != nil {
 		// The spill buffers may hold partial updates from aborted workers;
 		// skipping reduceInto leaves them to the GC instead of returning
 		// dirty memory to the pool's all-zero free list.

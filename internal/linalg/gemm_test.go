@@ -283,3 +283,51 @@ func TestWideMicrokernels(t *testing.T) {
 		}
 	}
 }
+
+// TestRangeKernelsBandSplit: MulTNRange and MulNTWeightedRange give every
+// output row the same bits whatever band it falls in, so callers may split
+// the rows freely (S3TTMcTC's engine plans do). Each split, 16 bands over
+// MulTN's 11 rows included, must equal the one-band call bit for bit.
+func TestRangeKernelsBandSplit(t *testing.T) {
+	a := NewMatrix(37, 11)
+	for i := range a.Data {
+		a.Data[i] = math.Cos(float64(i) * 0.31)
+	}
+	b := NewMatrix(37, 5)
+	for i := range b.Data {
+		b.Data[i] = math.Sin(float64(i)*0.17) - 0.2
+	}
+	c := NewMatrix(23, 11)
+	for i := range c.Data {
+		c.Data[i] = math.Sin(float64(i) * 0.13)
+	}
+	w := make([]float64, 11)
+	for i := range w {
+		w[i] = float64(i%3) + 0.25
+	}
+	kernels := []struct {
+		name string
+		out  func() *Matrix
+		rows func(out *Matrix, lo, hi int)
+	}{
+		{"MulTNRange", func() *Matrix { return NewMatrix(a.Cols, b.Cols) },
+			func(out *Matrix, lo, hi int) { MulTNRange(out, a, b, lo, hi) }},
+		{"MulNTWeightedRange", func() *Matrix { return NewMatrix(a.Rows, c.Rows) },
+			func(out *Matrix, lo, hi int) { MulNTWeightedRange(out, a, c, w, lo, hi) }},
+	}
+	for _, k := range kernels {
+		want := k.out()
+		k.rows(want, 0, want.Rows)
+		for _, bands := range []int{1, 2, 3, 8, 16} {
+			got := k.out()
+			for s := 0; s < bands; s++ {
+				k.rows(got, s*got.Rows/bands, (s+1)*got.Rows/bands)
+			}
+			for i, v := range got.Data {
+				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("%s, %d bands: entry %d = %v, want %v", k.name, bands, i, v, want.Data[i])
+				}
+			}
+		}
+	}
+}

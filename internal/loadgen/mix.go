@@ -26,9 +26,12 @@ type Shape struct {
 	// shape is generated at Prepare time and reused across submissions
 	// (the server copies it into its spool either way).
 	Order, Dim, NNZ int
-	// Rank, MaxIters, Workers, Shards fill the job spec. Workers/Shards 0
-	// take the server defaults.
-	Rank, MaxIters, Workers, Shards int
+	// Rank, MaxIters, Workers fill the job spec. Workers 0 takes the
+	// server default.
+	Rank, MaxIters, Workers int
+	// Deprecated: ignored. The server runs every job on one engine, so
+	// the field fills nothing.
+	Shards int
 	// Weight is the shape's relative frequency in the mix (≥ 1).
 	Weight int
 }

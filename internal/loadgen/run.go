@@ -226,7 +226,6 @@ func (o *Options) runJob(ctx context.Context, a Arrival, tensor string, res *Res
 		MaxIters: shape.MaxIters,
 		Seed:     a.Seed,
 		Workers:  shape.Workers,
-		Shards:   shape.Shards,
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {

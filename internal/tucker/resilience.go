@@ -37,7 +37,7 @@ var (
 	// is enabled, the path of the snapshot written on the way out.
 	ErrCanceled = errors.New("tucker: decomposition canceled")
 	// ErrBudget marks a run killed by the memory guard after the one-shot
-	// degradation retry (one worker, single engine) also failed — or where
+	// degradation retry (one worker) also failed — or where
 	// no retry could help (the HOOI SVD unfolding). The chain always also
 	// matches memguard.ErrOutOfMemory.
 	ErrBudget = errors.New("tucker: memory budget exhausted")
@@ -76,8 +76,7 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // run. All-zero means a clean run.
 type Health struct {
 	// BudgetRetries counts memory-guard rejections recovered by degrading
-	// to one worker on a single engine (at most 1 per run — degradation is
-	// sticky).
+	// to one worker (at most 1 per run — degradation is sticky).
 	BudgetRetries int
 	// JitterRestarts counts non-finite factors or kernel outputs recovered
 	// by a jittered re-orthonormalization.
@@ -96,10 +95,8 @@ type Health struct {
 // bit-identically: the tensor's shape and contents, the algorithm, and
 // every option that affects the arithmetic (rank, effective worker count,
 // seed). MaxIters and Tol are deliberately excluded so a
-// resumed run may extend or tighten the stopping rule. Shards is excluded
-// too: the sharded backend is bitwise identical to single-engine execution
-// for every shard count (internal/shard), so a snapshot may be resumed
-// under any shard count without breaking trace bit-identity.
+// resumed run may extend or tighten the stopping rule. Shards is ignored
+// by every driver and excluded too.
 func Fingerprint(algo string, x *spsym.Tensor, opts *Options) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -337,17 +334,13 @@ func (rs *runState) wrapKernelErr(u *linalg.Matrix, err error) error {
 
 // degrade is the one-shot budget-rejection recovery: one worker (shrinking
 // the per-worker lattice workspaces N-fold; a single owner needs no spill
-// buffers) and single-engine execution (a sharded call is charged exactly
-// like an unsharded one, so uninstalling the backend frees no budget, but
-// one worker leaves the engines nothing to split). Sticky for the rest of
-// the run; note the reduction order — and hence the trace — follows the
-// degraded worker count from here on.
+// buffers). Sticky for the rest of the run; note the reduction order — and
+// hence the trace — follows the degraded worker count from here on.
 func (rs *runState) degrade(why error) {
 	rs.degraded = true
 	rs.kopts.Workers = 1
-	rs.kopts.Backend = nil
 	rs.res.Health.BudgetRetries++
-	rs.event("budget retry: %v; degraded to workers=1, single engine", why)
+	rs.event("budget retry: %v; degraded to workers=1", why)
 }
 
 // runTTMc executes one kernel call under the budget policy: a guard

@@ -280,9 +280,8 @@ func TestFingerprintGolden(t *testing.T) {
 }
 
 // TestBudgetRetryDegrades injects one guard rejection into every driver
-// and checks the one-shot degradation: the run recovers at workers=1 on a
-// single engine, records the retry in Health, and still produces a valid
-// factor.
+// and checks the one-shot degradation: the run recovers at workers=1,
+// records the retry in Health, and still produces a valid factor.
 func TestBudgetRetryDegrades(t *testing.T) {
 	x := testTensor(t, 3, 12, 60, 15)
 	for _, d := range resumableDrivers() {

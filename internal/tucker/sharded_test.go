@@ -1,9 +1,8 @@
 package tucker
 
-// Driver-level sharding tests: Options.Shards must not change a single
-// output bit (the kernel-level matrix lives in internal/shard; these
-// cover the tucker wiring — backend install, sharded Gram-side products,
-// and checkpoint fingerprints that ignore the shard count).
+// Options.Shards is deprecated and ignored. These tests pin that: any
+// value gives the bits of the run without it, under a memory budget too,
+// and a checkpoint written under one value resumes under any other.
 
 import (
 	"errors"
@@ -18,8 +17,7 @@ import (
 	"github.com/symprop/symprop/internal/spsym"
 )
 
-// shardableDrivers enumerates every driver that honors Options.Shards
-// (all but HOQRINary, whose n-ary kernel predates the Backend seam).
+// shardableDrivers enumerates the drivers these tests run with Shards set.
 func shardableDrivers() []struct {
 	name string
 	run  func(*spsym.Tensor, Options) (*Result, error)
@@ -49,8 +47,8 @@ func mustEqualMatrixBits(t *testing.T, what string, got, want *linalg.Matrix) {
 }
 
 // TestShardedDriversBitIdentical runs every shardable driver under several
-// shard counts and demands the factor, core, and objective trace match the
-// single-engine run bit for bit.
+// Shards values and demands the factor, core, and objective trace match the
+// run without Shards bit for bit.
 func TestShardedDriversBitIdentical(t *testing.T) {
 	x := testTensor(t, 3, 12, 60, 21)
 	base := Options{Rank: 3, MaxIters: 5, Seed: 7, Workers: 3}
@@ -79,10 +77,10 @@ func TestShardedDriversBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedResumeAcrossShardCounts checkpoints a sharded run and resumes
-// it under different shard counts: the fingerprint deliberately excludes
-// Shards (sharding is bitwise invisible), so every combination must
-// reproduce the straight unsharded run's trace and factor exactly.
+// TestShardedResumeAcrossShardCounts checkpoints a run with Shards 4 and
+// resumes it under other Shards values: the fingerprint excludes Shards,
+// so every combination must reproduce the straight run's trace and factor
+// exactly.
 func TestShardedResumeAcrossShardCounts(t *testing.T) {
 	const n = 6
 	x := testTensor(t, 3, 12, 60, 22)
@@ -125,12 +123,12 @@ func TestShardedResumeAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestShardedBudgetMatchesUnsharded: a sharded kernel call is charged
-// exactly like an unsharded one, so under a tight memory budget a sharded
-// run takes the same budget retries as the unsharded run and ends on the
-// same factor bits. The budgets sit around 18,784 (HOQRI) and 21,728
-// (HOOI) bytes, where the runs shrink their spill buffers; at 6,000 bytes
-// HOQRI fits only after its one retry.
+// TestShardedBudgetMatchesUnsharded: Shards changes no guard charge, so
+// under a tight memory budget a run with Shards takes the same budget
+// retries as the run without and ends on the same factor bits. The
+// budgets sit around 18,784 (HOQRI) and 21,728 (HOOI) bytes, where the
+// runs shrink their spill buffers; at 6,000 bytes HOQRI fits only after
+// its one retry.
 func TestShardedBudgetMatchesUnsharded(t *testing.T) {
 	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 60, NNZ: 900, Seed: 5, Values: spsym.ValueNormal})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"github.com/symprop/symprop/internal/css"
 	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
-	"github.com/symprop/symprop/internal/shard"
 	"github.com/symprop/symprop/internal/spsym"
 )
 
@@ -22,25 +21,12 @@ type env struct {
 	x     *spsym.Tensor
 	opts  *Options
 	kopts kernels.Options
-	eng   *shard.Engines
 	p     []float64 // permutation counts of the compact core's columns
 }
 
-// mulTN is Aᵀ·B on the shard engines while the backend is installed, and
-// the serial linalg product once degrade() has cleared it.
+// mulTN is Aᵀ·B in the shape of a step's core function.
 func (e *env) mulTN(a, b *linalg.Matrix) (*linalg.Matrix, error) {
-	if e.kopts.Backend != nil {
-		return e.eng.MulTN(a, b, e.kopts)
-	}
 	return linalg.MulTN(a, b), nil
-}
-
-// mulNTWeighted is A·diag(w)·Bᵀ, routed like mulTN.
-func (e *env) mulNTWeighted(a, b *linalg.Matrix, w []float64) (*linalg.Matrix, error) {
-	if e.kopts.Backend != nil {
-		return e.eng.MulNTWeighted(a, b, w, e.kopts)
-	}
-	return linalg.MulNTWeighted(a, b, w), nil
 }
 
 // symProp is the SymProp S³TTMc, the chain of HOOI, HOQRI and randomized
@@ -95,13 +81,8 @@ func run(x *spsym.Tensor, opts Options, s step) (*Result, error) {
 	var scheds kernels.ScheduleCache
 	epool, closePool := opts.execPool()
 	defer closePool()
-	eng, closeEng := opts.shardEngines()
-	defer closeEng()
-	e := &env{x: x, opts: &opts, eng: eng, kopts: kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard,
+	e := &env{x: x, opts: &opts, kopts: kernels.Options{Ctx: opts.Ctx, Guard: opts.Guard,
 		Workers: opts.Workers, PlanCache: &cache, Pool: &pool, Schedules: &scheds, Exec: epool}}
-	if eng != nil {
-		e.kopts.Backend = eng
-	}
 	rs := newRun(s.algo, x, &opts, res, &e.kopts)
 	chain := func(u *linalg.Matrix) (*linalg.Matrix, error) { return s.chain(e, u) }
 

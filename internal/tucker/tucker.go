@@ -20,7 +20,6 @@ import (
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/obs"
-	"github.com/symprop/symprop/internal/shard"
 	"github.com/symprop/symprop/internal/spsym"
 )
 
@@ -64,14 +63,9 @@ type Options struct {
 	Guard *memguard.Guard
 	// Workers is the kernel goroutine count; 0 means GOMAXPROCS.
 	Workers int
-	// Shards, when > 1, runs every S³TTMc call — and the Gram-side products
-	// consuming its output — on that many shard engines (internal/shard)
-	// behind the kernels.Backend seam, each engine with its own worker
-	// pool. The sharded result is bitwise identical to
-	// the single-engine path for every shard count, so Shards — unlike
-	// Workers — does not enter the checkpoint fingerprint: a snapshot may be
-	// resumed under any shard count. HOQRINary's n-ary kernel predates the
-	// Backend seam and ignores Shards. See docs/SHARDING.md.
+	// Deprecated: ignored. Every run is one owner-computes engine of
+	// Workers goroutines. Shards does not enter the checkpoint
+	// fingerprint, so a snapshot written under any value resumes.
 	Shards int
 	// Ctx, when non-nil, cancels the run cooperatively: the drivers check
 	// it at every iteration boundary and the kernels poll it inside their
@@ -127,18 +121,6 @@ func (o *Options) execPool() (*exec.Pool, func()) {
 	}
 	p := exec.NewPool(workers)
 	return p, p.Close
-}
-
-// shardEngines returns the run's sharded backend (nil when Shards <= 1,
-// the single-engine path) and its cleanup. The driver installs the result
-// into kernels.Options.Backend; degrade() uninstalls it, so every sharded
-// consumer must check Backend, not the engine handle.
-func (o *Options) shardEngines() (*shard.Engines, func()) {
-	if o.Shards <= 1 {
-		return nil, func() {}
-	}
-	e := shard.New(o.Shards, o.Workers)
-	return e, e.Close
 }
 
 func (o *Options) normalize(x *spsym.Tensor) error {
@@ -285,7 +267,7 @@ func HOOI(x *spsym.Tensor, opts Options) (*Result, error) {
 				return nil, err
 			}
 			defer e.opts.Guard.Release(fullBytes)
-			return leadingLeftSingular(kernels.ExpandCompactColumns(yp, e.x.Order, r), r, e.opts.Guard, e.mulTN)
+			return leadingLeftSingular(kernels.ExpandCompactColumns(yp, e.x.Order, r), r, e.opts.Guard)
 		},
 		core: (*env).mulTN, // C_p(1) = Uᵀ·Y_p(1)
 	})
@@ -302,7 +284,7 @@ func HOQRI(x *spsym.Tensor, opts Options) (*Result, error) {
 		chain: (*env).symProp,
 		core:  (*env).mulTN, // C_p = Uᵀ·Y_p (Algorithm 2)
 		qr: func(e *env, yp, cp *linalg.Matrix) (*linalg.Matrix, error) {
-			return e.mulNTWeighted(yp, cp, e.p) // A = Y_p·diag(p)·C_pᵀ
+			return linalg.MulNTWeighted(yp, cp, e.p), nil // A = Y_p·diag(p)·C_pᵀ
 		},
 	})
 }
@@ -321,12 +303,9 @@ func weightedNorm2(m *linalg.Matrix, w []float64) float64 {
 // leadingLeftSingular returns the r leading left singular vectors of the
 // full unfolding yFull, for HOOI and HOOI-CSS alike. The Gram matrix is
 // taken on the smaller side, giving LAPACK's O(I·R^{N-1}·min(I, R^{N-1}))
-// complexity. The row side (I <= cols) is the I x I MulNT(yFull, yFull),
-// which has no banded form and stays single-engine; the column side uses
-// mulTN, the driver's (possibly sharded) Aᵀ·B product, which is bitwise
-// what the serial call would produce anyway.
-func leadingLeftSingular(yFull *linalg.Matrix, r int, guard *memguard.Guard,
-	mulTN func(a, b *linalg.Matrix) (*linalg.Matrix, error)) (*linalg.Matrix, error) {
+// complexity: the I x I MulNT(yFull, yFull) on the row side (I <= cols),
+// the cols x cols MulTN(yFull, yFull) on the column side.
+func leadingLeftSingular(yFull *linalg.Matrix, r int, guard *memguard.Guard) (*linalg.Matrix, error) {
 	small := int64(min(yFull.Rows, yFull.Cols))
 	gramBytes := memguard.Float64Bytes(small * small)
 	if err := guard.Reserve(gramBytes, "HOOI Gram matrix"); err != nil {
@@ -338,11 +317,7 @@ func leadingLeftSingular(yFull *linalg.Matrix, r int, guard *memguard.Guard,
 		return linalg.TopEigenvectors(linalg.MulNT(yFull, yFull), r) // I x I
 	}
 	// Column-side Gram: eig gives right singular vectors; map back through Y.
-	g, err := mulTN(yFull, yFull) // cols x cols
-	if err != nil {
-		return nil, err
-	}
-	values, vectors, err := linalg.SymEig(g)
+	values, vectors, err := linalg.SymEig(linalg.MulTN(yFull, yFull)) // cols x cols
 	if err != nil {
 		return nil, err
 	}

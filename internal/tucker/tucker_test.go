@@ -390,8 +390,8 @@ func bitsHash(xs ...[]float64) uint64 {
 
 // TestDriverGoldenBits pins every driver's output bits at Tol 0: the
 // hashes of Objective, U and CoreP were recorded before the drivers shared
-// one sweep loop, at one and two workers. The same run on two shard
-// engines must reproduce the two-worker hashes (HOQRINary ignores Shards).
+// one sweep loop, at one and two workers. The same run with Shards 2 must
+// reproduce the two-worker hashes: every driver ignores Shards.
 // The rank-13 cell was recorded before MulNT and MulNTWeighted moved to
 // 4x2 tiles: its HOOI Gram takes dots 2,197 columns long, and its 13 core
 // columns leave a column tail after HOQRI's times-core tiles.
@@ -457,7 +457,6 @@ func TestDriverGoldenBits(t *testing.T) {
 func TestLeadingLeftSingularBothSides(t *testing.T) {
 	// order 3, r=3 -> cols = 9. dim 6 (< 9) takes the row-Gram path;
 	// dim 15 (> 9) takes the column-Gram path.
-	mulTN := func(a, b *linalg.Matrix) (*linalg.Matrix, error) { return linalg.MulTN(a, b), nil }
 	for _, tc := range []struct {
 		dim                     int
 		objective, cssObjective uint64 // bits of the final Objective
@@ -474,7 +473,7 @@ func TestLeadingLeftSingularBothSides(t *testing.T) {
 			t.Fatal(err)
 		}
 		yFull := kernels.ExpandCompactColumns(yp, 3, 3)
-		u, err := leadingLeftSingular(yFull, 3, nil, mulTN)
+		u, err := leadingLeftSingular(yFull, 3, nil)
 		if err != nil {
 			t.Fatalf("dim=%d: %v", tc.dim, err)
 		}

@@ -30,9 +30,8 @@ go build -o "$dir/symprop-gen" ./cmd/symprop-gen
 "$dir/symprop-gen" random -order 3 -dim 400 -nnz 60000 -seed 11 -out "$dir/x.tns"
 
 spool="$dir/spool"
-# -shards 2 routes the kernels through the shard map: the kill → restart
-# → resume chain below then also proves a sharded job resumes
-# bit-identically with its shard count pinned in the manifest.
+# -shards is deprecated and ignored. Passing it keeps an end-to-end proof
+# that the flag is still accepted across kill → restart → resume.
 submit_args=(-rank 8 -algo hooi -iters 40 -tol 0 -seed 7 -workers 2 -shards 2 -checkpoint-every 1)
 
 start_server() { # start_server <tag> -> sets server_pid, server_url

@@ -84,8 +84,7 @@ var (
 	// a *CanceledError carrying the partial result and checkpoint path.
 	ErrCanceled = tucker.ErrCanceled
 	// ErrBudget marks a run killed by the memory guard after recovery
-	// (one worker, single engine) failed; the chain also matches
-	// ErrOutOfMemory.
+	// (one worker) failed; the chain also matches ErrOutOfMemory.
 	ErrBudget = tucker.ErrBudget
 	// ErrNumericBreakdown marks iterates that stayed non-finite after a
 	// jittered restart.
@@ -172,10 +171,8 @@ type Options struct {
 	MemoryBudget int64
 	// Workers is the kernel parallelism (0 = GOMAXPROCS).
 	Workers int
-	// Shards, when > 1, runs the S³TTMc kernel and the Gram-side products
-	// on that many shard engines (internal/shard), each with its own
-	// worker pool. The result is bitwise identical to the single-engine
-	// run for every shard count; see docs/SHARDING.md.
+	// Deprecated: ignored. Every run is one owner-computes engine of
+	// Workers goroutines; the field stays so that old callers compile.
 	Shards int
 	// Ctx, when non-nil, cancels the run cooperatively; see
 	// tucker.Options.Ctx. A canceled run returns a *CanceledError.
@@ -226,7 +223,6 @@ func (o Options) tuckerOptions() tucker.Options {
 		U0:              o.U0,
 		Guard:           o.guard(),
 		Workers:         o.Workers,
-		Shards:          o.Shards,
 		Ctx:             o.Ctx,
 		CheckpointPath:  o.CheckpointPath,
 		CheckpointEvery: o.CheckpointEvery,

@@ -48,7 +48,6 @@ import (
 // registration — exactly the drift this tool exists to catch.
 var registeredPlanPrefixes = []string{
 	"s3ttmc.", "ucoo.", "nary.", "splatt.ttmc", "ttmctc.", "schedule.reduce",
-	"shard.", // the shard map's fan-out and Gram plans (internal/shard)
 }
 
 // registeredCounterPrefixes mirrors the control-plane counter families:
