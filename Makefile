@@ -56,7 +56,7 @@ fuzz-smoke:
 # drain, and rescan paths are all fault-driven tests.
 fault-matrix:
 	$(GO) test -race -run 'Fault|Cancel|Resilien|Leak|Checkpoint|Resume|Panic|Budget|NaN|Breakdown|Guard' \
-		./internal/kernels/ ./internal/tucker/ ./internal/memguard/ ./cmd/symprop/
+		./internal/kernels/ ./internal/cpd/ ./internal/tucker/ ./internal/memguard/ ./cmd/symprop/
 	$(GO) test -race ./internal/exec/ ./internal/faultinject/ ./internal/checkpoint/ ./internal/jobs/
 
 # End-to-end SIGINT → checkpoint → resume smoke test through the real CLI

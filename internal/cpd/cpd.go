@@ -6,20 +6,20 @@
 //	X ≈ Σ_{r=1}^{R} λ_r · u_r ⊗ u_r ⊗ … ⊗ u_r
 //
 // with a single factor U shared across modes. The workhorse kernel is
-// S³MTTKRP, where the symmetry payoff is even cleaner than in Tucker:
-// the Hadamard (elementwise) product of U rows is permutation-invariant,
-// so the (N-1)! expanded contributions of an IOU non-zero collapse to a
-// single product scaled by the multinomial permutation count — no
-// intermediate tensors at all.
+// S³MTTKRP (kernels.S3MTTKRP), where the symmetry payoff is even cleaner
+// than in Tucker: the Hadamard (elementwise) product of U rows is
+// permutation-invariant, so the (N-1)! expanded contributions of an IOU
+// non-zero collapse to a single product scaled by the multinomial
+// permutation count — no intermediate tensors at all.
 package cpd
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"github.com/symprop/symprop/internal/dense"
+	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/spsym"
 )
@@ -35,7 +35,8 @@ type Options struct {
 	Tol float64
 	// Seed drives the random initialization.
 	Seed int64
-	// Workers is the kernel parallelism (0 = GOMAXPROCS).
+	// Workers is the kernel parallelism (0 = GOMAXPROCS). The result's
+	// bits are fixed by (tensor, options, Workers).
 	Workers int
 }
 
@@ -67,7 +68,8 @@ func (r *Result) FinalFit() float64 {
 // least-squares update U ← M·V⁻¹ with M = S³MTTKRP(X, U) and
 // V = (UᵀU)^{∘(N-1)} (elementwise power of the Gram), then renormalizes
 // columns and refits the weights λ by solving (UᵀU)^{∘N}·λ = b with
-// b_r = X ×₁ u_rᵀ ⋯ ×_N u_rᵀ.
+// b_r = X ×₁ u_rᵀ ⋯ ×_N u_rᵀ. M comes from kernels.S3MTTKRP, whose
+// owner-computes schedule is built once per run.
 func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 	if x.Order < 2 {
 		return nil, fmt.Errorf("cpd: order %d tensor; need order >= 2", x.Order)
@@ -85,10 +87,14 @@ func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 
 	res := &Result{NormX2: x.NormSquared()}
 	lambda := make([]float64, r)
+	kopts := kernels.Options{Workers: opts.Workers, Schedules: &kernels.ScheduleCache{}}
 
 	for it := 0; it < opts.MaxIters; it++ {
 		// M = S³MTTKRP(X, U), I x R.
-		m := MTTKRP(x, u, opts.Workers)
+		m, err := kernels.S3MTTKRP(x, u, kopts)
+		if err != nil {
+			return nil, fmt.Errorf("cpd: %w", err)
+		}
 
 		// V = (UᵀU)^{∘(N-1)}.
 		gram := linalg.MulTN(u, u)
@@ -135,66 +141,6 @@ func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 	res.U = u
 	res.Lambda = lambda
 	return res, nil
-}
-
-// MTTKRP computes the symmetric matricized-tensor-times-Khatri-Rao product
-// M(k, r) = Σ_{full non-zeros with i1=k} x(i)·Π_{a=2..N} U(i_a, r).
-// Because the elementwise product is permutation-invariant, each IOU
-// non-zero contributes, for each of its distinct values v,
-//
-//	M(v, :) += x · perm(i∖v) · Π_{w ∈ i∖v} U(w, :)^{mult(w)}
-//
-// — O(N·R) per non-zero, no intermediate tensors (symmetry propagation in
-// its purest form).
-func MTTKRP(x *spsym.Tensor, u *linalg.Matrix, workers int) *linalg.Matrix {
-	r := u.Cols
-	m := linalg.NewMatrix(x.Dim, r)
-	if workers <= 0 {
-		workers = 0 // ParallelForWorkers treats <=0 via ParallelFor below
-	}
-	var locks [256]sync.Mutex
-	run := func(lo, hi int) {
-		prod := make([]float64, r)
-		rest := make([]int, 0, x.Order)
-		for k := lo; k < hi; k++ {
-			tuple := x.IndexAt(k)
-			val := x.Values[k]
-			for i := 0; i < x.Order; i++ {
-				if i > 0 && tuple[i] == tuple[i-1] {
-					continue // same distinct value: same contribution target
-				}
-				// Build i∖(one copy of tuple[i]).
-				rest = rest[:0]
-				for j, v := range tuple {
-					if j == i {
-						continue
-					}
-					rest = append(rest, int(v))
-				}
-				w := val * float64(dense.PermutationCount(rest))
-				for c := 0; c < r; c++ {
-					p := w
-					for _, v := range rest {
-						p *= u.At(v, c)
-					}
-					prod[c] = p
-				}
-				row := int(tuple[i])
-				locks[row%256].Lock()
-				mrow := m.Row(row)
-				for c := 0; c < r; c++ {
-					mrow[c] += prod[c]
-				}
-				locks[row%256].Unlock()
-			}
-		}
-	}
-	if workers > 0 {
-		linalg.ParallelForWorkers(x.NNZ(), workers, run)
-	} else {
-		linalg.ParallelFor(x.NNZ(), run)
-	}
-	return m
 }
 
 // innerWithComponents returns b with b_r = X ×₁ u_rᵀ ⋯ ×_N u_rᵀ: per IOU

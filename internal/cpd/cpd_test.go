@@ -1,10 +1,17 @@
 package cpd
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
+	"github.com/symprop/symprop/internal/faultinject"
+	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/spsym"
 )
@@ -97,46 +104,6 @@ func TestCPRankTwoImprovesOverRankOne(t *testing.T) {
 	}
 }
 
-// MTTKRP must match brute force over the expanded non-zeros.
-func TestMTTKRPAgainstExpansion(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		x, err := spsym.Random(spsym.RandomOptions{Order: 4, Dim: 6, NNZ: 12, Seed: seed, Values: spsym.ValueNormal})
-		if err != nil {
-			t.Fatal(err)
-		}
-		u := linalg.RandomNormal(6, 3, rand.New(rand.NewSource(seed+10)))
-		got := MTTKRP(x, u, 0)
-
-		want := linalg.NewMatrix(6, 3)
-		x.ForEachExpanded(func(idx []int32, val float64) {
-			row := want.Row(int(idx[0]))
-			for c := 0; c < 3; c++ {
-				p := val
-				for _, v := range idx[1:] {
-					p *= u.At(int(v), c)
-				}
-				row[c] += p
-			}
-		})
-		if d := linalg.MaxAbsDiff(got, want); d > 1e-10 {
-			t.Errorf("seed %d: MTTKRP differs from expansion by %v", seed, d)
-		}
-	}
-}
-
-func TestMTTKRPWorkersAgree(t *testing.T) {
-	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 10, NNZ: 40, Seed: 7, Values: spsym.ValueNormal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := linalg.RandomNormal(10, 4, rand.New(rand.NewSource(8)))
-	a := MTTKRP(x, u, 1)
-	b := MTTKRP(x, u, 4)
-	if d := linalg.MaxAbsDiff(a, b); d > 1e-10 {
-		t.Errorf("worker counts disagree by %v", d)
-	}
-}
-
 func TestCPValidation(t *testing.T) {
 	x, _ := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 5, NNZ: 8, Seed: 1})
 	if _, err := Decompose(x, Options{Rank: 0}); err == nil {
@@ -196,5 +163,102 @@ func TestHadamardPower(t *testing.T) {
 		if p.Data[i] != want[i] {
 			t.Fatalf("hadamardPower = %v, want %v", p.Data, want)
 		}
+	}
+}
+
+// cpHash hashes the bits of U, λ and the fit trace.
+func cpHash(res *Result) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, xs := range [][]float64{res.U.Data, res.Lambda, res.Fit} {
+		for _, v := range xs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+// TestCPDeterminism pins CP's bits per worker count: 20 runs give one
+// hash, and that hash is golden. The workers=1 value was recorded from the
+// lock-striped kernel S3MTTKRP replaced, whose one-worker run added in the
+// same order; under it, workers 2 and 4 gave 20 hashes in 20 runs.
+func TestCPDeterminism(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes recorded on amd64; other targets may fuse multiply-adds")
+	}
+	x, err := spsym.Random(spsym.RandomOptions{Order: 4, Dim: 60, NNZ: 20000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		workers int
+		want    uint64
+	}{{1, 0xcd04519275992f55}, {2, 0x3d6bc8e14344aced}, {4, 0xd7bd1cc2c9bd752d}} {
+		for run := 0; run < 20; run++ {
+			res, err := Decompose(x, Options{Rank: 6, MaxIters: 5, Seed: 3, Workers: c.workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cpHash(res); got != c.want {
+				t.Fatalf("workers=%d run %d: hash %#016x, want %#016x", c.workers, run, got, c.want)
+			}
+		}
+	}
+}
+
+// checkGoroutines fails the test if the goroutine count has not returned
+// to its pre-test baseline shortly after the test body finishes: a kernel
+// that failed mid-run must still have joined every worker.
+func checkGoroutines(t *testing.T) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Errorf("goroutine leak: %d at start, %d two seconds after Decompose returned", base, runtime.NumGoroutine())
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
+}
+
+// An error armed at the S³MTTKRP plan's worker site comes back from
+// Decompose, wrapped.
+func TestCPFaultInjectedError(t *testing.T) {
+	checkGoroutines(t)
+	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 30, NNZ: 1500, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := errors.New("injected mttkrp error")
+	disarm := faultinject.Arm(faultinject.PlanWorkerSite("mttkrp.owner"),
+		faultinject.OnHit(7, func(any) error { return injected }))
+	defer disarm()
+	if _, err := Decompose(x, Options{Rank: 3, MaxIters: 3, Seed: 1, Workers: 2}); !errors.Is(err, injected) {
+		t.Fatalf("got %v, want the injected error", err)
+	}
+}
+
+// A panic in an S³MTTKRP worker comes back as kernels.ErrWorkerPanic, not
+// as a process crash.
+func TestCPWorkerPanicRecovered(t *testing.T) {
+	checkGoroutines(t)
+	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 30, NNZ: 1500, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disarm := faultinject.Arm(faultinject.PlanWorkerSite("mttkrp.owner"),
+		faultinject.OnHit(3, func(any) error { panic("injected mttkrp crash") }))
+	defer disarm()
+	_, err = Decompose(x, Options{Rank: 3, MaxIters: 3, Seed: 1, Workers: 2})
+	if !errors.Is(err, kernels.ErrWorkerPanic) {
+		t.Fatalf("got %v, want kernels.ErrWorkerPanic", err)
+	}
+	var wp *kernels.WorkerPanicError
+	if !errors.As(err, &wp) || wp.Plan != "mttkrp.owner" {
+		t.Fatalf("error %v does not unwrap to a panic of plan mttkrp.owner", err)
 	}
 }

@@ -123,19 +123,20 @@ func Multinomial(counts []int) int64 {
 }
 
 // PermutationCount returns the number of distinct permutations of the
-// (not necessarily sorted) index tuple idx: len(idx)! / prod(mult!).
+// (not necessarily sorted) index tuple idx: len(idx)! / prod(mult!). It
+// extends the count one position at a time: the prefix idx[:a+1] has
+// (a+1)/c times the permutations of idx[:a], where c is idx[a]'s
+// multiplicity in that prefix, so every division is exact.
 func PermutationCount(idx []int) int64 {
-	mult := make(map[int]int, len(idx))
-	for _, v := range idx {
-		mult[v]++
-	}
-	n := 0
 	result := int64(1)
-	for _, c := range mult {
-		for i := 1; i <= c; i++ {
-			n++
-			result = result * int64(n) / int64(i)
+	for a, v := range idx {
+		c := 0
+		for _, w := range idx[:a+1] {
+			if w == v {
+				c++
+			}
 		}
+		result = result * int64(a+1) / int64(c)
 	}
 	return result
 }

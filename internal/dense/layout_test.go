@@ -119,6 +119,14 @@ func TestPermutationCount(t *testing.T) {
 		{[]int{7, 7, 7, 7}, 1},
 		{[]int{0, 1, 1, 2, 2, 2}, 60},
 		{[]int{4}, 1},
+		// Unsorted tuples count the same multiset.
+		{[]int{5, 3, 1}, 6},
+		{[]int{3, 1, 3}, 3},
+		{[]int{2, 1, 2, 0, 2, 1}, 60},
+		// All equal, and order 16 (dense.MaxOrder).
+		{[]int{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9}, 1},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 20922789888000},
+		{[]int{7, 0, 6, 1, 5, 2, 4, 3, 3, 4, 2, 5, 1, 6, 0, 7}, 81729648000},
 	}
 	for _, c := range cases {
 		if got := PermutationCount(c.idx); got != c.want {

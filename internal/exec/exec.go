@@ -15,9 +15,11 @@
 //
 // For and Chunks are the bare fan-out primitives underneath Run (no
 // cancellation, no panic capture, no fault sites); linalg's ParallelFor
-// family is a thin shim over them. Kernel packages must not use the bare
-// primitives for kernel loops — symlint's parafor analyzer enforces that
-// they go through Run.
+// family is a thin shim over them. Kernel loops run through Run. symlint's
+// parafor analyzer enforces only part of that: it bans the linalg shims in
+// kernel packages (internal/kernels, internal/csf, internal/cpd) and
+// checks every For/Chunks body for races, but a bare For stays legal
+// there (kernels.ExpandCompactColumns uses one).
 //
 // Nesting caveat: a Plan body must not call Run (or For/Chunks) on the
 // same Pool it is running on — with all pool workers busy, the nested
@@ -38,7 +40,6 @@ import (
 type Pool struct {
 	tasks  chan func()
 	wg     sync.WaitGroup
-	size   int
 	closed atomic.Bool
 }
 
@@ -63,7 +64,7 @@ func NewPool(size int) *Pool {
 		size = runtime.GOMAXPROCS(0)
 	}
 	poolsCreated.Add(1)
-	p := &Pool{tasks: make(chan func()), size: size}
+	p := &Pool{tasks: make(chan func())}
 	p.wg.Add(size)
 	for i := 0; i < size; i++ {
 		go func() {
@@ -74,14 +75,6 @@ func NewPool(size int) *Pool {
 		}()
 	}
 	return p
-}
-
-// Size reports the resident worker count; a nil pool has none.
-func (p *Pool) Size() int {
-	if p == nil {
-		return 0
-	}
-	return p.size
 }
 
 // Close stops the resident workers and waits for them to exit. It is

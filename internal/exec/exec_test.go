@@ -74,11 +74,19 @@ func TestChunkRange(t *testing.T) {
 	}
 }
 
+// newPoolCounted returns NewPool(size) and the number of goroutines it
+// left running, counted as a runtime.NumGoroutine delta across the call.
+func newPoolCounted(size int) (*Pool, int) {
+	before := runtime.NumGoroutine()
+	p := NewPool(size)
+	return p, runtime.NumGoroutine() - before
+}
+
 func TestPoolLifecycle(t *testing.T) {
 	checkGoroutines(t)
-	p := NewPool(3)
-	if p.Size() != 3 {
-		t.Fatalf("Size = %d, want 3", p.Size())
+	p, resident := newPoolCounted(3)
+	if resident != 3 {
+		t.Fatalf("NewPool(3) left %d goroutines running, want 3", resident)
 	}
 	var hits atomic.Int64
 	p.dispatch(3, func(int) { hits.Add(1) })
@@ -99,9 +107,6 @@ func TestPoolLifecycle(t *testing.T) {
 func TestNilPool(t *testing.T) {
 	checkGoroutines(t)
 	var p *Pool
-	if p.Size() != 0 {
-		t.Fatalf("nil pool Size = %d, want 0", p.Size())
-	}
 	p.Close() // nil-safe
 	var hits atomic.Int64
 	p.dispatch(4, func(int) { hits.Add(1) })
@@ -111,10 +116,11 @@ func TestNilPool(t *testing.T) {
 }
 
 func TestNewPoolDefaultSize(t *testing.T) {
-	p := NewPool(0)
+	checkGoroutines(t)
+	p, resident := newPoolCounted(0)
 	defer p.Close()
-	if p.Size() != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Size = %d, want GOMAXPROCS = %d", p.Size(), runtime.GOMAXPROCS(0))
+	if resident != runtime.GOMAXPROCS(0) {
+		t.Fatalf("NewPool(0) left %d goroutines running, want GOMAXPROCS = %d", resident, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -39,8 +39,8 @@ const (
 	Static Partition = iota
 	// PerWorker runs Body(w, slot, slot+1) once per worker slot — the
 	// explicit entry point for owner-computes kernels whose schedule
-	// (ScheduleCache bins) already fixes each worker's item set. This
-	// replaces the old ParallelForWorkers(workers, workers, ...) idiom.
+	// (ScheduleCache bins) already fixes each worker's item set, rather
+	// than a static split of workers items that abuses an item as a slot.
 	PerWorker
 )
 

@@ -27,11 +27,12 @@
 //   - Crash-resumable jobs. Every job lives in a server-owned spool
 //     directory: an atomically written JSON manifest, the job's tensor,
 //     the periodic SYMCKPT checkpoint, and (on success) the factor
-//     matrix. A server restarted over the same spool rescans it
-//     (checkpoint.List), requeues every non-terminal job, and resumes
-//     from the checkpoint — the resumed run's result is bit-identical to
-//     an uninterrupted one (scripts/serve_smoke.sh proves it through a
-//     real SIGKILL).
+//     matrix. A server restarted over the same spool rescans its
+//     manifests (Spool.Rescan: an unreadable entry comes back as a
+//     RescanIssue, is skipped and counted in jobs.spool_skipped),
+//     requeues every non-terminal job, and resumes from the checkpoint —
+//     the resumed run's result is bit-identical to an uninterrupted one
+//     (scripts/serve_smoke.sh proves it through a real SIGKILL).
 //
 //   - Graceful drain. Drain stops admission (ErrDraining, HTTP 503),
 //     cancels running jobs with a drain cause so the tucker driver

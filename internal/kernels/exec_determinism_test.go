@@ -51,6 +51,7 @@ func TestKernelDeterminismMatrix(t *testing.T) {
 			}
 			return res.A, nil
 		}},
+		{"mttkrp", S3MTTKRP},
 	}
 	fixtures := []struct {
 		name string

@@ -14,9 +14,9 @@ import (
 	"github.com/symprop/symprop/internal/spsym"
 )
 
-// scatterKernels are the five owner-computes scatter outputs: SymProp on
-// the fused evaluators and on the plan interpreter, CSS, UCOO, and the
-// n-ary kernel's A.
+// scatterKernels are the six owner-computes scatter outputs: SymProp on
+// the fused evaluators and on the plan interpreter, CSS, UCOO, the n-ary
+// kernel's A and CP's S³MTTKRP.
 var scatterKernels = []struct {
 	name string
 	run  func(*spsym.Tensor, *linalg.Matrix, Options) (*linalg.Matrix, error)
@@ -35,6 +35,7 @@ var scatterKernels = []struct {
 		}
 		return res.A, nil
 	}},
+	{"mttkrp", S3MTTKRP},
 }
 
 // normalCase is a tensor with standard-normal values, so a reordered sum
@@ -97,7 +98,10 @@ func paddedCase(t *testing.T, order, nodes, nnz, r int, seed int64) (*spsym.Tens
 // and pools, so the warm call is pinned too. The padded order-8 fixture
 // pins the plan interpreter on a wide lattice off the fused grid (SymProp
 // rows only: CSS would exceed its tree charge there); its hashes were
-// recorded while K buffers were still stored in lexicographic order.
+// recorded while K buffers were still stored in lexicographic order. The
+// mttkrp row's workers=1 hashes were recorded from the lock-striped CP
+// kernel that S3MTTKRP replaced, whose one-worker run added in the same
+// order; its workers=3 hashes are the owner-computes run's.
 func TestKernelGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hashes recorded on amd64; other targets may fuse multiply-adds")
@@ -115,6 +119,7 @@ func TestKernelGoldenBits(t *testing.T) {
 			"css":         {0xcefe06b7987b86ee, 0x48bc1a23355541b1},
 			"ucoo":        {0x7e33f909e979f106, 0x3f21ea81e816e7b6},
 			"nary":        {0xe207e91e3f32d39e, 0x0aa4b86deb5fa321},
+			"mttkrp":      {0x56cf9dcc537559c3, 0xa4edfd85532641c1},
 		}},
 		{"order5r4-distinct", 5, 14, 120, 4, 82, true, false, map[string][2]uint64{
 			"symprop":     {0x2bcdf611072a02a9, 0xe50af2af0846a858},
@@ -122,6 +127,7 @@ func TestKernelGoldenBits(t *testing.T) {
 			"css":         {0x7af858966e37e355, 0xe9ae442b38a98757},
 			"ucoo":        {0x3628dd05e8acd688, 0x78e475a419391f46},
 			"nary":        {0x3989a095627f53be, 0xffe8d736f4befb22},
+			"mttkrp":      {0x6162bbd8e56207f7, 0xd8c3fbf4d8840c37},
 		}},
 		{"order4r4-repeats", 4, 12, 200, 4, 83, false, false, map[string][2]uint64{
 			"symprop":     {0x0b889dbbbf748b24, 0x04c29ae344bc1650},
@@ -129,6 +135,7 @@ func TestKernelGoldenBits(t *testing.T) {
 			"css":         {0x7312c80d0becd330, 0xf071d8d060be26f3},
 			"ucoo":        {0x70f26f5b4d1c47e0, 0x92a0ff007cd942d2},
 			"nary":        {0xd4372392021ee4ab, 0x1f8544f412608329},
+			"mttkrp":      {0xcd1a73ca353e6736, 0xb083a7327b3e8eb8},
 		}},
 		{"order4r3-repeats", 4, 12, 200, 3, 84, false, false, map[string][2]uint64{
 			"symprop":     {0xd8f9dfb01bd81943, 0x9ea65bf339be8df7},
@@ -136,10 +143,12 @@ func TestKernelGoldenBits(t *testing.T) {
 			"css":         {0x9d23b6b39eba81a4, 0x45fc86ca50b026ff},
 			"ucoo":        {0x619385ef879a9d1f, 0xe013eec1a15bf19e},
 			"nary":        {0xdd3d5b4a706ab25c, 0xc743d1c3336bf029},
+			"mttkrp":      {0xe4a135ceb35e356c, 0xd9c947a5638e623c},
 		}},
 		{"order8r6-padded", 8, 16, 150, 6, 85, false, true, map[string][2]uint64{
 			"symprop":     {0xdbf4373effd5fbd8, 0xf775914e2035afeb},
 			"symprop-off": {0xdbf4373effd5fbd8, 0xf775914e2035afeb},
+			"mttkrp":      {0x829e4c6230dcca0e, 0x5fa3cbf714dbe07a},
 		}},
 	} {
 		x, u := normalCase(t, fx.order, fx.dim, fx.nnz, fx.r, fx.seed, fx.distinct)

@@ -74,6 +74,10 @@ func resilienceKernels() []struct {
 			_, err := S3TTMcTC(x, u, o)
 			return err
 		}},
+		{"mttkrp", func(x *spsym.Tensor, u *linalg.Matrix, o Options) error {
+			_, err := S3MTTKRP(x, u, o)
+			return err
+		}},
 	}
 }
 

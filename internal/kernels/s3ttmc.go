@@ -10,6 +10,8 @@
 //   - SPLATT — the general sparse baseline: CSF over the permutation-
 //     expanded non-zero set (internal/csf).
 //   - S3TTMcTC — paper Algorithm 2, feeding HOQRI.
+//   - S3MTTKRP — the symmetric MTTKRP behind CP-ALS (internal/cpd), the
+//     paper's future-work direction (§VIII).
 //
 // All kernels parallelize over IOU non-zeros with per-worker lattice
 // workspaces; output accumulation is contention-free (owner-computes
@@ -111,7 +113,7 @@ func (o Options) cache() *css.Cache {
 
 func validate(x *spsym.Tensor, u *linalg.Matrix) error {
 	if x.Order < 2 {
-		return fmt.Errorf("kernels: order %d tensor; S3TTMc requires order >= 2", x.Order)
+		return fmt.Errorf("kernels: order %d tensor; need order >= 2", x.Order)
 	}
 	if u.Rows != x.Dim {
 		return fmt.Errorf("kernels: factor has %d rows, tensor dimension is %d", u.Rows, x.Dim)

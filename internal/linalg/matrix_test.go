@@ -167,25 +167,6 @@ func TestParallelForCoversRange(t *testing.T) {
 	}
 }
 
-func TestParallelForWorkersExplicit(t *testing.T) {
-	n := 37
-	for _, workers := range []int{1, 2, 5, 64} {
-		var sum int64
-		mu := make(chan struct{}, 1)
-		mu <- struct{}{}
-		ParallelForWorkers(n, workers, func(lo, hi int) {
-			<-mu
-			for i := lo; i < hi; i++ {
-				sum += int64(i)
-			}
-			mu <- struct{}{}
-		})
-		if sum != int64(n*(n-1)/2) {
-			t.Fatalf("workers=%d: sum=%d", workers, sum)
-		}
-	}
-}
-
 func TestRandomOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	q := RandomOrthonormal(20, 6, rng)

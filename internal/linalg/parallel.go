@@ -8,7 +8,7 @@ import (
 
 // The ParallelFor family is a thin shim over the execution engine's bare
 // fan-out primitives (internal/exec). linalg keeps these names because its
-// dense routines (GEMM, QR, CPD) are leaf math with no cancellation or
+// dense routines (GEMM, QR) are leaf math with no cancellation or
 // fault-injection surface of their own; kernel loops instead run as
 // exec.Run plans, which own context polling, panic capture, and the
 // faultinject sites. The shims pass a nil pool — transient goroutines —
@@ -24,15 +24,9 @@ func ParallelFor(n int, body func(lo, hi int)) {
 	exec.For(nil, n, runtime.GOMAXPROCS(0), body)
 }
 
-// ParallelForWorkers is ParallelFor with an explicit worker count, used by
-// the scalability benchmarks to sweep 1..NumCPU.
-func ParallelForWorkers(n, workers int, body func(lo, hi int)) {
-	exec.For(nil, n, workers, body)
-}
-
 // ParallelChunks runs body over [0, n) with dynamic scheduling: workers
 // repeatedly claim fixed-size contiguous chunks from an atomic cursor until
-// the range is exhausted. Unlike ParallelForWorkers' static split, this
+// the range is exhausted. Unlike ParallelFor's static split, this
 // balances workloads whose per-item cost varies — the goroutine analog of
 // OpenMP's schedule(dynamic, chunk).
 func ParallelChunks(n, workers, chunk int, body func(lo, hi int)) {

@@ -366,7 +366,9 @@ type CPResult = cpd.Result
 // symmetric MTTKRP kernel — the paper's future-work direction of
 // propagating symmetry through other decompositions. The elementwise
 // products of CP are permutation-invariant, so each unique non-zero
-// contributes a single multinomially weighted term.
+// contributes a single multinomially weighted term. The result's bits
+// are fixed by (x, opts, Workers): the kernel runs on the owner-computes
+// schedule of the Tucker kernels.
 func DecomposeCP(x *Tensor, opts CPOptions) (*CPResult, error) {
 	if err := x.Validate(); err != nil {
 		return nil, fmt.Errorf("symprop: invalid tensor (did you call Canonicalize?): %w", err)

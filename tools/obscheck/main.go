@@ -47,7 +47,7 @@ import (
 // outside this set means a plan was renamed without updating its
 // registration — exactly the drift this tool exists to catch.
 var registeredPlanPrefixes = []string{
-	"s3ttmc.", "ucoo.", "nary.", "splatt.ttmc", "ttmctc.", "schedule.reduce",
+	"s3ttmc.", "ucoo.", "nary.", "splatt.ttmc", "ttmctc.", "schedule.reduce", "mttkrp.",
 }
 
 // registeredCounterPrefixes mirrors the control-plane counter families:

@@ -19,8 +19,8 @@
 //     plan — the engine already measures per-worker busy time.)
 //
 // The map-range rules apply to the numeric core (import paths ending in
-// internal/kernels, internal/tucker, internal/linalg), where output
-// determinism is contractual; the plan-closure clock rule applies
+// internal/kernels, internal/tucker, internal/linalg, internal/cpd), where
+// output determinism is contractual; the plan-closure clock rule applies
 // everywhere a plan literal appears. The sanctioned remediation for map
 // iteration is collect-keys-then-sort:
 //
@@ -47,7 +47,7 @@ import (
 // deterministicPkgs are the import-path suffixes of the numeric core,
 // where map-iteration order must never reach float accumulation or
 // output layout.
-var deterministicPkgs = []string{"internal/kernels", "internal/tucker", "internal/linalg"}
+var deterministicPkgs = []string{"internal/kernels", "internal/tucker", "internal/linalg", "internal/cpd"}
 
 // seededConstructors are the math/rand package-level functions that
 // construct explicitly-seeded state instead of drawing from the global

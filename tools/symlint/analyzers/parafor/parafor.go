@@ -24,9 +24,9 @@
 // annotated with a justified //symlint:nosync directive.
 //
 // The analyzer additionally bans direct linalg.ParallelFor* calls from
-// kernel packages (internal/kernels, internal/csf): kernel loops must run
-// as exec.Run plans so cancellation, panic capture and fault injection
-// stay centralized in the engine.
+// kernel packages (internal/kernels, internal/csf, internal/cpd): kernel
+// loops must run as exec.Run plans so cancellation, panic capture and
+// fault injection stay centralized in the engine.
 package parafor
 
 import (
@@ -42,7 +42,7 @@ import (
 // checked, matched by function name within a package whose import path
 // ends in TargetPkgSuffix.
 var (
-	TargetFuncs     = map[string]bool{"ParallelFor": true, "ParallelForWorkers": true, "ParallelChunks": true}
+	TargetFuncs     = map[string]bool{"ParallelFor": true, "ParallelChunks": true}
 	TargetPkgSuffix = "internal/linalg"
 
 	// EngineFuncs are the execution engine's bare fan-out primitives
@@ -57,7 +57,7 @@ var (
 	// engine plans (exec.Run): a direct call to a linalg.ParallelFor*
 	// shim there bypasses the engine's cancellation, panic capture and
 	// fault sites and is reported.
-	KernelPkgSuffixes = []string{"internal/kernels", "internal/csf"}
+	KernelPkgSuffixes = []string{"internal/kernels", "internal/csf", "internal/cpd"}
 )
 
 var Analyzer = &analysis.Analyzer{

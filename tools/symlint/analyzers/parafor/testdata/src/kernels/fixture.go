@@ -20,15 +20,6 @@ func badShimCall(n int, out []float64) {
 	})
 }
 
-// badShimWorkers trips the ban through the workers variant too.
-func badShimWorkers(n int, out []float64) {
-	linalg.ParallelForWorkers(n, 4, func(lo, hi int) { // want `kernel package calls linalg.ParallelForWorkers directly`
-		for i := lo; i < hi; i++ {
-			out[i] = 1
-		}
-	})
-}
-
 // blessedShimCall carries a justified suppression, e.g. cold-path setup
 // code that predates the engine.
 func blessedShimCall(n int, out []float64) {

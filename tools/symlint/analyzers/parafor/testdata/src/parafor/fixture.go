@@ -32,7 +32,7 @@ func goodChunk(xs, out []float64) {
 
 // badMap mutates a captured map concurrently.
 func badMap(keys []int, m map[int]int) {
-	linalg.ParallelForWorkers(len(keys), 4, func(lo, hi int) {
+	linalg.ParallelFor(len(keys), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m[keys[i]]++ // want `writes to captured map m`
 		}
