@@ -159,7 +159,7 @@ experiments:
   fig8     per-phase breakdown
   fig9     convergence traces
   idxiter  index-iteration ablation (paper section VI-B.4)
-  ablate   design-choice ablations (iteration strategy, memoization, storage)
+  ablate   design-choice ablations 2-5 (memoization, storage, layout, HOOI SVD)
   verify   cross-implementation equivalence gate (all kernels vs brute force)
   all      everything above
 

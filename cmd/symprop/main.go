@@ -37,6 +37,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 	"time"
 
@@ -281,9 +282,11 @@ func writeConvergence(path string, res *symprop.Result) error {
 		return err
 	}
 	w := bufio.NewWriter(f)
+	// Round-trip form, as in the factor file: equal bytes mean equal bits.
 	fmt.Fprintln(w, "iteration,objective,relative_error")
 	for i := range res.Objective {
-		fmt.Fprintf(w, "%d,%.12g,%.12g\n", i+1, res.Objective[i], res.RelError[i])
+		fmt.Fprintf(w, "%d,%s,%s\n", i+1, strconv.FormatFloat(res.Objective[i], 'g', -1, 64),
+			strconv.FormatFloat(res.RelError[i], 'g', -1, 64))
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
@@ -349,23 +352,14 @@ func runCP(args []string) error {
 	return nil
 }
 
+// writeMatrix writes m to path in the factor-file format the job server's
+// result endpoint serves (linalg.WriteFactor).
 func writeMatrix(path string, m *linalg.Matrix) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	fmt.Fprintf(w, "%d %d\n", m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j, v := range m.Row(i) {
-			if j > 0 {
-				fmt.Fprint(w, " ")
-			}
-			fmt.Fprintf(w, "%.12g", v)
-		}
-		fmt.Fprintln(w)
-	}
-	if err := w.Flush(); err != nil {
+	if err := linalg.WriteFactor(f, m); err != nil {
 		f.Close()
 		return err
 	}

@@ -5,28 +5,20 @@ import (
 	"io"
 
 	"github.com/symprop/symprop/internal/dense"
-	"github.com/symprop/symprop/internal/kernels"
-	"github.com/symprop/symprop/internal/memguard"
-	"github.com/symprop/symprop/internal/spsym"
 	"github.com/symprop/symprop/internal/tucker"
 )
 
 // Ablate runs the design-choice ablations DESIGN.md calls out, beyond the
-// paper's own figures:
+// paper's own figures. They keep their numbers from when Ablation 1, the
+// S³TTMc iteration strategy end to end, was among them; the §VI-B.4
+// comparison it repeated is E12's (symprop-bench idxiter).
 //
-//  1. iteration strategy inside the full S³TTMc kernel (end-to-end version
-//     of §VI-B.4): the default colex blocks vs recursive closures vs
-//     index-mapped iteration;
 //  2. kernel memoization: HOQRI-SymProp vs the original HOQRI n-ary
 //     contraction (Table II rows 3/4 made executable);
 //  3. intermediate storage: HOOI-SymProp vs HOOI-CSS (Table II rows 1/2);
 //  4. dense layout: the compact linear layout vs BCSS;
 //  5. HOOI SVD strategy: exact SVD vs the matrix-free HOOIRandomized.
 func Ablate(w io.Writer, p Profile) error {
-	if err := ablateIteration(w, p); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
 	if err := ablateNary(w, p); err != nil {
 		return err
 	}
@@ -149,40 +141,6 @@ func ablateBCSS(w io.Writer, p Profile) error {
 	}
 	table(w, []string{"layout", "padding", "time", "compact speedup"}, rows)
 	fmt.Fprintln(w, "\nexpected shape: BCSS pays growing padding (storage and flops) as blocks widen; compact linear does exact work.")
-	return nil
-}
-
-func ablateIteration(w io.Writer, p Profile) error {
-	order, dim, nnz, rank := p.SweepBase()
-	x, err := spsym.Random(spsym.RandomOptions{Order: order, Dim: dim, NNZ: nnz, Seed: 71})
-	if err != nil {
-		return err
-	}
-	u := randomU(dim, rank, 72)
-	fmt.Fprintf(w, "Ablation 1: S3TTMc-SP iteration strategy (order=%d dim=%d unnz=%d rank=%d)\n\n",
-		order, dim, x.NNZ(), rank)
-	var rows [][]string
-	var base Measurement
-	for _, tc := range []struct {
-		name string
-		iter kernels.IterationStrategy
-	}{
-		{"colex blocks (default)", kernels.IterGenerated},
-		{"recursive closures", kernels.IterRecursive},
-		{"index-mapped (Ballard et al.)", kernels.IterIndexMapped},
-	} {
-		m := timeOp(p.Reps(), func() error {
-			_, err := kernels.S3TTMcSymProp(x, u, kernels.Options{
-				Guard: memguard.FromEnv(), Iteration: tc.iter,
-			})
-			return err
-		})
-		if tc.iter == kernels.IterGenerated {
-			base = m
-		}
-		rows = append(rows, []string{tc.name, m.Format(), speedup(m, base)})
-	}
-	table(w, []string{"strategy", "time", "slowdown vs colex"}, rows)
 	return nil
 }
 

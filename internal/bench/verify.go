@@ -15,8 +15,8 @@ import (
 // Verify runs the cross-implementation equivalence gate from the command
 // line: on each trial it draws a random small symmetric tensor and factor,
 // computes the chain product with brute-force permutation expansion, and
-// checks that every kernel in the repository — SymProp (all three iteration
-// strategies), CSS, UCOO, SPLATT, and the n-ary TTMcTC — agrees to within
+// checks that every kernel in the repository — SymProp, CSS, UCOO, SPLATT,
+// and the n-ary TTMcTC — agrees to within
 // floating-point tolerance. This is the same oracle the unit tests use,
 // exposed so users can gate their own builds or configurations.
 func Verify(w io.Writer, trials int, seed int64) error {
@@ -65,23 +65,12 @@ func Verify(w io.Writer, trials int, seed int64) error {
 		// Every scatter kernel runs with multiple workers, so the
 		// owner-computes scheduler is held to the oracle.
 		opts := kernels.Options{Workers: 2}
-		for _, strat := range []struct {
-			name string
-			iter kernels.IterationStrategy
-		}{
-			{"SymProp/colex", kernels.IterGenerated},
-			{"SymProp/recursive", kernels.IterRecursive},
-			{"SymProp/index-mapped", kernels.IterIndexMapped},
-		} {
-			sopts := opts
-			sopts.Iteration = strat.iter
-			yp, err := kernels.S3TTMcSymProp(x, u, sopts)
-			if err != nil {
-				return fmt.Errorf("trial %d: %s: %w", trial, strat.name, err)
-			}
-			if err := check(strat.name, kernels.ExpandCompactColumns(yp, order, r)); err != nil {
-				return err
-			}
+		yp, err := kernels.S3TTMcSymProp(x, u, opts)
+		if err != nil {
+			return fmt.Errorf("trial %d: SymProp: %w", trial, err)
+		}
+		if err := check("SymProp", kernels.ExpandCompactColumns(yp, order, r)); err != nil {
+			return err
 		}
 
 		cssY, err := kernels.S3TTMcCSS(x, u, opts)

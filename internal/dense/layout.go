@@ -287,19 +287,40 @@ func Pow64(base int64, exp int) int64 {
 // Expand materializes the full dense tensor in row-major layout
 // (last index fastest). Intended for tests and tiny examples only.
 func (t *SymTensor) Expand() []float64 {
-	full := t.FullSize()
-	out := make([]float64, full)
-	idx := make([]int, t.Order)
-	for lin := int64(0); lin < full; lin++ {
-		rem := lin
-		for a := t.Order - 1; a >= 0; a-- {
-			idx[a] = int(rem % int64(t.Dim))
-			rem /= int64(t.Dim)
-		}
-		s := SortedCopy(idx)
-		out[lin] = t.Data[Rank(s, t.Dim)]
+	table := ExpansionTable(t.Order, t.Dim)
+	out := make([]float64, len(table))
+	for lin, rk := range table {
+		out[lin] = t.Data[rk]
 	}
 	return out
+}
+
+// ExpansionTable is the expansion E of paper Property 2 as a gather table.
+// Entry lin is the compact rank of full position lin of an order-`order`
+// symmetric layout over dimension dim, with the first digit slowest: the
+// Rank of its digits sorted. So a full unfolding's column lin is column
+// table[lin] of the compact one, and the first lin that maps to a rank is
+// the rank's own ascending IOU tuple. It panics if the full layout has
+// more than math.MaxInt32 positions.
+func ExpansionTable(order, dim int) []int32 {
+	full := Pow64(int64(dim), order)
+	mustFit(full <= math.MaxInt32, "dense: expansion table order=%d dim=%d exceeds int32 positions", order, dim)
+	table := make([]int32, full)
+	digits := make([]int, order)
+	sorted := make([]int, order)
+	for lin := range table {
+		copy(sorted, digits)
+		SortIndex(sorted)
+		table[lin] = int32(Rank(sorted, dim))
+		// Advance the digits odometer, last digit fastest.
+		for a := order - 1; a >= 0; a-- {
+			if digits[a]++; digits[a] < dim {
+				break
+			}
+			digits[a] = 0
+		}
+	}
+	return table
 }
 
 // PermCounts returns the vector p of paper Property 3: p[i] is the number

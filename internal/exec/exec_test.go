@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/symprop/symprop/internal/faultinject"
+	"github.com/symprop/symprop/internal/obs"
 )
 
 // checkGoroutines fails the test if goroutines leaked past the pool's
@@ -444,14 +445,35 @@ func TestRunFaultSites(t *testing.T) {
 	if scopedHits() != 7 {
 		t.Fatalf("plan-scoped worker site fired %d times, want 7", scopedHits())
 	}
-	found := false
-	for _, name := range faultinject.Plans() {
-		if name == "test.sites" {
-			found = true
-		}
+}
+
+// TestRunDisarmedAllocs pins the disarmed cost of a one-worker Run: with
+// no hook armed and no collector installed, Run builds no fault-site name
+// and takes no lock. What remains is the worker slice, the error slice,
+// the worker and the slot closure.
+func TestRunDisarmedAllocs(t *testing.T) {
+	if faultinject.Active() || obs.Global() != nil {
+		t.Skip("a hook or a global collector is armed")
 	}
-	if !found {
-		t.Fatalf("plan test.sites missing from registry %v", faultinject.Plans())
+	plan := Plan{
+		Name:  "test.allocs",
+		Items: 4,
+		Body: func(w *Worker, lo, hi int) error {
+			for i := lo; i < hi; i++ {
+				if err := w.Tick(i); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := Run(Config{Workers: 1}, plan); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("disarmed one-worker Run made %v allocations, want at most 4", allocs)
 	}
 }
 

@@ -56,8 +56,8 @@ const (
 // Workers falls back to Config.Workers, CheckEvery to DefaultCheckEvery;
 // Scratch and Finish are optional.
 type Plan struct {
-	// Name identifies the plan in panic errors and the faultinject plan
-	// registry (faultinject.PlanWorkerSite/PlanOutputSite).
+	// Name identifies the plan in panic errors, metrics and its fault
+	// sites (faultinject.PlanWorkerSite/PlanOutputSite).
 	Name string
 	// Items is the item count being partitioned. Ignored by PerWorker,
 	// whose "items" are the worker slots themselves.
@@ -134,16 +134,16 @@ func (w *Worker) Canceled() error {
 	return nil
 }
 
-// Run executes a plan: it registers the plan's fault sites, refuses
-// pre-canceled contexts before any worker starts, fans Body out across the
-// partition with per-slot panic capture, joins, runs Finish for every
-// started slot, and returns the first error in slot order (deterministic
-// regardless of which worker lost the race). A single-worker plan runs
-// inline on the caller with the same capture semantics.
+// Run executes a plan: it refuses pre-canceled contexts before any worker
+// starts, fans Body out across the partition with per-slot panic capture,
+// joins, runs Finish for every started slot, and returns the first error
+// in slot order (deterministic regardless of which worker lost the race).
+// A single-worker plan runs inline on the caller with the same capture
+// semantics.
 //
-// A plan must be named: the name keys the faultinject plan-site registry,
-// PanicError attribution, and the obs per-plan counters, all of which
-// degrade silently under "". When a metrics collector is armed (via
+// A plan must be named: the name keys the plan's fault sites, PanicError
+// attribution, and the obs per-plan counters, all of which degrade
+// silently under "". When a metrics collector is armed (via
 // Config.Metrics or obs.SetGlobal), Run additionally measures each slot's
 // busy time and the invocation's wall span, and — when the collector asks
 // for it — runs every slot under pprof labels plan=<name>, phase=<phase>.
@@ -154,7 +154,12 @@ func Run(cfg Config, plan Plan) error {
 	if plan.Name == "" {
 		return errors.New("exec: plan has no name (Plan.Name is required: it keys fault sites, panic attribution, and metrics)")
 	}
-	site := faultinject.RegisterPlan(plan.Name)
+	// The plan-scoped worker site is built only while a hook is armed:
+	// disarmed, Tick never fires it.
+	var site faultinject.Site
+	if faultinject.Active() {
+		site = faultinject.PlanWorkerSite(plan.Name)
+	}
 	if IsCanceled(cfg.Ctx) {
 		return Cause(cfg.Ctx)
 	}
@@ -179,16 +184,17 @@ func Run(cfg Config, plan Plan) error {
 		every = DefaultCheckEvery
 	}
 
-	// Recorder set: the config's collector plus the process-global one
-	// (deduplicated). The disarmed path is this nil check and one atomic
-	// load; Worker.Tick is untouched either way.
+	// Recorder set: the config's collector plus the process-global one,
+	// unless the config's already records into it (obs.NewScoped). The
+	// disarmed path is this nil check and one atomic load; Worker.Tick is
+	// untouched either way.
 	var recs [2]*obs.Metrics
 	nrec := 0
 	if cfg.Metrics != nil {
 		recs[nrec] = cfg.Metrics
 		nrec++
 	}
-	if g := obs.Global(); g != nil && g != cfg.Metrics {
+	if g := obs.Global(); g != nil && !cfg.Metrics.Feeds(g) {
 		recs[nrec] = g
 		nrec++
 	}
@@ -273,9 +279,12 @@ func Run(cfg Config, plan Plan) error {
 
 // FireOutput fires the output inspection sites for a finished result: the
 // generic kernels.output site first (preserving counts seen by existing
-// fault-matrix tests), then the plan-scoped output site.
+// fault-matrix tests), then the plan-scoped output site. Disarmed, it is
+// one atomic load.
 func FireOutput(plan string, payload any) error {
-	faultinject.RegisterPlan(plan)
+	if !faultinject.Active() {
+		return nil
+	}
 	if err := faultinject.Fire(faultinject.SiteKernelOutput, payload); err != nil {
 		return err
 	}

@@ -1,20 +1,17 @@
 package faultinject
 
-import (
-	"sort"
-	"sync"
-)
-
 // Plan-scoped sites.
 //
 // The execution engine (internal/exec) runs every kernel as a named plan
-// and registers that name here, deriving two sites per plan: a worker site
-// fired once per processed item and an output site fired on the finished
-// result. The generic SiteKernelWorker / SiteKernelOutput sites still fire
-// first for every plan, so fault-matrix tests that count "any kernel work"
-// keep working; the plan-scoped sites let a test target one stage of a
-// multi-stage kernel (e.g. only the TTMcTC core product) without touching
-// the stages around it.
+// and derives two sites per plan: a worker site fired once per processed
+// item and an output site fired on the finished result. The generic
+// SiteKernelWorker / SiteKernelOutput sites still fire first for every
+// plan, so fault-matrix tests that count "any kernel work" keep working;
+// the plan-scoped sites let a test target one stage of a multi-stage
+// kernel (e.g. only the TTMcTC core product) without touching the stages
+// around it. The engine builds a plan's site names only while a hook is
+// armed (Active), so a plan started before the first hook is armed fires
+// only the generic sites.
 
 // PlanWorkerSite returns the per-item site for the named plan.
 func PlanWorkerSite(plan string) Site {
@@ -24,32 +21,4 @@ func PlanWorkerSite(plan string) Site {
 // PlanOutputSite returns the output-inspection site for the named plan.
 func PlanOutputSite(plan string) Site {
 	return SiteKernelOutput + Site("/"+plan)
-}
-
-var (
-	planMu  sync.Mutex
-	planSet = map[string]struct{}{}
-)
-
-// RegisterPlan records a plan name in the registry (idempotent, safe for
-// concurrent use) and returns its worker site. The engine calls this on
-// every Run so the registry enumerates exactly the plans that have
-// executed in this process.
-func RegisterPlan(plan string) Site {
-	planMu.Lock()
-	planSet[plan] = struct{}{}
-	planMu.Unlock()
-	return PlanWorkerSite(plan)
-}
-
-// Plans returns the sorted names of every registered plan.
-func Plans() []string {
-	planMu.Lock()
-	names := make([]string, 0, len(planSet))
-	for name := range planSet {
-		names = append(names, name)
-	}
-	planMu.Unlock()
-	sort.Strings(names)
-	return names
 }

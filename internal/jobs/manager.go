@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
@@ -102,17 +101,6 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-func (c *Config) guard() *memguard.Guard {
-	switch {
-	case c.MemoryBudget < 0:
-		return nil
-	case c.MemoryBudget == 0:
-		return memguard.FromEnv()
-	default:
-		return memguard.New(c.MemoryBudget)
-	}
-}
-
 // job is the in-memory twin of a spooled manifest.
 type job struct {
 	mu  sync.Mutex
@@ -169,7 +157,7 @@ func Open(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:        cfg,
 		spool:      spool,
-		guard:      cfg.guard(),
+		guard:      memguard.ForBudget(cfg.MemoryBudget),
 		counters:   cfg.Counters,
 		jobs:       make(map[string]*job),
 		queues:     make(map[string][]*job),
@@ -365,15 +353,7 @@ func loadTensorPath(path string) (*spsym.Tensor, error) {
 	if !info.Mode().IsRegular() {
 		return nil, fmt.Errorf("%w: tensor_path %q is not a regular file", ErrInvalidSpec, path)
 	}
-	// spsym.LoadAuto sniffs the format from a path it opens itself; on
-	// this open file, try the binary format, then seek back for the text
-	// one. A text file fails the binary reader at its 8-byte magic.
-	x, err := spsym.ReadBinary(f)
-	if err != nil {
-		if _, err = f.Seek(0, io.SeekStart); err == nil {
-			x, err = spsym.ReadFrom(f)
-		}
-	}
+	x, err := spsym.ReadAuto(f)
 	if err != nil {
 		return nil, fmt.Errorf("%w: tensor_path %q is not a symmetric tensor file", ErrInvalidSpec, path)
 	}

@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/symprop/symprop/internal/checkpoint"
@@ -280,7 +278,7 @@ func (m *Manager) runAttempt(ctx context.Context, j *job, x *spsym.Tensor, pool 
 func (m *Manager) succeed(j *job, res *tucker.Result) {
 	path := m.spool.ResultPath(j.man.ID)
 	if err := checkpoint.WriteFileAtomic(path, func(f *os.File) error {
-		return writeFactor(f, res.U)
+		return linalg.WriteFactor(f, res.U)
 	}); err != nil {
 		j.mu.Lock()
 		m.finishLocked(j, StateFailed, fmt.Sprintf("write result: %v", err))
@@ -293,23 +291,4 @@ func (m *Manager) succeed(j *job, res *tucker.Result) {
 	j.man.Converged = res.Converged
 	m.finishLocked(j, StateSucceeded, "")
 	j.mu.Unlock()
-}
-
-// writeFactor writes U in the shortest round-trippable decimal form
-// (FormatFloat 'g' -1), so two bit-identical factors produce byte-equal
-// files — the property the serve smoke test compares on.
-func writeFactor(f *os.File, u *linalg.Matrix) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%% symprop factor matrix %d x %d\n", u.Rows, u.Cols)
-	for i := 0; i < u.Rows; i++ {
-		for k := 0; k < u.Cols; k++ {
-			if k > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(strconv.FormatFloat(u.At(i, k), 'g', -1, 64))
-		}
-		b.WriteByte('\n')
-	}
-	_, err := f.WriteString(b.String())
-	return err
 }

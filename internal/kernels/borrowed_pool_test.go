@@ -32,7 +32,7 @@ var borrowedPoolSizes = []int{1, 2, 4, 8}
 // cache, so the second call reuses what the first left behind, as the
 // sweeps of a Tucker run do. The fusion column "auto" is the default
 // dispatch: the rank-3 fixtures run the lattice interpreter, order3r4 the
-// fused evaluator. "off" takes the IterRecursive ablation, which switches
+// fused evaluator. "off" takes the lex walk (lexWalk), which switches
 // the fused evaluators off, so order3r4 runs the interpreter too; both
 // columns are held to the default transient bits.
 func TestBorrowedPoolDeterminismMatrix(t *testing.T) {
@@ -54,7 +54,7 @@ func TestBorrowedPoolDeterminismMatrix(t *testing.T) {
 			for _, fusion := range []string{"auto", "off"} {
 				opts := Options{Workers: workers}
 				if fusion == "off" {
-					opts.Iteration = IterRecursive
+					opts.lexWalk = true
 				}
 				for _, caches := range []string{"fresh", "warm"} {
 					calls := 1

@@ -17,18 +17,16 @@ type fusedEvalFunc func(u *linalg.Matrix, values []int32, tops []float64)
 
 // resolveFusion is the dispatch rule of the fused evaluators. It returns
 // the evaluator generated for (order, r) when the call runs the compact
-// IterGenerated path, and otherwise nil and the reason the call misses:
-// the vocabulary of the fusion.miss counters (docs/CODEGEN.md). Inside a
+// layout, and otherwise nil and the reason the call misses: the
+// vocabulary of the fusion.miss counters (docs/CODEGEN.md). Inside a
 // resolved call, non-zeros with repeated indices still take the lattice
 // interpreter (latticeState.emit).
 func resolveFusion(opts Options, compact bool, order, r int) (fusedEvalFunc, string) {
 	switch {
-	case opts.noFusion:
+	case opts.noFusion || opts.lexWalk:
 		return nil, "fusion-off"
 	case !compact:
 		return nil, "full-storage"
-	case opts.Iteration != IterGenerated:
-		return nil, "iteration-strategy"
 	}
 	if f := fusedEvalFor(order, r); f != nil {
 		return f, ""

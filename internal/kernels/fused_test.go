@@ -128,8 +128,7 @@ func TestResolveFusionGating(t *testing.T) {
 	}{
 		{"interpreter only", Options{noFusion: true}, true, 3, 4, "fusion-off"},
 		{"full storage (CSS)", base, false, 3, 4, "full-storage"},
-		{"recursive iteration", Options{Iteration: IterRecursive}, true, 3, 4, "iteration-strategy"},
-		{"index-mapped iteration", Options{Iteration: IterIndexMapped}, true, 3, 4, "iteration-strategy"},
+		{"lex walk", Options{lexWalk: true}, true, 3, 4, "fusion-off"},
 		{"rank miss", base, true, 3, 3, "off-grid"},
 		{"rank miss wide", base, true, 4, 16, "off-grid"},
 		{"order miss low", base, true, 2, 4, "off-grid"},
@@ -159,12 +158,12 @@ func TestRecordFusionMiss(t *testing.T) {
 	}
 	recordFusionMiss(Options{}, true, 5, 8)
 	recordFusionMiss(Options{}, false, 3, 4)
-	recordFusionMiss(Options{Iteration: IterRecursive}, true, 4, 4)
-	recordFusionMiss(Options{Iteration: IterRecursive}, true, 4, 4)
+	recordFusionMiss(Options{noFusion: true}, true, 4, 4)
+	recordFusionMiss(Options{noFusion: true}, true, 4, 4)
 	want := map[string]int64{
-		"fusion.miss[order=5 rank=8 reason=off-grid]":           1,
-		"fusion.miss[order=3 rank=4 reason=full-storage]":       1,
-		"fusion.miss[order=4 rank=4 reason=iteration-strategy]": 2,
+		"fusion.miss[order=5 rank=8 reason=off-grid]":     1,
+		"fusion.miss[order=3 rank=4 reason=full-storage]": 1,
+		"fusion.miss[order=4 rank=4 reason=fusion-off]":   2,
 	}
 	got := c.Snapshot()
 	if len(got) != len(want) {

@@ -14,9 +14,8 @@ import (
 // and UCOO must agree bit-for-bit within floating-point tolerance, and the
 // default SymProp dispatch must be bitwise equal to the interpreter alone
 // (noFusion) whether the (order, rank) pair hits a generated kernel or
-// falls back. The generic path's colex evaluator
-// (IterGenerated) must in turn be bitwise equal to the lex loop nests of
-// IterRecursive.
+// falls back. The generic path's colex evaluator must in turn be bitwise
+// equal to the lex loop nest (lexWalk).
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(5), uint8(3), uint8(10))
 	f.Add(int64(2), uint8(2), uint8(2), uint8(1), uint8(1))
@@ -47,9 +46,9 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("SymProp generic: %v", err)
 		}
-		lex, err := S3TTMcSymProp(x, u, Options{Iteration: IterRecursive})
+		lex, err := S3TTMcSymProp(x, u, Options{lexWalk: true})
 		if err != nil {
-			t.Fatalf("SymProp recursive: %v", err)
+			t.Fatalf("SymProp lex walk: %v", err)
 		}
 		for i := range yp.Data {
 			if math.Float64bits(yp.Data[i]) != math.Float64bits(generic.Data[i]) {
@@ -57,7 +56,7 @@ func FuzzKernelEquivalence(f *testing.F) {
 					i, yp.Data[i], generic.Data[i], order, dim, rank, nnz)
 			}
 			if math.Float64bits(generic.Data[i]) != math.Float64bits(lex.Data[i]) {
-				t.Fatalf("colex vs lex (IterRecursive) differ at %d: %v vs %v (N=%d I=%d R=%d nnz=%d)",
+				t.Fatalf("colex vs lex walk differ at %d: %v vs %v (N=%d I=%d R=%d nnz=%d)",
 					i, generic.Data[i], lex.Data[i], order, dim, rank, nnz)
 			}
 		}

@@ -9,7 +9,8 @@
 //     and a full Y(1) (I x R^{N-1}); symmetry of the input only.
 //   - SPLATT — the general sparse baseline: CSF over the permutation-
 //     expanded non-zero set (internal/csf).
-//   - S3TTMcTC — paper Algorithm 2, feeding HOQRI.
+//   - S3TTMcTC — paper Algorithm 2: S3TTMcSymProp, then CoreProduct and
+//     TimesCore, the stages HOQRI's sweep runs.
 //   - S3MTTKRP — the symmetric MTTKRP behind CP-ALS (internal/cpd), the
 //     paper's future-work direction (§VIII).
 //
@@ -32,24 +33,6 @@ import (
 	"github.com/symprop/symprop/internal/spsym"
 )
 
-// IterationStrategy selects how the compact symmetric layouts are
-// iterated inside the SymProp kernel — the §VI-B.4 ablation, end to end.
-type IterationStrategy int
-
-const (
-	// IterGenerated (default) stores the K tensors in colexicographic
-	// order and sums each lattice node's edges block by block
-	// (dense.ColexNode): each Algorithm-1 term becomes R contiguous axpys
-	// over a prefix of the child's buffer. Output stays in lexicographic
-	// order, bit-identical to the lex loop nests of the other strategies.
-	IterGenerated IterationStrategy = iota
-	// IterRecursive uses the recursive-closure loop nest.
-	IterRecursive
-	// IterIndexMapped uses boundary tracing plus an explicit rank
-	// computation per entry — the Ballard et al. [16] baseline.
-	IterIndexMapped
-)
-
 // Options configures kernel execution.
 type Options struct {
 	// Ctx, when non-nil, cancels in-flight kernels cooperatively: the
@@ -63,12 +46,6 @@ type Options struct {
 	// PlanCache carries lattice plans across calls (e.g. across Tucker
 	// iterations). nil uses a fresh per-call cache.
 	PlanCache *css.Cache
-	// Iteration selects the compact-layout iteration strategy (SymProp
-	// kernels only); the default is the colex block evaluator, with the
-	// all-distinct non-zeros of a fused-grid shape on the generated
-	// evaluators (fused.go). The two lex ablations interpret every
-	// non-zero; either way the output bits are the same.
-	Iteration IterationStrategy
 	// Pool recycles per-worker lattice workspaces across calls (e.g.
 	// across Tucker sweeps). nil allocates fresh workspaces per call.
 	Pool *WorkspacePool
@@ -90,6 +67,11 @@ type Options struct {
 	// on the fused grid: the reference this package's tests and
 	// BenchmarkS3TTMcFused hold the fused evaluators to.
 	noFusion bool
+	// lexWalk, like noFusion, sends every non-zero through the lattice
+	// interpreter, and there keeps the compact K tensors in lex order,
+	// adding each edge with dense.OuterAccumRecursive: the Algorithm-1 loop
+	// nest this package's tests hold the colex evaluator to.
+	lexWalk bool
 }
 
 func (o Options) workers() int {
@@ -130,7 +112,7 @@ func validate(x *spsym.Tensor, u *linalg.Matrix) error {
 // most C(order, l) nodes and each evaluation rewrites every node it reads,
 // so plan p uses a prefix of each level and one set serves every plan.
 // The compact workspace also holds the colex tables and the lex scratch
-// of the IterGenerated evaluator (evalLattice).
+// of the colex evaluator (evalLattice).
 type workspace struct {
 	// levels[l-1][n] is node n's buffer at level l, all carved from one
 	// slab; nil until first use (buffers). tops is the slab's top level,
@@ -196,10 +178,10 @@ func (w *workspace) buffers() [][][]float64 {
 	return w.levels
 }
 
-// colex reports whether evaluations under iter keep this workspace's K
-// buffers in colex order: the compact layout on the IterGenerated path.
-func (w *workspace) colex(iter IterationStrategy) bool {
-	return w.compact && iter == IterGenerated
+// colex reports whether evaluations keep this workspace's K buffers in
+// colex order: the compact layout, unless lexWalk is set.
+func (w *workspace) colex(lexWalk bool) bool {
+	return w.compact && !lexWalk
 }
 
 // tensorSize is the storage length of an order-l K tensor: its S_{l,r}
@@ -237,19 +219,17 @@ func latticeBytes(order, r int, compact bool) int64 {
 
 // evalLattice fills the workspace's K buffers for the non-zero with the
 // given distinct values, running the Eq. (7) recursion level by level, and
-// returns the top level. The compact IterGenerated path keeps every K
-// tensor in colex order and sums each node's edges block by block
-// (dense.ColexNode); the recursive and index-mapped ablations and the CSS
-// full storage clear each node and add its edges one outer product at a
-// time in lex order. Both give every entry the same products in the same
-// order.
-func evalLattice(p *css.Plan, ws *workspace, values []int32, u *linalg.Matrix, iter IterationStrategy) [][]float64 {
+// returns the top level. The compact layout keeps every K tensor in colex
+// order and sums each node's edges block by block (dense.ColexNode); the
+// lexWalk reference and the CSS full storage clear each node and add its
+// edges one outer product at a time in lex order. Both give every entry
+// the same products in the same order.
+func evalLattice(p *css.Plan, ws *workspace, values []int32, u *linalg.Matrix, lexWalk bool) [][]float64 {
 	levels := ws.buffers()
 	for n := range p.Levels[0] {
 		copy(levels[0][n], u.Row(int(values[n])))
 	}
-	colex := ws.colex(iter)
-	outer := outerFor(iter)
+	colex := ws.colex(lexWalk)
 	for li := 1; li < len(p.Levels); li++ {
 		for n, node := range p.Levels[li] {
 			dst := levels[li][n]
@@ -267,7 +247,7 @@ func evalLattice(p *css.Plan, ws *workspace, values []int32, u *linalg.Matrix, i
 				src := levels[li-1][e.Child]
 				urow := u.Row(int(values[e.Slot]))
 				if ws.compact {
-					outer(li+1, dst, src, urow, u.Cols)
+					dense.OuterAccumRecursive(li+1, dst, src, urow, u.Cols)
 				} else {
 					fullOuterAccum(dst, src, urow)
 				}
@@ -275,15 +255,6 @@ func evalLattice(p *css.Plan, ws *workspace, values []int32, u *linalg.Matrix, i
 		}
 	}
 	return levels[len(p.Levels)-1]
-}
-
-// outerFor maps a lex-layout iteration strategy to its outer-product
-// kernel: the recursive closures, or the index-mapped baseline.
-func outerFor(iter IterationStrategy) func(int, []float64, []float64, []float64, int) {
-	if iter == IterIndexMapped {
-		return dense.OuterAccumIndexMapped
-	}
-	return dense.OuterAccumRecursive
 }
 
 // fullOuterAccum is the baseline outer product on full R^l storage with the
@@ -304,11 +275,11 @@ func fullOuterAccum(dst, src, u []float64) {
 // per worker slot and returns its workspace in Finish; the underlying
 // buffers recycle across calls through the WorkspacePool.
 type latticeState struct {
-	x     *spsym.Tensor
-	u     *linalg.Matrix
-	cache *css.Cache
-	iter  IterationStrategy
-	ws    *workspace
+	x       *spsym.Tensor
+	u       *linalg.Matrix
+	cache   *css.Cache
+	lexWalk bool
+	ws      *workspace
 	// fused is the per-(order, rank) fused evaluator for all-distinct
 	// non-zeros, nil when the call runs fully generic (see resolveFusion);
 	// fusedTops is its output scratch, topSize the per-slot block width.
@@ -337,10 +308,10 @@ func (st *latticeState) emit(k int, s *sink) error {
 	if err != nil {
 		return err
 	}
-	top := evalLattice(plan, st.ws, values, st.u, st.iter)
+	top := evalLattice(plan, st.ws, values, st.u, st.lexWalk)
 	for slot, node := range plan.Tops {
 		kt := top[node]
-		if st.ws.colex(st.iter) {
+		if st.ws.colex(st.lexWalk) {
 			dense.GatherLex(st.ws.lex, kt, st.ws.gather)
 			kt = st.ws.lex
 		}
@@ -359,7 +330,7 @@ func latticePass(name string, x *spsym.Tensor, u *linalg.Matrix, opts Options, c
 	return ownerPass{
 		name: name,
 		emitter: func(w *exec.Worker, s *sink) func(int) error {
-			st := &latticeState{x: x, u: u, cache: cache, iter: opts.Iteration,
+			st := &latticeState{x: x, u: u, cache: cache, lexWalk: opts.lexWalk,
 				ws: opts.Pool.get(x.Order, u.Cols, compact)}
 			if fk, _ := resolveFusion(opts, compact, x.Order, u.Cols); fk != nil {
 				st.fused = fk
@@ -474,25 +445,12 @@ func mustCompactShape(yp *linalg.Matrix, order, r int) {
 
 // ExpandCompactColumns expands a partially symmetric compact unfolding
 // Y_p(1) (I x S_{order-1,r}) to the full unfolding Y(1) (I x r^{order-1}),
-// realizing the expansion matrix E of paper Property 2. Intended for tests
-// and small cases.
+// realizing the expansion matrix E of paper Property 2
+// (dense.ExpansionTable). HOOI's SVD step runs it once per sweep.
 func ExpandCompactColumns(yp *linalg.Matrix, order, r int) *linalg.Matrix {
 	mustCompactShape(yp, order, r)
-	symOrder := order - 1
-	fullCols := int(dense.Pow64(int64(r), symOrder))
-	out := linalg.NewMatrix(yp.Rows, fullCols)
-	// Precompute the compact rank of every full column once.
-	ranks := make([]int64, fullCols)
-	digits := make([]int, symOrder)
-	for lin := 0; lin < fullCols; lin++ {
-		rem := lin
-		for a := symOrder - 1; a >= 0; a-- {
-			digits[a] = rem % r
-			rem /= r
-		}
-		s := dense.SortedCopy(digits)
-		ranks[lin] = dense.Rank(s, r)
-	}
+	ranks := dense.ExpansionTable(order-1, r)
+	out := linalg.NewMatrix(yp.Rows, len(ranks))
 	exec.For(nil, yp.Rows, runtime.GOMAXPROCS(0), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			src := yp.Row(i)

@@ -445,11 +445,11 @@ func TestWorkspacePoolRecycles(t *testing.T) {
 	}
 }
 
-// The three compact-layout iteration strategies run the same lattice plan
-// with different outer-product walks — colex blocks for IterGenerated, lex
-// loop nests for the two ablations — and must agree bit for bit, on
-// all-distinct tensors (the widest lattices) and on padded ones (many
-// signatures, repeated indices) up to order 8.
+// The colex evaluator and the lex walk (lexWalk) run the same lattice plan
+// with different outer-product walks — colex blocks, and the recursive lex
+// loop nest of Algorithm 1 — and must agree bit for bit, on all-distinct
+// tensors (the widest lattices) and on padded ones (many signatures,
+// repeated indices) up to order 8.
 func TestIterationStrategiesAgree(t *testing.T) {
 	for order := 3; order <= 8; order++ {
 		distinct, err := spsym.Random(spsym.RandomOptions{
@@ -469,16 +469,14 @@ func TestIterationStrategiesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, iter := range []IterationStrategy{IterRecursive, IterIndexMapped} {
-				other, err := S3TTMcSymProp(tc.x, tc.u, Options{Iteration: iter})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range gen.Data {
-					if math.Float64bits(gen.Data[i]) != math.Float64bits(other.Data[i]) {
-						t.Fatalf("order %d %s: iteration strategy %d gives %v at %d, the colex evaluator %v",
-							order, tc.name, iter, other.Data[i], i, gen.Data[i])
-					}
+			lex, err := S3TTMcSymProp(tc.x, tc.u, Options{lexWalk: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range gen.Data {
+				if math.Float64bits(gen.Data[i]) != math.Float64bits(lex.Data[i]) {
+					t.Fatalf("order %d %s: the lex walk gives %v at %d, the colex evaluator %v",
+						order, tc.name, lex.Data[i], i, gen.Data[i])
 				}
 			}
 			// The (expensive) brute-force oracle only up to order 6; beyond

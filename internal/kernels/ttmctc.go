@@ -41,14 +41,20 @@ type TCResult struct {
 }
 
 // CoreNormSquared returns ||C||_F² of the full core tensor from its compact
-// unfolding: sum over entries of p_i · Cp(r,i)², used by the objective
-// f = ||X||² - ||C||².
+// unfolding (CompactNormSquared), used by the objective f = ||X||² - ||C||².
 func (t *TCResult) CoreNormSquared() float64 {
+	return CompactNormSquared(t.Cp, t.P)
+}
+
+// CompactNormSquared returns the squared Frobenius norm of the partially
+// symmetric tensor whose compact unfolding is c, Σ p_j·c(i,j)² over rows i
+// and columns j: paper Property 3, M = EᵀE = diag(p). The sum runs row by
+// row in column order; the bits of every recorded objective depend on it.
+func CompactNormSquared(c *linalg.Matrix, p []float64) float64 {
 	var s float64
-	for i := 0; i < t.Cp.Rows; i++ {
-		row := t.Cp.Row(i)
-		for j, v := range row {
-			s += t.P[j] * v * v
+	for i := 0; i < c.Rows; i++ {
+		for j, v := range c.Row(i) {
+			s += p[j] * v * v
 		}
 	}
 	return s
@@ -57,11 +63,12 @@ func (t *TCResult) CoreNormSquared() float64 {
 // S3TTMcTC computes paper Algorithm 2 — the optimized CSS-based S³TTMcTC:
 //
 //  1. Y_p = X ×₋₁ [Uᵀ]            (optimized S³TTMc)
-//  2. C_p(1) = Uᵀ·Y_p(1)           (Property 2: layouts match)
-//  3. A = Y_p(1)·diag(p)·C_p(1)ᵀ   (Property 3: M = EᵀE is diagonal)
+//  2. C_p(1) = Uᵀ·Y_p(1)           (Property 2: layouts match; CoreProduct)
+//  3. A = Y_p(1)·diag(p)·C_p(1)ᵀ   (Property 3: M = EᵀE is diagonal; TimesCore)
 //
 // The extra work beyond S³TTMc is two matrix products of combined cost
 // O(I·R·S_{N-1,R}), which Fig. 5(d) shows to be a small additive overhead.
+// HOQRI runs the same three stages, one per step of its sweep.
 func S3TTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*TCResult, error) {
 	yp, err := S3TTMcSymProp(x, u, opts)
 	if err != nil {
@@ -75,24 +82,45 @@ func S3TTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*TCResult, error
 	}
 	defer opts.Guard.Release(extra)
 
-	// The two dense products run as engine plans over output-row bands
-	// (per-row GEMM results are band-independent, so the engine split
-	// changes no bits): the core multiply gains the same cancellation and
-	// panic capture as the sparse passes.
-	cp := linalg.NewMatrix(r, yp.Cols) // R x S_{N-1,R}
-	if err := runMatmul("ttmctc.cp", opts, cp.Rows, func(lo, hi int) {
-		linalg.MulTNRange(cp, u, yp, lo, hi)
+	cp, err := CoreProduct(u, yp, opts)
+	if err != nil {
+		return nil, err
+	}
+	p := PermCounts(x.Order-1, r) // diag(M)
+	a, err := TimesCore(yp, cp, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &TCResult{A: a, Yp: yp, Cp: cp, P: p}, nil
+}
+
+// CoreProduct is step 2 of Algorithm 2, the core C = Uᵀ·Y, run as plan
+// "ttmctc.cp" over C's rows. Y may be the compact Y_p(1), giving C_p(1), or
+// a full unfolding Y(1), giving C(1). Every Tucker driver forms its core
+// here, except HOQRI-nary, whose kernel forms it on the way.
+//
+// It reserves nothing: S3TTMcTC charges the guard once for both stages.
+func CoreProduct(u, y *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
+	c := linalg.NewMatrix(u.Cols, y.Cols)
+	if err := runMatmul("ttmctc.cp", opts, c.Rows, func(lo, hi int) {
+		linalg.MulTNRange(c, u, y, lo, hi)
 	}); err != nil {
 		return nil, err
 	}
-	p := PermCounts(x.Order-1, r)   // diag(M)
-	a := linalg.NewMatrix(x.Dim, r) // I x R
+	return c, nil
+}
+
+// TimesCore is step 3 of Algorithm 2, A = Y_p(1)·diag(p)·C_p(1)ᵀ, run as
+// plan "ttmctc.a" over A's rows: the matrix whose orthonormalization is
+// HOQRI's next factor. Like CoreProduct it reserves nothing.
+func TimesCore(yp, cp *linalg.Matrix, p []float64, opts Options) (*linalg.Matrix, error) {
+	a := linalg.NewMatrix(yp.Rows, cp.Rows)
 	if err := runMatmul("ttmctc.a", opts, a.Rows, func(lo, hi int) {
 		linalg.MulNTWeightedRange(a, yp, cp, p, lo, hi)
 	}); err != nil {
 		return nil, err
 	}
-	return &TCResult{A: a, Yp: yp, Cp: cp, P: p}, nil
+	return a, nil
 }
 
 // matmulBlock is the row granularity at which engine matmul plans poll for
@@ -102,6 +130,8 @@ const matmulBlock = 8
 // runMatmul executes one dense product stage as an engine plan: output
 // rows are the items, split statically; each worker ticks once per
 // matmulBlock rows so a cancel lands within one small block of dense work.
+// Each output row's sum does not depend on the band split, so the stage
+// gives the bits of the one-call linalg product at every worker count.
 func runMatmul(name string, opts Options, rows int, f func(lo, hi int)) error {
 	return exec.Run(opts.execConfig(), exec.Plan{
 		Name:       name,

@@ -67,6 +67,21 @@ func FromEnv() *Guard {
 	return New(b)
 }
 
+// ForBudget returns the guard for a configured budget in bytes, the rule
+// symprop.Options.MemoryBudget and the job server's Config.MemoryBudget
+// document: 0 reads SYMPROP_MEM_BUDGET (FromEnv), a negative budget
+// disables the guard (nil), and a positive one is the budget.
+func ForBudget(budget int64) *Guard {
+	switch {
+	case budget < 0:
+		return nil
+	case budget == 0:
+		return FromEnv()
+	default:
+		return New(budget)
+	}
+}
+
 // ParseBytes parses a byte count with an optional K/M/G suffix.
 func ParseBytes(s string) (int64, error) {
 	if s == "" {

@@ -70,6 +70,9 @@ type planAcc struct {
 type Metrics struct {
 	mu    sync.Mutex
 	plans map[string]*planAcc
+	// next receives every plan recorded here as well (NewScoped); nil for
+	// a collector of its own.
+	next *Metrics
 
 	// phase is the driver-provided label ("sweep-7") attached to pprof
 	// samples while labels are enabled; stored atomically because drivers
@@ -83,14 +86,39 @@ func New() *Metrics {
 	return &Metrics{plans: make(map[string]*planAcc)}
 }
 
+// NewScoped returns an empty collector for one run's own plans that also
+// records every plan into shared (nil: into nothing else). A run that
+// shares a collector with other runs reads its attribution back from the
+// scoped one, while the shared one still counts every plan of every run
+// exactly once.
+func NewScoped(shared *Metrics) *Metrics {
+	m := New()
+	m.next = shared
+	return m
+}
+
+// Feeds reports whether a plan recorded into m is recorded into c: m is c,
+// or m forwards to c (NewScoped). nil-safe; nothing feeds a nil c.
+func (m *Metrics) Feeds(c *Metrics) bool {
+	for ; m != nil; m = m.next {
+		if m == c {
+			return true
+		}
+	}
+	return false
+}
+
 // EnablePprofLabels makes every plan run under this collector annotate its
 // worker goroutines with pprof labels plan=<name>, phase=<current phase>,
 // so CPU profiles attribute samples to plans. Off by default: labeling
 // costs a context allocation per plan invocation.
 func (m *Metrics) EnablePprofLabels() { m.labels.Store(true) }
 
-// LabelsEnabled reports whether EnablePprofLabels was called; nil-safe.
-func (m *Metrics) LabelsEnabled() bool { return m != nil && m.labels.Load() }
+// LabelsEnabled reports whether EnablePprofLabels was called on m or on a
+// collector m forwards to; nil-safe.
+func (m *Metrics) LabelsEnabled() bool {
+	return m != nil && (m.labels.Load() || m.next.LabelsEnabled())
+}
 
 // SetPhase installs the phase label attached to subsequently recorded
 // plans ("sweep-3"); nil-safe.
@@ -112,13 +140,15 @@ func (m *Metrics) Phase() string {
 	return ""
 }
 
-// RecordPlan folds one plan invocation into the collector: the effective
-// worker count, the item count, the caller-observed wall span, and each
-// slot's busy nanoseconds (len(busyNs) == workers). nil-safe.
+// RecordPlan folds one plan invocation into the collector, and into the
+// collector it forwards to: the effective worker count, the item count,
+// the caller-observed wall span, and each slot's busy nanoseconds
+// (len(busyNs) == workers). nil-safe.
 func (m *Metrics) RecordPlan(name string, workers, items int, spanNs int64, busyNs []int64) {
 	if m == nil {
 		return
 	}
+	m.next.RecordPlan(name, workers, items, spanNs, busyNs)
 	var sum, max int64
 	for _, b := range busyNs {
 		sum += b

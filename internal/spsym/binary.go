@@ -135,14 +135,19 @@ func LoadBinary(path string) (*Tensor, error) {
 	return ReadBinary(f)
 }
 
-// LoadAuto reads either format, sniffing the magic bytes.
+// LoadAuto reads either format from the named file (ReadAuto).
 func LoadAuto(path string) (*Tensor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
+	return ReadAuto(f)
+}
+
+// ReadAuto reads either format, sniffing the binary format's magic bytes.
+func ReadAuto(r io.Reader) (*Tensor, error) {
+	br := bufio.NewReader(r)
 	head, err := br.Peek(8)
 	if err == nil && len(head) == 8 && [8]byte(head[:8]) == binaryMagic {
 		return ReadBinary(br)

@@ -15,17 +15,12 @@ func (r *Result) EvalApprox(idx []int) float64 {
 	var sum float64
 	// Loop over r1 (the non-symmetric core mode) and the full columns of
 	// the compact core unfolding.
-	fullCols := int(dense.Pow64(int64(rank), n-1))
-	sorted := make([]int, n-1)
-	for lin := 0; lin < fullCols; lin++ {
+	for lin, col := range dense.ExpansionTable(n-1, rank) {
 		rem := lin
 		for a := n - 2; a >= 0; a-- {
 			digits[a] = rem % rank
 			rem /= rank
 		}
-		copy(sorted, digits)
-		dense.SortIndex(sorted)
-		col := dense.Rank(sorted, rank)
 		// Product over the symmetric modes.
 		var uprod float64 = 1
 		for a := 0; a < n-1; a++ {
@@ -57,23 +52,12 @@ func (r *Result) CoreFull() []float64 {
 	if n == 0 {
 		return nil
 	}
-	full := dense.Pow64(int64(rank), n)
-	out := make([]float64, full)
-	digits := make([]int, n-1)
-	sorted := make([]int, n-1)
-	perRow := int(dense.Pow64(int64(rank), n-1))
+	table := dense.ExpansionTable(n-1, rank)
+	out := make([]float64, 0, rank*len(table))
 	for r1 := 0; r1 < rank; r1++ {
 		row := r.CoreP.Row(r1)
-		base := r1 * perRow
-		for lin := 0; lin < perRow; lin++ {
-			rem := lin
-			for a := n - 2; a >= 0; a-- {
-				digits[a] = rem % rank
-				rem /= rank
-			}
-			copy(sorted, digits)
-			dense.SortIndex(sorted)
-			out[base+lin] = row[dense.Rank(sorted, rank)]
+		for _, col := range table {
+			out = append(out, row[col])
 		}
 	}
 	return out

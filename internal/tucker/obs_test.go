@@ -2,8 +2,10 @@ package tucker
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/symprop/symprop/internal/checkpoint"
@@ -207,4 +209,124 @@ func TestOptionsMetricsSharedCollector(t *testing.T) {
 		}
 	}
 	assertRegisteredPlans(t, snap)
+}
+
+// planCounts maps each plan to its invocation and item counts: the
+// deterministic part of a PlanMetrics list (times vary run to run).
+func planCounts(pms []obs.PlanMetrics) map[string][2]int64 {
+	out := make(map[string][2]int64, len(pms))
+	for _, pm := range pms {
+		out[pm.Name] = [2]int64{pm.Invocations, pm.Items}
+	}
+	return out
+}
+
+// sweepCounts is planCounts for each TraceEvent's per-sweep deltas.
+func sweepCounts(trace []obs.TraceEvent) []map[string][2]int64 {
+	out := make([]map[string][2]int64, len(trace))
+	for i, ev := range trace {
+		out[i] = make(map[string][2]int64, len(ev.Plans))
+		for name, d := range ev.Plans {
+			out[i][name] = [2]int64{d.Invocations, d.Items}
+		}
+	}
+	return out
+}
+
+// assertOwnWork checks that a run on a shared collector reports exactly
+// the plan work of the same run on a collector of its own.
+func assertOwnWork(t *testing.T, got, solo *Result) {
+	t.Helper()
+	if g, w := fmt.Sprint(planCounts(got.PlanMetrics)), fmt.Sprint(planCounts(solo.PlanMetrics)); g != w {
+		t.Errorf("PlanMetrics %s, want the run's own %s", g, w)
+	}
+	if g, w := fmt.Sprint(sweepCounts(got.Trace)), fmt.Sprint(sweepCounts(solo.Trace)); g != w {
+		t.Errorf("trace plans %s, want the run's own %s", g, w)
+	}
+}
+
+// assertCountedOnce checks that the shared collector holds every plan of
+// runs exactly once: the sum of the runs' own counts.
+func assertCountedOnce(t *testing.T, m *obs.Metrics, runs ...*Result) {
+	t.Helper()
+	want := map[string][2]int64{}
+	for _, r := range runs {
+		for name, c := range planCounts(r.PlanMetrics) {
+			w := want[name]
+			want[name] = [2]int64{w[0] + c[0], w[1] + c[1]}
+		}
+	}
+	if g, w := fmt.Sprint(planCounts(m.Snapshot())), fmt.Sprint(want); g != w {
+		t.Errorf("shared collector %s, want each run's plans once: %s", g, w)
+	}
+}
+
+// TestSharedCollectorSequentialRuns: two runs one after the other on one
+// collector each report only their own plans, in Result.PlanMetrics and
+// in every trace event, while the collector counts both. The shared
+// collector may also be the process-global one, which exec.Run records
+// into on its own: it still counts each plan once.
+func TestSharedCollectorSequentialRuns(t *testing.T) {
+	x := testTensor(t, 3, 12, 60, 10)
+	opts := Options{Rank: 3, MaxIters: 3, Seed: 4, Workers: 2}
+	solo, err := HOQRI(x, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, global := range []bool{false, true} {
+		t.Run(fmt.Sprintf("global=%v", global), func(t *testing.T) {
+			m := obs.New()
+			if global {
+				prev := obs.Global()
+				obs.SetGlobal(m)
+				defer obs.SetGlobal(prev)
+			}
+			o := opts
+			o.Metrics = m
+			first, err := HOQRI(x, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second, err := HOQRI(x, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertOwnWork(t, first, solo)
+			assertOwnWork(t, second, solo)
+			assertCountedOnce(t, m, first, second)
+		})
+	}
+}
+
+// TestSharedCollectorConcurrentRuns: runs in flight at the same time on
+// one collector, as the job server's runners share its Config.Metrics,
+// each report only their own plans.
+func TestSharedCollectorConcurrentRuns(t *testing.T) {
+	x := testTensor(t, 3, 12, 60, 10)
+	opts := Options{Rank: 3, MaxIters: 6, Seed: 4, Workers: 2}
+	solo, err := HOQRI(x, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.New()
+	opts.Metrics = m
+	const runs = 3
+	results := make([]*Result, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = HOQRI(x, opts)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		assertOwnWork(t, results[i], solo)
+	}
+	assertCountedOnce(t, m, results...)
 }

@@ -24,7 +24,7 @@ func HOOIRandomized(x *spsym.Tensor, opts Options) (*Result, error) {
 		algo:  "hooi-randomized",
 		chain: (*env).symProp,
 		svd:   randomizedSVD,
-		core:  (*env).mulTN,
+		core:  (*env).core,
 	})
 }
 

@@ -140,10 +140,11 @@ type runState struct {
 	fp       uint64
 	degraded bool
 
-	// Observability (DESIGN.md §9): every run has a collector — the
-	// caller's (Options.Metrics) or a private one — installed into kopts so
-	// each kernel plan records into it. Per-sweep attribution comes from
-	// snapshot deltas taken at iteration boundaries.
+	// Observability (DESIGN.md §9): every run has a collector of its own,
+	// installed into kopts so each kernel plan records into it and, through
+	// it, into the caller's Options.Metrics. Per-sweep attribution comes
+	// from snapshot deltas taken at iteration boundaries, so runs sharing
+	// the caller's collector never see each other's plans.
 	m          *obs.Metrics
 	sweepStart time.Time
 	sweepBase  []obs.PlanMetrics
@@ -151,10 +152,7 @@ type runState struct {
 }
 
 func newRun(algo string, x *spsym.Tensor, opts *Options, res *Result, kopts *kernels.Options) *runState {
-	m := opts.Metrics
-	if m == nil {
-		m = obs.New()
-	}
+	m := obs.NewScoped(opts.Metrics)
 	if kopts != nil {
 		kopts.Obs = m
 	}
@@ -173,27 +171,6 @@ func (rs *runState) ctx() context.Context { return rs.opts.Ctx }
 
 func (rs *runState) event(format string, args ...any) {
 	rs.res.Health.Events = append(rs.res.Health.Events, fmt.Sprintf(format, args...))
-}
-
-// ctxDone is a nil-safe non-blocking context poll (the tucker twin of the
-// kernels' helper).
-func ctxDone(ctx context.Context) bool {
-	if ctx == nil {
-		return false
-	}
-	select {
-	case <-ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
-
-func ctxCause(ctx context.Context) error {
-	if err := context.Cause(ctx); err != nil {
-		return err
-	}
-	return ctx.Err()
 }
 
 // start applies Resume when set — validating algorithm, fingerprint, and
@@ -233,8 +210,8 @@ func (rs *runState) beginIteration(it int, u *linalg.Matrix) error {
 	if err := faultinject.Fire(faultinject.SiteIteration, it); err != nil {
 		return err
 	}
-	if ctxDone(rs.ctx()) {
-		return rs.canceledErr(u, ctxCause(rs.ctx()))
+	if exec.IsCanceled(rs.ctx()) {
+		return rs.canceledErr(u, exec.Cause(rs.ctx()))
 	}
 	rs.sweepStart = time.Now()
 	rs.sweepBase = rs.m.Snapshot()
@@ -323,7 +300,7 @@ func (rs *runState) save(u *linalg.Matrix) error {
 func (rs *runState) wrapKernelErr(u *linalg.Matrix, err error) error {
 	isOOM := errors.Is(err, memguard.ErrOutOfMemory)
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) ||
-		(ctxDone(rs.ctx()) && !isOOM) {
+		(exec.IsCanceled(rs.ctx()) && !isOOM) {
 		return rs.canceledErr(u, err)
 	}
 	if isOOM {
@@ -347,7 +324,7 @@ func (rs *runState) degrade(why error) {
 // rejection triggers degrade() and one retry before the failure is typed.
 func (rs *runState) runTTMc(u *linalg.Matrix, run func() (*linalg.Matrix, error)) (*linalg.Matrix, error) {
 	y, err := run()
-	if err != nil && errors.Is(err, memguard.ErrOutOfMemory) && !rs.degraded && !ctxDone(rs.ctx()) {
+	if err != nil && errors.Is(err, memguard.ErrOutOfMemory) && !rs.degraded && !exec.IsCanceled(rs.ctx()) {
 		rs.degrade(err)
 		y, err = run()
 	}

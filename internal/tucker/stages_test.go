@@ -1,0 +1,162 @@
+package tucker
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"path/filepath"
+	"sync/atomic"
+	"testing"
+
+	"github.com/symprop/symprop/internal/checkpoint"
+	"github.com/symprop/symprop/internal/faultinject"
+	"github.com/symprop/symprop/internal/obs"
+)
+
+// stagePlans is the Algorithm 2 stage plans each driver forms its core
+// and its A through: every driver but HOQRI-nary forms its core as
+// ttmctc.cp, and HOQRI forms A as ttmctc.a.
+func stagePlans(driver string) []string {
+	switch driver {
+	case "hoqri-nary":
+		return nil
+	case "hoqri":
+		return []string{"ttmctc.cp", "ttmctc.a"}
+	default:
+		return []string{"ttmctc.cp"}
+	}
+}
+
+func planInvocations(pms []obs.PlanMetrics, name string) int64 {
+	for _, pm := range pms {
+		if pm.Name == name {
+			return pm.Invocations
+		}
+	}
+	return 0
+}
+
+// TestDriversRunTheStagePlans: the drivers form C and A through the
+// kernels' stage functions, so the stage plans show in Result.PlanMetrics,
+// once per product.
+func TestDriversRunTheStagePlans(t *testing.T) {
+	x := testTensor(t, 3, 12, 60, 10)
+	for _, d := range resumableDrivers() {
+		t.Run(d.name, func(t *testing.T) {
+			res, err := d.run(x, Options{Rank: 3, MaxIters: 4, Seed: 4, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, plan := range stagePlans(d.name) {
+				// HOQRI forms one more core, for the final factor.
+				want := int64(res.Iters)
+				if plan == "ttmctc.cp" && d.name == "hoqri" {
+					want++
+				}
+				if got := planInvocations(res.PlanMetrics, plan); got != want {
+					t.Errorf("%s: %d invocations, want %d", plan, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestStageFaultsReachTheCaller: an error armed at a stage plan's worker
+// site aborts the driver and comes back matched by errors.Is.
+func TestStageFaultsReachTheCaller(t *testing.T) {
+	x := testTensor(t, 3, 12, 60, 11)
+	for _, d := range resumableDrivers() {
+		for _, plan := range stagePlans(d.name) {
+			t.Run(d.name+"/"+plan, func(t *testing.T) {
+				boom := errors.New("injected " + plan + " fault")
+				disarm := faultinject.Arm(faultinject.PlanWorkerSite(plan),
+					faultinject.OnHit(2, func(any) error { return boom }))
+				defer disarm()
+				_, err := d.run(x, Options{Rank: 3, MaxIters: 4, Seed: 4, Workers: 2})
+				if !errors.Is(err, boom) {
+					t.Fatalf("got %v, want the injected fault", err)
+				}
+			})
+		}
+	}
+}
+
+// TestStageCancelResumes cancels a checkpointed run inside a stage plan
+// in sweep k and resumes from the snapshot the cancel wrote: the resumed
+// run must reproduce the uninterrupted run's objective, factor and core
+// bit for bit. HOOI's core stage runs after its SVD has replaced the
+// factor, and HOQRI's A stage after the sweep's objective is recorded, so
+// both must snapshot the state the sweep started from. k = n is HOQRI's
+// final-core pass.
+func TestStageCancelResumes(t *testing.T) {
+	const n = 4
+	x := testTensor(t, 3, 12, 60, 12)
+	base := Options{Rank: 3, MaxIters: n, Seed: 6, Workers: 2}
+	for _, name := range []string{"hooi", "hoqri"} {
+		run := driverByName(t, name)
+		straight, err := run(x, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plan := range stagePlans(name) {
+			last := n - 1
+			if plan == "ttmctc.cp" && name == "hoqri" {
+				last = n
+			}
+			for k := 0; k <= last; k++ {
+				t.Run(fmt.Sprintf("%s/%s/k%d", name, plan, k), func(t *testing.T) {
+					var sweep atomic.Int64
+					defer faultinject.Arm(faultinject.SiteIteration, func(p any) error {
+						sweep.Store(int64(p.(int)))
+						return nil
+					})()
+					disarm := faultinject.Arm(faultinject.PlanWorkerSite(plan), func(any) error {
+						if sweep.Load() == int64(k) {
+							return context.Canceled
+						}
+						return nil
+					})
+					opts := base
+					opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+					opts.CheckpointEvery = 10 // only the cancel-exit snapshot
+					_, err := run(x, opts)
+					disarm()
+					var ce *CanceledError
+					if !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+						t.Fatalf("got %v, want *CanceledError wrapping context.Canceled", err)
+					}
+					if ce.Iters != k || ce.CheckpointPath == "" {
+						t.Fatalf("canceled after %d sweeps with snapshot %q, want %d and a snapshot",
+							ce.Iters, ce.CheckpointPath, k)
+					}
+					state, err := checkpoint.Load(ce.CheckpointPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts = base
+					opts.Resume = state
+					resumed, err := run(x, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, "objective", resumed.Objective, straight.Objective)
+					sameBits(t, "factor", resumed.U.Data, straight.U.Data)
+					sameBits(t, "core", resumed.CoreP.Data, straight.CoreP.Data)
+				})
+			}
+		}
+	}
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d entries, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s differs at %d: %v vs %v", what, i, got[i], want[i])
+		}
+	}
+}

@@ -24,9 +24,10 @@ type env struct {
 	p     []float64 // permutation counts of the compact core's columns
 }
 
-// mulTN is Aᵀ·B in the shape of a step's core function.
-func (e *env) mulTN(a, b *linalg.Matrix) (*linalg.Matrix, error) {
-	return linalg.MulTN(a, b), nil
+// core is Algorithm 2's core stage C = Uᵀ·Y (plan ttmctc.cp), the core
+// function of every step but HOQRI-nary's.
+func (e *env) core(u, y *linalg.Matrix) (*linalg.Matrix, error) {
+	return kernels.CoreProduct(u, y, e.kopts)
 }
 
 // symProp is the SymProp S³TTMc, the chain of HOOI, HOQRI and randomized
@@ -60,7 +61,7 @@ type step struct {
 // fold returns the compact core C_p(1) of a core product and ||C||².
 func (s *step) fold(e *env, c *linalg.Matrix) (*linalg.Matrix, float64) {
 	if !s.fullCore {
-		return c, weightedNorm2(c, e.p)
+		return c, kernels.CompactNormSquared(c, e.p)
 	}
 	var norm2 float64
 	for _, v := range c.Data {
@@ -102,18 +103,20 @@ func run(x *spsym.Tensor, opts Options, s step) (*Result, error) {
 			return nil, err
 		}
 		t := time.Now()
-		y, uUsed, err := rs.healthyTTMc(it, u, chain)
+		// uRead is the factor this sweep reads: a failure anywhere in the
+		// sweep snapshots it, so the resume replays the same sweep.
+		y, uRead, err := rs.healthyTTMc(it, u, chain)
 		if err != nil {
 			return nil, err
 		}
-		u = uUsed
+		u = uRead
 		res.Phases.TTMc += time.Since(t)
 
 		if s.svd != nil {
 			t = time.Now()
 			uNew, err := s.svd(e, it, y)
 			if err != nil {
-				return nil, rs.wrapKernelErr(u, err)
+				return nil, rs.wrapKernelErr(uRead, err)
 			}
 			if u, err = rs.healthyFactor(it, uNew); err != nil {
 				return nil, err
@@ -126,7 +129,7 @@ func run(x *spsym.Tensor, opts Options, s step) (*Result, error) {
 		t = time.Now()
 		c, err := s.core(e, u, y)
 		if err != nil {
-			return nil, rs.wrapKernelErr(u, err)
+			return nil, rs.wrapKernelErr(uRead, err)
 		}
 		if s.qr != nil {
 			res.Phases.TC += time.Since(t)
@@ -150,7 +153,11 @@ func run(x *spsym.Tensor, opts Options, s step) (*Result, error) {
 				t = time.Now()
 				a, err := s.qr(e, y, c)
 				if err != nil {
-					return nil, rs.wrapKernelErr(u, err)
+					// The sweep ends short of its factor update: take back
+					// its objective, so the snapshot replays it from uRead.
+					n := len(res.Objective) - 1
+					res.Objective, res.RelError, res.Iters = res.Objective[:n], res.RelError[:n], it
+					return nil, rs.wrapKernelErr(uRead, err)
 				}
 				res.Phases.TC += time.Since(t)
 				t = time.Now()

@@ -202,16 +202,10 @@ func (r *Result) FinalRelError() float64 {
 	return r.RelError[len(r.RelError)-1]
 }
 
-// CoreNormSquared returns ||C||² from the compact core.
+// CoreNormSquared returns ||C||² from the compact core
+// (kernels.CompactNormSquared).
 func (r *Result) CoreNormSquared() float64 {
-	var s float64
-	for i := 0; i < r.CoreP.Rows; i++ {
-		row := r.CoreP.Row(i)
-		for j, v := range row {
-			s += r.P[j] * v * v
-		}
-	}
-	return s
+	return kernels.CompactNormSquared(r.CoreP, r.P)
 }
 
 func initFactor(x *spsym.Tensor, opts *Options) (*linalg.Matrix, error) {
@@ -269,7 +263,7 @@ func HOOI(x *spsym.Tensor, opts Options) (*Result, error) {
 			defer e.opts.Guard.Release(fullBytes)
 			return leadingLeftSingular(kernels.ExpandCompactColumns(yp, e.x.Order, r), r, e.opts.Guard)
 		},
-		core: (*env).mulTN, // C_p(1) = Uᵀ·Y_p(1)
+		core: (*env).core, // C_p(1) = Uᵀ·Y_p(1)
 	})
 }
 
@@ -277,27 +271,18 @@ func HOOI(x *spsym.Tensor, opts Options) (*Result, error) {
 // SymProp S³TTMcTC kernel: A = Y(1)·C(1)ᵀ computed entirely on compact
 // layouts, then QR instead of SVD. No object larger than I x S_{N-1,R} is
 // ever materialized, which is what lets HOQRI scale to the large datasets
-// where HOOI dies (paper Fig. 7).
+// where HOOI dies (paper Fig. 7). A sweep runs the three stages of
+// kernels.S3TTMcTC, the kernel Fig. 4 times, with the objective between the
+// second and the third.
 func HOQRI(x *spsym.Tensor, opts Options) (*Result, error) {
 	return run(x, opts, step{
 		algo:  "hoqri",
 		chain: (*env).symProp,
-		core:  (*env).mulTN, // C_p = Uᵀ·Y_p (Algorithm 2)
+		core:  (*env).core, // C_p = Uᵀ·Y_p
 		qr: func(e *env, yp, cp *linalg.Matrix) (*linalg.Matrix, error) {
-			return linalg.MulNTWeighted(yp, cp, e.p), nil // A = Y_p·diag(p)·C_pᵀ
+			return kernels.TimesCore(yp, cp, e.p, e.kopts) // A = Y_p·diag(p)·C_pᵀ
 		},
 	})
-}
-
-func weightedNorm2(m *linalg.Matrix, w []float64) float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			s += w[j] * v * v
-		}
-	}
-	return s
 }
 
 // leadingLeftSingular returns the r leading left singular vectors of the

@@ -26,33 +26,23 @@ func HOOICSS(x *spsym.Tensor, opts Options) (*Result, error) {
 		svd: func(e *env, _ int, yFull *linalg.Matrix) (*linalg.Matrix, error) {
 			return leadingLeftSingular(yFull, e.opts.Rank, e.opts.Guard)
 		},
-		core:     (*env).mulTN, // the full C(1) = Uᵀ·Y(1)
+		core:     (*env).core, // the full C(1) = Uᵀ·Y(1)
 		fullCore: true,
 	})
 }
 
 // compactFromFull folds a full unfolding (rows x r^{order-1}) into the
 // compact partially symmetric layout (rows x S_{order-1,r}) by sampling one
-// representative per IOU column. Inverse of kernels.ExpandCompactColumns
-// for genuinely symmetric inputs.
+// representative per IOU column: the first full column
+// dense.ExpansionTable maps to it, its ascending-digit tuple. Inverse of
+// kernels.ExpandCompactColumns for genuinely symmetric inputs.
 func compactFromFull(full *linalg.Matrix, order, r int) *linalg.Matrix {
-	symOrder := order - 1
-	out := linalg.NewMatrix(full.Rows, int(dense.Count(symOrder, r)))
-	// A compact column (j1<=...<=j_{N-1}) maps to the full column with the
-	// same digits in order (slowest first).
+	out := linalg.NewMatrix(full.Rows, int(dense.Count(order-1, r)))
 	cols := make([]int, out.Cols)
-	idxToFull := func(idx []int) int {
-		lin := 0
-		for _, d := range idx {
-			lin = lin*r + d
-		}
-		return lin
+	table := dense.ExpansionTable(order-1, r)
+	for lin := len(table) - 1; lin >= 0; lin-- {
+		cols[table[lin]] = lin
 	}
-	i := 0
-	dense.ForEachIOU(symOrder, r, func(idx []int) {
-		cols[i] = idxToFull(idx)
-		i++
-	})
 	for row := 0; row < full.Rows; row++ {
 		src := full.Row(row)
 		dst := out.Row(row)

@@ -198,17 +198,6 @@ type Options struct {
 	TraceSink TraceSink
 }
 
-func (o Options) guard() *memguard.Guard {
-	switch {
-	case o.MemoryBudget < 0:
-		return nil
-	case o.MemoryBudget == 0:
-		return memguard.FromEnv()
-	default:
-		return memguard.New(o.MemoryBudget)
-	}
-}
-
 func (o Options) tuckerOptions() tucker.Options {
 	init := tucker.InitRandom
 	if o.HOSVDInit {
@@ -221,7 +210,7 @@ func (o Options) tuckerOptions() tucker.Options {
 		Init:            init,
 		Seed:            o.Seed,
 		U0:              o.U0,
-		Guard:           o.guard(),
+		Guard:           memguard.ForBudget(o.MemoryBudget),
 		Workers:         o.Workers,
 		Ctx:             o.Ctx,
 		CheckpointPath:  o.CheckpointPath,
@@ -276,8 +265,7 @@ type KernelOptions struct {
 }
 
 func (o KernelOptions) kernelOptions() kernels.Options {
-	opts := Options{MemoryBudget: o.MemoryBudget}
-	return kernels.Options{Guard: opts.guard(), Workers: o.Workers}
+	return kernels.Options{Guard: memguard.ForBudget(o.MemoryBudget), Workers: o.Workers}
 }
 
 // S3TTMc computes the sparse symmetric tensor-times-same-matrix chain

@@ -42,10 +42,9 @@ import (
 	"github.com/symprop/symprop/internal/obs"
 )
 
-// registeredPlanPrefixes mirrors the plan names the kernels register with
-// the engine (see faultinject.RegisterPlan call sites). A metrics entry
-// outside this set means a plan was renamed without updating its
-// registration — exactly the drift this tool exists to catch.
+// registeredPlanPrefixes mirrors the exec.Plan names the kernels run. A
+// metrics entry outside this set means a plan was renamed without updating
+// this list — exactly the drift this tool exists to catch.
 var registeredPlanPrefixes = []string{
 	"s3ttmc.", "ucoo.", "nary.", "splatt.ttmc", "ttmctc.", "schedule.reduce", "mttkrp.",
 }
