@@ -19,6 +19,7 @@ import (
 	"math/rand"
 
 	"github.com/symprop/symprop/internal/dense"
+	"github.com/symprop/symprop/internal/exec"
 	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/spsym"
@@ -69,7 +70,8 @@ func (r *Result) FinalFit() float64 {
 // V = (UᵀU)^{∘(N-1)} (elementwise power of the Gram), then renormalizes
 // columns and refits the weights λ by solving (UᵀU)^{∘N}·λ = b with
 // b_r = X ×₁ u_rᵀ ⋯ ×_N u_rᵀ. M comes from kernels.S3MTTKRP, whose
-// owner-computes schedule is built once per run.
+// owner-computes schedule is built once per run and whose plan runs on the
+// run's one exec.Pool.
 func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 	if x.Order < 2 {
 		return nil, fmt.Errorf("cpd: order %d tensor; need order >= 2", x.Order)
@@ -87,7 +89,11 @@ func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 
 	res := &Result{NormX2: x.NormSquared()}
 	lambda := make([]float64, r)
-	kopts := kernels.Options{Workers: opts.Workers, Schedules: &kernels.ScheduleCache{}}
+	// One engine pool per run, sized to the worker count (GOMAXPROCS when
+	// unset): every sweep's mttkrp.owner plan reuses its goroutines.
+	pool := exec.NewPool(opts.Workers)
+	defer pool.Close()
+	kopts := kernels.Options{Workers: opts.Workers, Schedules: &kernels.ScheduleCache{}, Exec: pool}
 
 	for it := 0; it < opts.MaxIters; it++ {
 		// M = S³MTTKRP(X, U), I x R.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/symprop/symprop/internal/exec"
 	"github.com/symprop/symprop/internal/faultinject"
 	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
@@ -260,5 +261,24 @@ func TestCPWorkerPanicRecovered(t *testing.T) {
 	var wp *kernels.WorkerPanicError
 	if !errors.As(err, &wp) || wp.Plan != "mttkrp.owner" {
 		t.Fatalf("error %v does not unwrap to a panic of plan mttkrp.owner", err)
+	}
+}
+
+// TestCPOnePoolPerRun: Decompose creates one exec.Pool per run, which every
+// sweep's plans share, and closes it on return.
+func TestCPOnePoolPerRun(t *testing.T) {
+	checkGoroutines(t)
+	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 30, NNZ: 1500, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{0, 1, 2} {
+		before := exec.PoolsCreated()
+		if _, err := Decompose(x, Options{Rank: 3, MaxIters: 4, Seed: 1, Workers: workers}); err != nil {
+			t.Fatal(err)
+		}
+		if got := exec.PoolsCreated() - before; got != 1 {
+			t.Errorf("workers=%d: %d pools created, want 1", workers, got)
+		}
 	}
 }

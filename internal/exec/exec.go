@@ -1,4 +1,4 @@
-// Package exec is the execution engine behind every parallel kernel in the
+// Package exec is the execution engine behind every parallel loop in the
 // module. It owns the two things the kernels used to duplicate:
 //
 //   - Worker lifecycle. A Pool is a persistent set of goroutines created
@@ -13,18 +13,16 @@
 //     faultinject worker/output sites. Kernels describe *what* each
 //     worker does; the engine owns *how* workers run.
 //
-// For and Chunks are the bare fan-out primitives underneath Run (no
-// cancellation, no panic capture, no fault sites); linalg's ParallelFor
-// family is a thin shim over them. Kernel loops run through Run. symlint's
-// parafor analyzer enforces only part of that: it bans the linalg shims in
-// kernel packages (internal/kernels, internal/csf, internal/cpd) and
-// checks every For/Chunks body for races, but a bare For stays legal
-// there (kernels.ExpandCompactColumns uses one).
+// Run is the module's only compute fan-out: the sparse kernels, the dense
+// products of internal/linalg (linalg.RunRows) and HOOI's SVD step all run
+// as named plans, so every parallel loop is cancellable, fault-injectable
+// and visible in the per-plan metrics. symlint's planrace, tickpoll,
+// hotalloc and fpdeterm analyzers check the plan callbacks.
 //
-// Nesting caveat: a Plan body must not call Run (or For/Chunks) on the
-// same Pool it is running on — with all pool workers busy, the nested
-// fan-out's submitted slots would wait forever. Nested parallelism inside
-// a body should pass a nil pool (transient goroutines) or stay serial.
+// Nesting caveat: a Plan body must not call Run on the same Pool it is
+// running on — with all pool workers busy, the nested fan-out's submitted
+// slots would wait forever. Nested parallelism inside a body should pass
+// a nil pool (transient goroutines) or stay serial.
 package exec
 
 import (
@@ -130,62 +128,4 @@ func ChunkRange(n, workers, w int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// For is the bare static fan-out primitive: body(lo, hi) over a balanced
-// contiguous split of [0, n) across workers (GOMAXPROCS when workers <= 0),
-// inline on the caller when one worker suffices. It carries no
-// cancellation, panic capture, or fault sites — kernel loops use Run.
-func For(p *Pool, n, workers int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	p.dispatch(workers, func(w int) {
-		lo, hi := ChunkRange(n, workers, w)
-		body(lo, hi)
-	})
-}
-
-// Chunks is the bare dynamic fan-out primitive: workers claim fixed-size
-// chunks of [0, n) off a shared atomic cursor until the range is drained,
-// which load-balances irregular per-item cost at the price of a
-// non-deterministic item→worker assignment. chunk <= 0 selects
-// DefaultChunk. Like For it carries no resilience plumbing.
-func Chunks(p *Pool, n, workers, chunk int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if c := (n + chunk - 1) / chunk; workers > c {
-		workers = c
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	var cursor atomic.Int64
-	p.dispatch(workers, func(int) {
-		for {
-			lo := int(cursor.Add(int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			body(lo, min(lo+chunk, n))
-		}
-	})
 }

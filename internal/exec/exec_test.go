@@ -125,47 +125,6 @@ func TestNewPoolDefaultSize(t *testing.T) {
 	}
 }
 
-// coverAll checks that a fan-out primitive touches every item exactly once.
-func coverAll(t *testing.T, n int, run func(mark func(lo, hi int))) {
-	t.Helper()
-	covered := make([]atomic.Int32, n)
-	run(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			covered[i].Add(1)
-		}
-	})
-	for i := range covered {
-		if c := covered[i].Load(); c != 1 {
-			t.Fatalf("item %d covered %d times", i, c)
-		}
-	}
-}
-
-func TestForCoversAll(t *testing.T) {
-	checkGoroutines(t)
-	p := NewPool(4)
-	defer p.Close()
-	for _, n := range []int{0, 1, 3, 64, 1001} {
-		for _, workers := range []int{0, 1, 2, 7} {
-			coverAll(t, n, func(mark func(lo, hi int)) { For(p, n, workers, mark) })
-			coverAll(t, n, func(mark func(lo, hi int)) { For(nil, n, workers, mark) })
-		}
-	}
-}
-
-func TestChunksCoversAll(t *testing.T) {
-	checkGoroutines(t)
-	p := NewPool(4)
-	defer p.Close()
-	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-		for _, workers := range []int{0, 1, 2, 7} {
-			for _, chunk := range []int{0, 1, 16, 200} {
-				coverAll(t, n, func(mark func(lo, hi int)) { Chunks(p, n, workers, chunk, mark) })
-			}
-		}
-	}
-}
-
 func TestRunStaticCoversAll(t *testing.T) {
 	checkGoroutines(t)
 	p := NewPool(4)

@@ -44,13 +44,10 @@ const (
 	PerWorker
 )
 
-// Engine-wide defaults: the chunk size of the Chunks fan-out and the
-// cancellation polling stride (items between context polls; the same
-// cancelCheckEvery the kernels hand-rolled before the engine existed).
-const (
-	DefaultChunk      = 64
-	DefaultCheckEvery = 64
-)
+// DefaultCheckEvery is the engine-wide cancellation polling stride: items
+// between context polls, the same cancelCheckEvery the kernels hand-rolled
+// before the engine existed.
+const DefaultCheckEvery = 64
 
 // Plan describes one parallel kernel pass. Zero values select defaults:
 // Workers falls back to Config.Workers, CheckEvery to DefaultCheckEvery;

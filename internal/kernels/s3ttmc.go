@@ -11,12 +11,16 @@
 //     expanded non-zero set (internal/csf).
 //   - S3TTMcTC — paper Algorithm 2: S3TTMcSymProp, then CoreProduct and
 //     TimesCore, the stages HOQRI's sweep runs.
+//   - SVDExpand and SVDGram — the stages of HOOI's SVD step (paper
+//     Algorithm 3): Property 2's expansion to the full unfolding, and its
+//     Gram matrix on the smaller side.
 //   - S3MTTKRP — the symmetric MTTKRP behind CP-ALS (internal/cpd), the
 //     paper's future-work direction (§VIII).
 //
-// All kernels parallelize over IOU non-zeros with per-worker lattice
+// The sparse kernels parallelize over IOU non-zeros with per-worker lattice
 // workspaces; output accumulation is contention-free (owner-computes
-// scheduling, see schedule.go).
+// scheduling, see schedule.go). The dense stages run linalg's row plans.
+// Every kernel runs as named exec plans under its Options.
 package kernels
 
 import (
@@ -446,12 +450,20 @@ func mustCompactShape(yp *linalg.Matrix, order, r int) {
 // ExpandCompactColumns expands a partially symmetric compact unfolding
 // Y_p(1) (I x S_{order-1,r}) to the full unfolding Y(1) (I x r^{order-1}),
 // realizing the expansion matrix E of paper Property 2
-// (dense.ExpansionTable). HOOI's SVD step runs it once per sweep.
+// (dense.ExpansionTable). It is SVDExpand on zero Options: GOMAXPROCS
+// transient goroutines, with a worker panic re-raised by linalg.Must.
 func ExpandCompactColumns(yp *linalg.Matrix, order, r int) *linalg.Matrix {
+	return linalg.Must(SVDExpand(yp, order, r, Options{}))
+}
+
+// SVDExpand is the first stage of HOOI's SVD step (paper Algorithm 3): the
+// expansion of ExpandCompactColumns, run as plan "svd.expand" over Y(1)'s
+// rows under opts. HOOI reserves the full unfolding before calling it.
+func SVDExpand(yp *linalg.Matrix, order, r int, opts Options) (*linalg.Matrix, error) {
 	mustCompactShape(yp, order, r)
 	ranks := dense.ExpansionTable(order-1, r)
 	out := linalg.NewMatrix(yp.Rows, len(ranks))
-	exec.For(nil, yp.Rows, runtime.GOMAXPROCS(0), func(lo, hi int) {
+	err := linalg.RunRows(opts.execConfig(), "svd.expand", yp.Rows, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			src := yp.Row(i)
 			dst := out.Row(i)
@@ -460,5 +472,20 @@ func ExpandCompactColumns(yp *linalg.Matrix, order, r int) *linalg.Matrix {
 			}
 		}
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SVDGram is the second stage of HOOI's SVD step, shared by HOOI and
+// HOOI-CSS: the Gram matrix of the full unfolding y on its smaller side,
+// run as plan "svd.gram" under opts. With no more rows than columns it is
+// the I x I y·yᵀ (linalg.RunMulNT, the aliased triangle), otherwise the
+// cols x cols yᵀ·y (linalg.RunMulTN). The caller reserves the Gram.
+func SVDGram(y *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
+	if y.Rows <= y.Cols {
+		return linalg.RunMulNT(opts.execConfig(), "svd.gram", y, y)
+	}
+	return linalg.RunMulTN(opts.execConfig(), "svd.gram", y, y)
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"github.com/symprop/symprop/internal/dense"
-	"github.com/symprop/symprop/internal/exec"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/spsym"
@@ -101,50 +100,12 @@ func S3TTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*TCResult, error
 //
 // It reserves nothing: S3TTMcTC charges the guard once for both stages.
 func CoreProduct(u, y *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
-	c := linalg.NewMatrix(u.Cols, y.Cols)
-	if err := runMatmul("ttmctc.cp", opts, c.Rows, func(lo, hi int) {
-		linalg.MulTNRange(c, u, y, lo, hi)
-	}); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return linalg.RunMulTN(opts.execConfig(), "ttmctc.cp", u, y)
 }
 
 // TimesCore is step 3 of Algorithm 2, A = Y_p(1)·diag(p)·C_p(1)ᵀ, run as
 // plan "ttmctc.a" over A's rows: the matrix whose orthonormalization is
 // HOQRI's next factor. Like CoreProduct it reserves nothing.
 func TimesCore(yp, cp *linalg.Matrix, p []float64, opts Options) (*linalg.Matrix, error) {
-	a := linalg.NewMatrix(yp.Rows, cp.Rows)
-	if err := runMatmul("ttmctc.a", opts, a.Rows, func(lo, hi int) {
-		linalg.MulNTWeightedRange(a, yp, cp, p, lo, hi)
-	}); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// matmulBlock is the row granularity at which engine matmul plans poll for
-// cancellation and fire the worker fault sites.
-const matmulBlock = 8
-
-// runMatmul executes one dense product stage as an engine plan: output
-// rows are the items, split statically; each worker ticks once per
-// matmulBlock rows so a cancel lands within one small block of dense work.
-// Each output row's sum does not depend on the band split, so the stage
-// gives the bits of the one-call linalg product at every worker count.
-func runMatmul(name string, opts Options, rows int, f func(lo, hi int)) error {
-	return exec.Run(opts.execConfig(), exec.Plan{
-		Name:       name,
-		Items:      rows,
-		CheckEvery: 1,
-		Body: func(w *exec.Worker, lo, hi int) error {
-			for r0 := lo; r0 < hi; r0 += matmulBlock {
-				if err := w.Tick(r0); err != nil {
-					return err
-				}
-				f(r0, min(r0+matmulBlock, hi))
-			}
-			return nil
-		},
-	})
+	return linalg.RunMulNTWeighted(opts.execConfig(), "ttmctc.a", yp, cp, p)
 }

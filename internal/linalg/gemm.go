@@ -1,79 +1,87 @@
 package linalg
 
-import "runtime"
+import "github.com/symprop/symprop/internal/exec"
 
-// This file implements the GEMM variants the Tucker drivers use. All of
-// them parallelize over output rows with GOMAXPROCS workers — the single
-// threading knob — and are built on the register-blocked micro-kernels in
-// microkernel.go: Mul and MulTN stream K in gemmKC panels through axpy8
-// (eight source rows folded into one destination pass, stepping down to
-// axpy4 and scalar on the K tail), while the dot-shaped variants MulNT and
-// MulNTWeighted walk 4x2 output tiles of running row-dot sums. Row-major
-// layout keeps every inner loop on contiguous memory; tails smaller than a
-// tile fall back to the scalar helpers, which preserve the naive loops'
-// semantics exactly.
+// This file implements the GEMM variants the Tucker drivers use. Each
+// product parallelizes over output rows as an execution-engine plan
+// (parallel.go): a one-call product on GOMAXPROCS transient goroutines, a
+// Run* product under the caller's exec.Config. Each product's row walk
+// exists once, as the unexported *Range function the plan runs, built on
+// the register-blocked micro-kernels in microkernel.go: Mul and MulTN
+// stream K in gemmKC panels through axpy8 (eight source rows folded into
+// one destination pass, stepping down to axpy4 and scalar on the K tail),
+// while the dot-shaped variants MulNT and MulNTWeighted walk 4x2 output
+// tiles of running row-dot sums. Row-major layout keeps every inner loop
+// on contiguous memory; tails smaller than a tile fall back to the scalar
+// helpers, which preserve the naive loops' semantics exactly. Every output
+// row's sum is independent of the rows around it, so no split of the rows
+// across workers moves a bit.
 
 // Mul returns C = A·B.
 func Mul(a, b *Matrix) *Matrix {
 	mustShape(a.Cols == b.Rows, "linalg: Mul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	c := NewMatrix(a.Rows, b.Cols)
-	ParallelFor(a.Rows, func(lo, hi int) {
-		// K panels outermost so the panel of B rows is reused across every
-		// output row this worker owns.
-		for k0 := 0; k0 < a.Cols; k0 += gemmKC {
-			k1 := min(k0+gemmKC, a.Cols)
-			for i := lo; i < hi; i++ {
-				arow := a.Row(i)
-				crow := c.Row(i)
-				k := k0
-				for ; k+7 < k1; k += 8 {
-					av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					av4, av5, av6, av7 := arow[k+4], arow[k+5], arow[k+6], arow[k+7]
-					if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 &&
-						av4 == 0 && av5 == 0 && av6 == 0 && av7 == 0 {
-						continue
-					}
-					axpy8(crow, av0, av1, av2, av3, av4, av5, av6, av7,
-						b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3),
-						b.Row(k+4), b.Row(k+5), b.Row(k+6), b.Row(k+7))
+	return Must(c, RunRows(exec.Config{}, "linalg.mul", c.Rows, func(lo, hi int) { mulRange(c, a, b, lo, hi) }))
+}
+
+// mulRange computes rows [lo, hi) of C = A·B into c. K panels are
+// outermost so the panel of B rows is reused across every row of the
+// block.
+func mulRange(c, a, b *Matrix, lo, hi int) {
+	for k0 := 0; k0 < a.Cols; k0 += gemmKC {
+		k1 := min(k0+gemmKC, a.Cols)
+		for i := lo; i < hi; i++ {
+			arow := a.Row(i)
+			crow := c.Row(i)
+			k := k0
+			for ; k+7 < k1; k += 8 {
+				av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+				av4, av5, av6, av7 := arow[k+4], arow[k+5], arow[k+6], arow[k+7]
+				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 &&
+					av4 == 0 && av5 == 0 && av6 == 0 && av7 == 0 {
+					continue
 				}
-				for ; k+3 < k1; k += 4 {
-					av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
-					if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-						continue
-					}
-					axpy4(crow, av0, av1, av2, av3, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
+				axpy8(crow, av0, av1, av2, av3, av4, av5, av6, av7,
+					b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3),
+					b.Row(k+4), b.Row(k+5), b.Row(k+6), b.Row(k+7))
+			}
+			for ; k+3 < k1; k += 4 {
+				av0, av1, av2, av3 := arow[k], arow[k+1], arow[k+2], arow[k+3]
+				if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
+					continue
 				}
-				for ; k < k1; k++ {
-					axpy1(crow, arow[k], b.Row(k))
-				}
+				axpy4(crow, av0, av1, av2, av3, b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3))
+			}
+			for ; k < k1; k++ {
+				axpy1(crow, arow[k], b.Row(k))
 			}
 		}
-	})
-	return c
+	}
 }
 
 // MulTN returns C = Aᵀ·B (C is a.Cols x b.Cols). Splitting the shared K
 // dimension across workers with private accumulators would race (or force a
 // reduction), so it instead parallelizes over output rows: each worker owns
 // a contiguous band of C's rows (columns of A) and streams through the rows
-// of A and B once per K panel.
+// of A and B once per K panel of each 8-row block of its band.
 func MulTN(a, b *Matrix) *Matrix {
-	mustShape(a.Rows == b.Rows, "linalg: MulTN shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	c := NewMatrix(a.Cols, b.Cols)
-	ParallelFor(c.Rows, func(lo, hi int) {
-		MulTNRange(c, a, b, lo, hi)
-	})
-	return c
+	return Must(RunMulTN(exec.Config{}, "linalg.multn", a, b))
 }
 
-// MulTNRange computes rows [lo, hi) of C = Aᵀ·B into c. Each output row is
-// accumulated with the same K-panel order regardless of the band split, so
-// callers (exec plans, MulTN itself) may re-partition the rows freely
-// without perturbing a single output bit.
-func MulTNRange(c, a, b *Matrix, lo, hi int) {
-	mustShape(a.Rows == b.Rows && c.Rows == a.Cols && c.Cols == b.Cols,
-		"linalg: MulTNRange shape mismatch %dx%d ᵀ· %dx%d -> %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols)
+// RunMulTN is MulTN run as plan name under cfg (RunRows).
+func RunMulTN(cfg exec.Config, name string, a, b *Matrix) (*Matrix, error) {
+	mustShape(a.Rows == b.Rows, "linalg: MulTN shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	c := NewMatrix(a.Cols, b.Cols)
+	if err := RunRows(cfg, name, c.Rows, func(lo, hi int) { mulTNRange(c, a, b, lo, hi) }); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// mulTNRange computes rows [lo, hi) of C = Aᵀ·B into c. Each output row is
+// accumulated with the same K-panel order whatever the range, so the rows
+// may be split freely without perturbing a single output bit.
+func mulTNRange(c, a, b *Matrix, lo, hi int) {
 	for k0 := 0; k0 < a.Rows; k0 += gemmKC {
 		k1 := min(k0+gemmKC, a.Rows)
 		k := k0
@@ -123,44 +131,22 @@ func MulTNRange(c, a, b *Matrix, lo, hi int) {
 // at or right of each row tile's first row are computed; the strict upper
 // triangle is then mirrored. Each entry is still one running sum over
 // ascending k through the same kernels, and IEEE products commute, so the
-// mirrored c[j][i] is bitwise the c[i][j] the full walk would produce. Rows
-// are claimed in 8-row chunks: a Gram row i costs n−i dots, so two equal
-// contiguous bands would hand one worker three quarters of the triangle.
+// mirrored c[j][i] is bitwise the c[i][j] the full walk would produce.
 func MulNT(a, b *Matrix) *Matrix {
+	return Must(RunMulNT(exec.Config{}, "linalg.mulnt", a, b))
+}
+
+// RunMulNT is MulNT run as plan name under cfg. Its workers claim
+// rowBlock-row tiles (runTiles): a Gram row i costs n−i dots, so two equal
+// contiguous bands would hand one worker three quarters of the triangle.
+// The mirror runs after the join.
+func RunMulNT(cfg exec.Config, name string, a, b *Matrix) (*Matrix, error) {
 	mustShape(a.Cols == b.Cols, "linalg: MulNT shape mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols)
 	c := NewMatrix(a.Rows, b.Rows)
 	gram := a == b
-	// firstCol is where the j walk of the row tile starting at row i begins.
-	firstCol := func(i int) int {
-		if gram {
-			return i
-		}
-		return 0
+	if err := runTiles(cfg, name, a.Rows, func(lo, hi int) { mulNTRange(c, a, b, gram, lo, hi) }); err != nil {
+		return nil, err
 	}
-	ParallelChunks(a.Rows, runtime.GOMAXPROCS(0), 8, func(lo, hi int) {
-		i := lo
-		for ; i+3 < hi; i += 4 {
-			a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
-			c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
-			j := firstCol(i)
-			for ; j+1 < b.Rows; j += 2 {
-				var acc [8]float64
-				dot4x2(a0, a1, a2, a3, b.Row(j), b.Row(j+1), &acc)
-				c0[j], c0[j+1], c1[j], c1[j+1] = acc[0], acc[1], acc[2], acc[3]
-				c2[j], c2[j+1], c3[j], c3[j+1] = acc[4], acc[5], acc[6], acc[7]
-			}
-			if j < b.Rows {
-				bj := b.Row(j)
-				c0[j], c1[j], c2[j], c3[j] = dot(a0, bj), dot(a1, bj), dot(a2, bj), dot(a3, bj)
-			}
-		}
-		for ; i < hi; i++ {
-			ai, ci := a.Row(i), c.Row(i)
-			for j := firstCol(i); j < b.Rows; j++ {
-				ci[j] = dot(ai, b.Row(j))
-			}
-		}
-	})
 	if gram {
 		for i := 0; i < c.Rows; i++ {
 			for j := i + 1; j < c.Cols; j++ {
@@ -168,7 +154,41 @@ func MulNT(a, b *Matrix) *Matrix {
 			}
 		}
 	}
-	return c
+	return c, nil
+}
+
+// mulNTRange computes rows [lo, hi) of C = A·Bᵀ into c; with gram set it
+// computes only the tiles at or right of each row tile's first row.
+func mulNTRange(c, a, b *Matrix, gram bool, lo, hi int) {
+	// firstCol is where the j walk of the row tile starting at row i begins.
+	firstCol := func(i int) int {
+		if gram {
+			return i
+		}
+		return 0
+	}
+	i := lo
+	for ; i+3 < hi; i += 4 {
+		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+		c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
+		j := firstCol(i)
+		for ; j+1 < b.Rows; j += 2 {
+			var acc [8]float64
+			dot4x2(a0, a1, a2, a3, b.Row(j), b.Row(j+1), &acc)
+			c0[j], c0[j+1], c1[j], c1[j+1] = acc[0], acc[1], acc[2], acc[3]
+			c2[j], c2[j+1], c3[j], c3[j+1] = acc[4], acc[5], acc[6], acc[7]
+		}
+		if j < b.Rows {
+			bj := b.Row(j)
+			c0[j], c1[j], c2[j], c3[j] = dot(a0, bj), dot(a1, bj), dot(a2, bj), dot(a3, bj)
+		}
+	}
+	for ; i < hi; i++ {
+		ai, ci := a.Row(i), c.Row(i)
+		for j := firstCol(i); j < b.Rows; j++ {
+			ci[j] = dot(ai, b.Row(j))
+		}
+	}
 }
 
 // MulNTWeighted returns C = A·diag(w)·Bᵀ, the workhorse of paper Property 3
@@ -176,23 +196,25 @@ func MulNT(a, b *Matrix) *Matrix {
 // it: its Gram is MulNT over the expanded full unfolding. len(w) must equal
 // a.Cols == b.Cols.
 func MulNTWeighted(a, b *Matrix, w []float64) *Matrix {
+	return Must(RunMulNTWeighted(exec.Config{}, "linalg.mulntw", a, b, w))
+}
+
+// RunMulNTWeighted is MulNTWeighted run as plan name under cfg (RunRows).
+func RunMulNTWeighted(cfg exec.Config, name string, a, b *Matrix, w []float64) (*Matrix, error) {
 	mustShape(a.Cols == b.Cols && len(w) == a.Cols,
 		"linalg: MulNTWeighted shape mismatch %dx%d, %dx%d, |w|=%d", a.Rows, a.Cols, b.Rows, b.Cols, len(w))
 	c := NewMatrix(a.Rows, b.Rows)
-	ParallelFor(a.Rows, func(lo, hi int) {
-		MulNTWeightedRange(c, a, b, w, lo, hi)
-	})
-	return c
+	if err := RunRows(cfg, name, c.Rows, func(lo, hi int) { mulNTWeightedRange(c, a, b, w, lo, hi) }); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// MulNTWeightedRange computes rows [lo, hi) of C = A·diag(w)·Bᵀ into c.
-// Like MulTNRange, per-row results are independent of the band split (the
+// mulNTWeightedRange computes rows [lo, hi) of C = A·diag(w)·Bᵀ into c.
+// Like mulTNRange, per-row results are independent of the range (the
 // 4-row tiling restarts at lo, and each dot uses the same per-k
 // association as the scalar reference), so re-banding is bitwise-safe.
-func MulNTWeightedRange(c, a, b *Matrix, w []float64, lo, hi int) {
-	mustShape(a.Cols == b.Cols && len(w) == a.Cols && c.Rows == a.Rows && c.Cols == b.Rows,
-		"linalg: MulNTWeightedRange shape mismatch %dx%d, %dx%d, |w|=%d -> %dx%d",
-		a.Rows, a.Cols, b.Rows, b.Cols, len(w), c.Rows, c.Cols)
+func mulNTWeightedRange(c, a, b *Matrix, w []float64, lo, hi int) {
 	i := lo
 	for ; i+3 < hi; i += 4 {
 		a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)

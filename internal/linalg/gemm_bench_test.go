@@ -120,25 +120,23 @@ func BenchmarkMulNTWeighted(b *testing.B) {
 	})
 }
 
-// naiveMulRows is the pre-blocking ikj loop of Mul (naiveMul in
-// matrix_test.go is the O(n³) At/Set triple loop, which would overstate the
-// blocked kernel's advantage).
+// naiveMulRows is the pre-blocking ikj loop of Mul, serial like the other
+// naive references (naiveMul in matrix_test.go is the O(n³) At/Set triple
+// loop, which would overstate the blocked kernel's advantage).
 func naiveMulRows(a, b *Matrix) *Matrix {
 	c := NewMatrix(a.Rows, b.Cols)
-	ParallelFor(a.Rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			crow := c.Row(i)
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				brow := b.Row(k)
-				for j, bv := range brow {
-					crow[j] += av * bv
-				}
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		crow := c.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				crow[j] += av * bv
 			}
 		}
-	})
+	}
 	return c
 }

@@ -1,10 +1,13 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"github.com/symprop/symprop/internal/exec"
 )
 
 // Golden references: the pre-blocking one-level loops, so the
@@ -284,10 +287,13 @@ func TestWideMicrokernels(t *testing.T) {
 	}
 }
 
-// TestRangeKernelsBandSplit: MulTNRange and MulNTWeightedRange give every
-// output row the same bits whatever band it falls in, so callers may split
-// the rows freely (S3TTMcTC's engine plans do). Each split, 16 bands over
-// MulTN's 11 rows included, must equal the one-band call bit for bit.
+// TestRangeKernelsBandSplit: mulTNRange, mulNTWeightedRange and mulNTRange
+// give every output row the same bits whatever band it falls in, so the
+// plans may split the rows freely. Each split, 16 bands over MulTN's 11 rows
+// included, must equal the one-band call bit for bit. The Gram, on both
+// sides (HOOI's SVD step takes the aliased MulNT triangle, mirrored after
+// the join, or MulTN bands), must give the one-band full walk's bits on
+// borrowed pools of 1, 2, 4 and 8 goroutines.
 func TestRangeKernelsBandSplit(t *testing.T) {
 	a := NewMatrix(37, 11)
 	for i := range a.Data {
@@ -305,15 +311,25 @@ func TestRangeKernelsBandSplit(t *testing.T) {
 	for i := range w {
 		w[i] = float64(i%3) + 0.25
 	}
+	sameBits := func(what string, got, want *Matrix) {
+		t.Helper()
+		for i, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s: entry %d = %v, want %v", what, i, v, want.Data[i])
+			}
+		}
+	}
 	kernels := []struct {
 		name string
 		out  func() *Matrix
 		rows func(out *Matrix, lo, hi int)
 	}{
-		{"MulTNRange", func() *Matrix { return NewMatrix(a.Cols, b.Cols) },
-			func(out *Matrix, lo, hi int) { MulTNRange(out, a, b, lo, hi) }},
-		{"MulNTWeightedRange", func() *Matrix { return NewMatrix(a.Rows, c.Rows) },
-			func(out *Matrix, lo, hi int) { MulNTWeightedRange(out, a, c, w, lo, hi) }},
+		{"mulTNRange", func() *Matrix { return NewMatrix(a.Cols, b.Cols) },
+			func(out *Matrix, lo, hi int) { mulTNRange(out, a, b, lo, hi) }},
+		{"mulNTWeightedRange", func() *Matrix { return NewMatrix(a.Rows, c.Rows) },
+			func(out *Matrix, lo, hi int) { mulNTWeightedRange(out, a, c, w, lo, hi) }},
+		{"mulNTRange", func() *Matrix { return NewMatrix(a.Rows, c.Rows) },
+			func(out *Matrix, lo, hi int) { mulNTRange(out, a, c, false, lo, hi) }},
 	}
 	for _, k := range kernels {
 		want := k.out()
@@ -323,11 +339,29 @@ func TestRangeKernelsBandSplit(t *testing.T) {
 			for s := 0; s < bands; s++ {
 				k.rows(got, s*got.Rows/bands, (s+1)*got.Rows/bands)
 			}
-			for i, v := range got.Data {
-				if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
-					t.Fatalf("%s, %d bands: entry %d = %v, want %v", k.name, bands, i, v, want.Data[i])
-				}
-			}
+			sameBits(fmt.Sprintf("%s, %d bands", k.name, bands), got, want)
 		}
+	}
+
+	y := NewMatrix(70, 37) // 9 Gram tiles: every worker of 8 claims one
+	for i := range y.Data {
+		y.Data[i] = math.Sin(float64(i)*0.37) - 0.1
+	}
+	rowGram, colGram := NewMatrix(y.Rows, y.Rows), NewMatrix(y.Cols, y.Cols)
+	mulNTRange(rowGram, y, y, false, 0, y.Rows)
+	mulTNRange(colGram, y, y, 0, y.Cols)
+	for _, n := range []int{1, 2, 4, 8} {
+		pool := exec.NewPool(n)
+		defer pool.Close()
+		cfg := exec.Config{Workers: n, Pool: pool}
+		got, err := RunMulNT(cfg, "test.gram", y, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(fmt.Sprintf("row-side Gram on %d goroutines", n), got, rowGram)
+		if got, err = RunMulTN(cfg, "test.gram", y, y); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(fmt.Sprintf("column-side Gram on %d goroutines", n), got, colGram)
 	}
 }

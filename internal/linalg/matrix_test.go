@@ -3,7 +3,6 @@ package linalg
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -151,22 +150,6 @@ func TestMulNTWeighted(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRange(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 1000} {
-		seen := make([]int32, n)
-		ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				seen[i]++
-			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
-			}
-		}
-	}
-}
-
 func TestRandomOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	q := RandomOrthonormal(20, 6, rng)
@@ -218,32 +201,5 @@ func TestTransposedVariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParallelChunksCoversRangeOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-		for _, workers := range []int{1, 3, 8} {
-			seen := make([]int32, n)
-			var mu sync.Mutex
-			ParallelChunks(n, workers, 64, func(lo, hi int) {
-				mu.Lock()
-				for i := lo; i < hi; i++ {
-					seen[i]++
-				}
-				mu.Unlock()
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, i, c)
-				}
-			}
-		}
-	}
-	// Degenerate chunk size falls back to the default.
-	total := 0
-	ParallelChunks(10, 1, 0, func(lo, hi int) { total += hi - lo })
-	if total != 10 {
-		t.Errorf("chunk=0 fallback processed %d items", total)
 	}
 }

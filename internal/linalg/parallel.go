@@ -2,33 +2,84 @@ package linalg
 
 import (
 	"runtime"
+	"sync/atomic"
 
 	"github.com/symprop/symprop/internal/exec"
 )
 
-// The ParallelFor family is a thin shim over the execution engine's bare
-// fan-out primitives (internal/exec). linalg keeps these names because its
-// dense routines (GEMM, QR) are leaf math with no cancellation or
-// fault-injection surface of their own; kernel loops instead run as
-// exec.Run plans, which own context polling, panic capture, and the
-// faultinject sites. The shims pass a nil pool — transient goroutines —
-// since dense calls are either already inside an engine worker or on
-// driver paths where spawn cost is negligible.
+// The dense products run as execution-engine plans (internal/exec). A
+// caller that threads a run's exec.Config through RunMulTN, RunMulNT or
+// RunMulNTWeighted gets the run's worker count, pool, cancellation,
+// plan-scoped fault sites, panic capture and per-plan metrics; the
+// one-call products Mul, MulTN, MulNT and MulNTWeighted run the same plans
+// on a zero Config, on GOMAXPROCS transient goroutines.
 
-// ParallelFor splits [0, n) into contiguous chunks and runs body(lo, hi) on
-// up to GOMAXPROCS goroutines. Every compute-heavy dense loop in this
-// module parallelizes through this helper so that the thread-scaling
-// experiments (paper Fig. 6) are controlled by a single knob:
-// runtime.GOMAXPROCS.
-func ParallelFor(n int, body func(lo, hi int)) {
-	exec.For(nil, n, runtime.GOMAXPROCS(0), body)
+// rowBlock is the row granularity of the dense plans: a worker ticks
+// (polls for cancellation and fires the fault sites) once per rowBlock
+// output rows, and a Gram's workers claim rowBlock-row tiles.
+const rowBlock = 8
+
+// RunRows runs rows(lo, hi) over the output rows [0, n) as plan name under
+// cfg: one contiguous band per worker, walked in rowBlock-row blocks with
+// one Tick each, so a cancel lands within one small block of dense work.
+// When each row's result does not depend on the block it falls in, the
+// plan gives the same bits at every worker count.
+func RunRows(cfg exec.Config, name string, n int, rows func(lo, hi int)) error {
+	return exec.Run(cfg, exec.Plan{
+		Name:       name,
+		Items:      n,
+		CheckEvery: 1,
+		Body: func(w *exec.Worker, lo, hi int) error {
+			for r0 := lo; r0 < hi; r0 += rowBlock {
+				if err := w.Tick(r0); err != nil {
+					return err
+				}
+				rows(r0, min(r0+rowBlock, hi))
+			}
+			return nil
+		},
+	})
 }
 
-// ParallelChunks runs body over [0, n) with dynamic scheduling: workers
-// repeatedly claim fixed-size contiguous chunks from an atomic cursor until
-// the range is exhausted. Unlike ParallelFor's static split, this
-// balances workloads whose per-item cost varies — the goroutine analog of
-// OpenMP's schedule(dynamic, chunk).
-func ParallelChunks(n, workers, chunk int, body func(lo, hi int)) {
-	exec.Chunks(nil, n, workers, chunk, body)
+// runTiles is RunRows for rows of unequal cost, such as a Gram triangle's:
+// the slots of a PerWorker plan claim rowBlock-row tiles off a shared
+// cursor until [0, n) is drained, ticking once per tile. Which slot takes
+// which tile decides only where a row is computed, never its bits.
+func runTiles(cfg exec.Config, name string, n int, rows func(lo, hi int)) error {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var cursor atomic.Int64
+	return exec.Run(cfg, exec.Plan{
+		Name:       name,
+		Partition:  exec.PerWorker,
+		Workers:    min(workers, (n+rowBlock-1)/rowBlock),
+		CheckEvery: 1,
+		Body: func(w *exec.Worker, _, _ int) error {
+			for {
+				lo := int(cursor.Add(rowBlock)) - rowBlock
+				if lo >= n {
+					return nil
+				}
+				if err := w.Tick(lo); err != nil {
+					return err
+				}
+				rows(lo, min(lo+rowBlock, n))
+			}
+		},
+	})
+}
+
+// Must returns m, re-raising err as a panic. It backs the one-call
+// products (Mul, MulTN, MulNT, MulNTWeighted, kernels.ExpandCompactColumns),
+// whose plans run on a zero exec.Config: nothing cancels such a run, so
+// its only errors are a worker panic the engine captured, which is a bug
+// and is re-raised on the caller, and an error returned by a fault hook a
+// test armed at the generic worker site.
+func Must(m *Matrix, err error) *Matrix {
+	if err != nil {
+		panic(err)
+	}
+	return m
 }

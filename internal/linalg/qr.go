@@ -9,7 +9,9 @@ import "math"
 // deterministic). A is not modified.
 //
 // This is the orthogonalization step of HOQRI (paper Algorithm 4, line 5);
-// its O(I·R²) cost is what replaces HOOI's SVD.
+// its O(I·R²) cost is what replaces HOOI's SVD. It runs serially: each
+// reflector updates at most n columns, and n is the rank R in the drivers,
+// so a fan-out per reflector would cost more than it saves.
 func QRThin(a *Matrix) (q, r *Matrix) {
 	m, n := a.Rows, a.Cols
 	mustShape(m >= n, "linalg: QRThin needs rows >= cols, got %dx%d", m, n)
@@ -48,21 +50,17 @@ func QRThin(a *Matrix) (q, r *Matrix) {
 		}
 		rdiag[k] = alpha
 
-		// Apply H = I - beta·v·vᵀ to the trailing columns in parallel.
-		bk := beta[k]
-		ParallelFor(n-k-1, func(lo, hi int) {
-			for jj := lo; jj < hi; jj++ {
-				j := k + 1 + jj
-				var dot float64
-				for i := k; i < m; i++ {
-					dot += work.At(i, k) * work.At(i, j)
-				}
-				dot *= bk
-				for i := k; i < m; i++ {
-					work.Set(i, j, work.At(i, j)-dot*work.At(i, k))
-				}
+		// Apply H = I - beta·v·vᵀ to the trailing columns.
+		for j := k + 1; j < n; j++ {
+			var dot float64
+			for i := k; i < m; i++ {
+				dot += work.At(i, k) * work.At(i, j)
 			}
-		})
+			dot *= beta[k]
+			for i := k; i < m; i++ {
+				work.Set(i, j, work.At(i, j)-dot*work.At(i, k))
+			}
+		}
 	}
 
 	// Extract R.
@@ -84,19 +82,16 @@ func QRThin(a *Matrix) (q, r *Matrix) {
 		if beta[k] == 0 {
 			continue
 		}
-		bk := beta[k]
-		ParallelFor(n, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				var dot float64
-				for i := k; i < m; i++ {
-					dot += work.At(i, k) * q.At(i, j)
-				}
-				dot *= bk
-				for i := k; i < m; i++ {
-					q.Set(i, j, q.At(i, j)-dot*work.At(i, k))
-				}
+		for j := 0; j < n; j++ {
+			var dot float64
+			for i := k; i < m; i++ {
+				dot += work.At(i, k) * q.At(i, j)
 			}
-		})
+			dot *= beta[k]
+			for i := k; i < m; i++ {
+				q.Set(i, j, q.At(i, j)-dot*work.At(i, k))
+			}
+		}
 	}
 
 	// Enforce a non-negative R diagonal by flipping matching Q columns and

@@ -11,18 +11,24 @@ import (
 
 	"github.com/symprop/symprop/internal/checkpoint"
 	"github.com/symprop/symprop/internal/faultinject"
+	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/obs"
 )
 
-// stagePlans is the Algorithm 2 stage plans each driver forms its core
-// and its A through: every driver but HOQRI-nary forms its core as
-// ttmctc.cp, and HOQRI forms A as ttmctc.a.
+// stagePlans is the engine plans each driver's sweep runs after its
+// S³TTMc: every driver but HOQRI-nary forms its core as ttmctc.cp (Algorithm
+// 2's core stage), HOQRI forms A as ttmctc.a, and HOOI's SVD step (Algorithm
+// 3) runs svd.expand, in HOOI only, and svd.gram, in HOOI and HOOI-CSS.
 func stagePlans(driver string) []string {
 	switch driver {
 	case "hoqri-nary":
 		return nil
 	case "hoqri":
 		return []string{"ttmctc.cp", "ttmctc.a"}
+	case "hooi":
+		return []string{"ttmctc.cp", "svd.expand", "svd.gram"}
+	case "hooi-css":
+		return []string{"ttmctc.cp", "svd.gram"}
 	default:
 		return []string{"ttmctc.cp"}
 	}
@@ -37,28 +43,65 @@ func planInvocations(pms []obs.PlanMetrics, name string) int64 {
 	return 0
 }
 
-// TestDriversRunTheStagePlans: the drivers form C and A through the
-// kernels' stage functions, so the stage plans show in Result.PlanMetrics,
-// once per product.
+// TestDriversRunTheStagePlans: the drivers form C and A, and run HOOI's
+// SVD step, through the kernels' stage functions, so the stage plans show
+// in Result.PlanMetrics, once per product, and in every sweep's
+// TraceEvent.Plans. Rank 3 takes the column-side Gram (I = 12 > 9 columns),
+// rank 4 the row side (12 <= 16).
 func TestDriversRunTheStagePlans(t *testing.T) {
 	x := testTensor(t, 3, 12, 60, 10)
-	for _, d := range resumableDrivers() {
-		t.Run(d.name, func(t *testing.T) {
-			res, err := d.run(x, Options{Rank: 3, MaxIters: 4, Seed: 4, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, plan := range stagePlans(d.name) {
-				// HOQRI forms one more core, for the final factor.
-				want := int64(res.Iters)
-				if plan == "ttmctc.cp" && d.name == "hoqri" {
-					want++
+	for _, rank := range []int{3, 4} {
+		for _, d := range resumableDrivers() {
+			t.Run(fmt.Sprintf("%s/rank%d", d.name, rank), func(t *testing.T) {
+				res, err := d.run(x, Options{Rank: rank, MaxIters: 4, Seed: 4, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got := planInvocations(res.PlanMetrics, plan); got != want {
-					t.Errorf("%s: %d invocations, want %d", plan, got, want)
+				for _, plan := range stagePlans(d.name) {
+					// HOQRI forms one more core, for the final factor.
+					want := int64(res.Iters)
+					if plan == "ttmctc.cp" && d.name == "hoqri" {
+						want++
+					}
+					if got := planInvocations(res.PlanMetrics, plan); got != want {
+						t.Errorf("%s: %d invocations, want %d", plan, got, want)
+					}
+					for _, ev := range res.Trace {
+						if got := ev.Plans[plan].Invocations; got != 1 {
+							t.Errorf("sweep %d: %s has %d invocations, want 1", ev.Sweep, plan, got)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSVDGramWorkerSpans: svd.gram runs under the run's Workers on both
+// sides of the Gram, with one worker span per invocation at Workers 1 and
+// two at Workers 2 (the row side's 12 rows make two 8-row tiles).
+func TestSVDGramWorkerSpans(t *testing.T) {
+	x := testTensor(t, 3, 12, 60, 13)
+	for _, name := range []string{"hooi", "hooi-css"} {
+		run := driverByName(t, name)
+		for _, rank := range []int{3, 4} {
+			for _, workers := range []int{1, 2} {
+				res, err := run(x, Options{Rank: rank, MaxIters: 3, Seed: 4, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var gram obs.PlanMetrics
+				for _, pm := range res.PlanMetrics {
+					if pm.Name == "svd.gram" {
+						gram = pm
+					}
+				}
+				if gram.Invocations != int64(res.Iters) || gram.WorkerSpans != int64(workers*res.Iters) {
+					t.Errorf("%s rank %d workers %d: svd.gram has %d invocations, %d worker spans; want %d and %d",
+						name, rank, workers, gram.Invocations, gram.WorkerSpans, res.Iters, workers*res.Iters)
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -76,6 +119,26 @@ func TestStageFaultsReachTheCaller(t *testing.T) {
 				_, err := d.run(x, Options{Rank: 3, MaxIters: 4, Seed: 4, Workers: 2})
 				if !errors.Is(err, boom) {
 					t.Fatalf("got %v, want the injected fault", err)
+				}
+			})
+		}
+	}
+}
+
+// TestStagePanicsReachTheCaller: a panic at a stage plan's worker site
+// comes back from the driver as kernels.ErrWorkerPanic naming the plan.
+func TestStagePanicsReachTheCaller(t *testing.T) {
+	x := testTensor(t, 3, 12, 60, 11)
+	for _, d := range resumableDrivers() {
+		for _, plan := range stagePlans(d.name) {
+			t.Run(d.name+"/"+plan, func(t *testing.T) {
+				disarm := faultinject.Arm(faultinject.PlanWorkerSite(plan),
+					faultinject.OnHit(2, func(any) error { panic("injected " + plan + " crash") }))
+				defer disarm()
+				_, err := d.run(x, Options{Rank: 3, MaxIters: 4, Seed: 4, Workers: 2})
+				var wp *kernels.WorkerPanicError
+				if !errors.Is(err, kernels.ErrWorkerPanic) || !errors.As(err, &wp) || wp.Plan != plan {
+					t.Fatalf("got %v, want kernels.ErrWorkerPanic naming %s", err, plan)
 				}
 			})
 		}

@@ -261,7 +261,11 @@ func HOOI(x *spsym.Tensor, opts Options) (*Result, error) {
 				return nil, err
 			}
 			defer e.opts.Guard.Release(fullBytes)
-			return leadingLeftSingular(kernels.ExpandCompactColumns(yp, e.x.Order, r), r, e.opts.Guard)
+			yFull, err := kernels.SVDExpand(yp, e.x.Order, r, e.kopts)
+			if err != nil {
+				return nil, err
+			}
+			return leadingLeftSingular(e, yFull)
 		},
 		core: (*env).core, // C_p(1) = Uᵀ·Y_p(1)
 	})
@@ -285,24 +289,30 @@ func HOQRI(x *spsym.Tensor, opts Options) (*Result, error) {
 	})
 }
 
-// leadingLeftSingular returns the r leading left singular vectors of the
-// full unfolding yFull, for HOOI and HOOI-CSS alike. The Gram matrix is
-// taken on the smaller side, giving LAPACK's O(I·R^{N-1}·min(I, R^{N-1}))
-// complexity: the I x I MulNT(yFull, yFull) on the row side (I <= cols),
-// the cols x cols MulTN(yFull, yFull) on the column side.
-func leadingLeftSingular(yFull *linalg.Matrix, r int, guard *memguard.Guard) (*linalg.Matrix, error) {
+// leadingLeftSingular returns the e.opts.Rank leading left singular
+// vectors of the full unfolding yFull, for HOOI and HOOI-CSS alike. The
+// Gram matrix is taken on the smaller side (kernels.SVDGram, plan
+// svd.gram), giving LAPACK's O(I·R^{N-1}·min(I, R^{N-1})) complexity: the
+// I x I Y·Yᵀ on the row side (I <= cols), the cols x cols Yᵀ·Y on the
+// column side. The eigensolver runs serially.
+func leadingLeftSingular(e *env, yFull *linalg.Matrix) (*linalg.Matrix, error) {
+	r := e.opts.Rank
 	small := int64(min(yFull.Rows, yFull.Cols))
 	gramBytes := memguard.Float64Bytes(small * small)
-	if err := guard.Reserve(gramBytes, "HOOI Gram matrix"); err != nil {
+	if err := e.opts.Guard.Reserve(gramBytes, "HOOI Gram matrix"); err != nil {
 		return nil, err
 	}
-	defer guard.Release(gramBytes)
+	defer e.opts.Guard.Release(gramBytes)
 
+	g, err := kernels.SVDGram(yFull, e.kopts)
+	if err != nil {
+		return nil, err
+	}
 	if yFull.Rows <= yFull.Cols {
-		return linalg.TopEigenvectors(linalg.MulNT(yFull, yFull), r) // I x I
+		return linalg.TopEigenvectors(g, r) // I x I
 	}
 	// Column-side Gram: eig gives right singular vectors; map back through Y.
-	values, vectors, err := linalg.SymEig(linalg.MulTN(yFull, yFull)) // cols x cols
+	values, vectors, err := linalg.SymEig(g) // cols x cols
 	if err != nil {
 		return nil, err
 	}

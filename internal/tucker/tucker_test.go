@@ -473,7 +473,7 @@ func TestLeadingLeftSingularBothSides(t *testing.T) {
 			t.Fatal(err)
 		}
 		yFull := kernels.ExpandCompactColumns(yp, 3, 3)
-		u, err := leadingLeftSingular(yFull, 3, nil)
+		u, err := leadingLeftSingular(&env{opts: &Options{Rank: 3}}, yFull)
 		if err != nil {
 			t.Fatalf("dim=%d: %v", tc.dim, err)
 		}

@@ -24,7 +24,7 @@ func HOOICSS(x *spsym.Tensor, opts Options) (*Result, error) {
 			return kernels.S3TTMcCSS(e.x, u, e.kopts)
 		},
 		svd: func(e *env, _ int, yFull *linalg.Matrix) (*linalg.Matrix, error) {
-			return leadingLeftSingular(yFull, e.opts.Rank, e.opts.Guard)
+			return leadingLeftSingular(e, yFull)
 		},
 		core:     (*env).core, // the full C(1) = Uᵀ·Y(1)
 		fullCore: true,

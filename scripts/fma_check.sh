@@ -9,7 +9,8 @@
 # cross-builds cmd/symprop for arm64 and disassembles the linked kernels:
 #
 #   - linalg.dot4x2 and linalg.dotW4x2, the 4x2 register tiles;
-#   - every linalg.MulNT* function, which inline the scalar tails.
+#   - linalg.mulNTRange and linalg.mulNTWeightedRange, the row walks the
+#     MulNT and MulNTWeighted plans run, which inline the scalar tails.
 #
 # It fails on any FMADDD, FMSUBD, FNMADDD or FNMSUBD among them, and also
 # when one of the symbols is missing, so that a renamed or inlined kernel
@@ -24,7 +25,7 @@ bin="$dir/symprop-arm64"
 GOOS=linux GOARCH=arm64 go build -o "$bin" ./cmd/symprop
 
 status=0
-for sym in 'dot4x2$' 'dotW4x2$' 'MulNT'; do
+for sym in 'dot4x2$' 'dotW4x2$' 'mulNTRange$' 'mulNTWeightedRange$'; do
     asm=$(go tool objdump -s "internal/linalg\.$sym" "$bin")
     name=linalg.${sym%\$}
     funcs=$(grep -c '^TEXT' <<<"$asm" || true)

@@ -15,8 +15,27 @@
 # Usage: scripts/load_smoke.sh [workdir]
 set -euo pipefail
 
-dir=${1:-$(mktemp -d)}
+# A caller-given work directory stays for inspection; a fresh one is
+# removed on exit. The EXIT trap also stops what the script started.
+dir=${1:-}
+owned=
+if [[ -z $dir ]]; then
+    dir=$(mktemp -d)
+    owned=1
+fi
 mkdir -p "$dir"
+server_pid=
+cleanup() {
+    if [[ -n $server_pid ]]; then
+        kill "$server_pid" 2>/dev/null || true
+        wait "$server_pid" 2>/dev/null || true
+    fi
+    if [[ -n $owned ]]; then
+        rm -rf "$dir"
+    fi
+}
+trap cleanup EXIT
+
 echo "load-smoke: working in $dir"
 
 go build -o "$dir/symprop-serve" ./cmd/symprop-serve
@@ -30,7 +49,6 @@ rm -f "$dir/addr"
     -addr-file "$dir/addr" -runners 2 -mem off \
     >"$dir/server.log" 2>&1 &
 server_pid=$!
-trap 'kill "$server_pid" 2>/dev/null || true' EXIT
 for _ in $(seq 1 100); do
     [[ -s "$dir/addr" ]] && break
     sleep 0.1
@@ -81,7 +99,7 @@ fi
 kill -TERM "$server_pid"
 rc=0
 wait "$server_pid" || rc=$?
-trap - EXIT
+server_pid=
 if [[ $rc -ne 0 ]]; then
     echo "load-smoke: FAIL — server exited $rc on SIGTERM (want 0)" >&2
     cat "$dir/server.log" >&2

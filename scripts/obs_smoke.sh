@@ -10,8 +10,22 @@
 # Usage: scripts/obs_smoke.sh [workdir]
 set -euo pipefail
 
-dir=${1:-$(mktemp -d)}
+# A caller-given work directory stays for inspection; a fresh one is
+# removed on exit.
+dir=${1:-}
+owned=
+if [[ -z $dir ]]; then
+    dir=$(mktemp -d)
+    owned=1
+fi
 mkdir -p "$dir"
+cleanup() {
+    if [[ -n $owned ]]; then
+        rm -rf "$dir"
+    fi
+}
+trap cleanup EXIT
+
 echo "obs-smoke: working in $dir"
 
 go build -o "$dir/symprop" ./cmd/symprop

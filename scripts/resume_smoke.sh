@@ -12,8 +12,27 @@
 # Usage: scripts/resume_smoke.sh [workdir]
 set -euo pipefail
 
-dir=${1:-$(mktemp -d)}
+# A caller-given work directory stays for inspection; a fresh one is
+# removed on exit. The EXIT trap also stops what the script started.
+dir=${1:-}
+owned=
+if [[ -z $dir ]]; then
+    dir=$(mktemp -d)
+    owned=1
+fi
 mkdir -p "$dir"
+pid=
+cleanup() {
+    if [[ -n $pid ]]; then
+        kill "$pid" 2>/dev/null || true
+        wait "$pid" 2>/dev/null || true
+    fi
+    if [[ -n $owned ]]; then
+        rm -rf "$dir"
+    fi
+}
+trap cleanup EXIT
+
 echo "resume-smoke: working in $dir"
 
 go build -o "$dir/symprop" ./cmd/symprop
@@ -39,6 +58,7 @@ for algo in hooi hoqri; do
     kill -INT "$pid" 2>/dev/null || true
     rc=0
     wait "$pid" || rc=$?
+    pid=
     case $rc in
     3)
         echo "resume-smoke: $algo interrupted with checkpoint (exit 3)"

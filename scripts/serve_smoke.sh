@@ -18,8 +18,27 @@
 # Usage: scripts/serve_smoke.sh [workdir]
 set -euo pipefail
 
-dir=${1:-$(mktemp -d)}
+# A caller-given work directory stays for inspection; a fresh one is
+# removed on exit. The EXIT trap also stops what the script started.
+dir=${1:-}
+owned=
+if [[ -z $dir ]]; then
+    dir=$(mktemp -d)
+    owned=1
+fi
 mkdir -p "$dir"
+server_pid=
+cleanup() {
+    if [[ -n $server_pid ]]; then
+        kill "$server_pid" 2>/dev/null || true
+        wait "$server_pid" 2>/dev/null || true
+    fi
+    if [[ -n $owned ]]; then
+        rm -rf "$dir"
+    fi
+}
+trap cleanup EXIT
+
 echo "serve-smoke: working in $dir"
 
 go build -o "$dir/symprop-serve" ./cmd/symprop-serve
@@ -103,6 +122,7 @@ wait_status "$job" '"state": "running"' 50 || {
 }
 kill -9 "$server_pid"
 wait "$server_pid" 2>/dev/null || true
+server_pid=
 echo "serve-smoke: server a killed with SIGKILL mid-run"
 
 start_server b
@@ -125,6 +145,7 @@ wait_status "$job2" '"checkpointed": true' 150
 kill -TERM "$server_pid"
 rc=0
 wait "$server_pid" || rc=$?
+server_pid=
 if [[ $rc -ne 0 ]]; then
     echo "serve-smoke: FAIL — drained server exited $rc (want 0)" >&2
     cat "$dir/server.b.log" >&2
@@ -137,6 +158,7 @@ wait_status "$job2" '"state": "succeeded"' 300
 kill -TERM "$server_pid"
 rc=0
 wait "$server_pid" || rc=$?
+server_pid=
 if [[ $rc -ne 0 ]]; then
     echo "serve-smoke: FAIL — idle server exited $rc on SIGTERM (want 0)" >&2
     exit 1

@@ -1,32 +1,24 @@
-// Package parafor defines an analyzer for SymProp's parallel closures.
+// Package parafor defines an analyzer for SymProp's goroutine closures.
 //
-// All hot-path parallelism funnels through the execution engine
-// (exec.Run plans, and the bare exec.For / exec.Chunks primitives the
-// linalg.ParallelFor* shims wrap), whose contract is: the body closure
-// owns the half-open chunk [lo, hi) and may write shared state only at
-// indices derived from it. The analyzer inspects every closure passed to
-// the bare fan-out helpers and every `go func` literal for the race
-// classes that contract rules out (exec.Plan literals have their own,
-// deeper analyzer: planrace):
+// Every compute loop runs as an execution-engine plan (exec.Run), whose
+// Body and Scratch closures belong to the planrace analyzer. What is left
+// outside the engine are the `go` statements of the pool's own workers,
+// the job runners and the load generator; the analyzer inspects every
+// `go func` literal for the race classes a goroutine closure can hit:
 //
 //   - assignment to a captured variable (racy accumulation — reduce into a
-//     per-chunk local and merge after the parallel region);
+//     goroutine-local and merge after the join);
 //   - writes to a captured map (maps are never safe for concurrent use);
 //   - writes to a captured slice at an index that cannot vary within the
-//     chunk (every worker hits the same element);
+//     closure (every goroutine hits the same element);
 //   - field or pointer writes through captured variables;
-//   - `go` closures that capture an enclosing loop variable instead of
-//     taking it as an argument (defensive under Go >= 1.22 semantics, and
-//     keeps closures portable to older toolchains).
+//   - closures that capture an enclosing loop variable instead of taking
+//     it as an argument (defensive under Go >= 1.22 semantics, and keeps
+//     closures portable to older toolchains).
 //
 // Closures that visibly synchronize — calling Lock/RLock on a captured
 // sync mutex — are exempt from the write checks, as are statements
 // annotated with a justified //symlint:nosync directive.
-//
-// The analyzer additionally bans direct linalg.ParallelFor* calls from
-// kernel packages (internal/kernels, internal/csf, internal/cpd): kernel
-// loops must run as exec.Run plans so cancellation, panic capture and
-// fault injection stay centralized in the engine.
 package parafor
 
 import (
@@ -38,32 +30,10 @@ import (
 	"github.com/symprop/symprop/tools/symlint/analyzers/lintutil"
 )
 
-// TargetFuncs are the parallel-loop helpers whose body closures are
-// checked, matched by function name within a package whose import path
-// ends in TargetPkgSuffix.
-var (
-	TargetFuncs     = map[string]bool{"ParallelFor": true, "ParallelChunks": true}
-	TargetPkgSuffix = "internal/linalg"
-
-	// EngineFuncs are the execution engine's bare fan-out primitives
-	// (exec.For, exec.Chunks); their body closures obey the same chunk
-	// contract as the linalg shims and get the same checks. Closures in
-	// an exec.Plan literal's Body and Scratch fields belong to the
-	// planrace analyzer, which adds cross-package write facts.
-	EngineFuncs     = map[string]bool{"For": true, "Chunks": true}
-	EnginePkgSuffix = "internal/exec"
-
-	// KernelPkgSuffixes are packages whose parallel loops must run as
-	// engine plans (exec.Run): a direct call to a linalg.ParallelFor*
-	// shim there bypasses the engine's cancellation, panic capture and
-	// fault sites and is reported.
-	KernelPkgSuffixes = []string{"internal/kernels", "internal/csf", "internal/cpd"}
-)
-
 var Analyzer = &analysis.Analyzer{
 	Name: "parafor",
-	Doc: "checks closures passed to linalg.ParallelFor* and go statements for unsynchronized writes to captured state\n\n" +
-		"The parallel-body contract: write shared slices only at chunk-derived indices; accumulate scalars per-chunk; never touch captured maps.",
+	Doc: "checks go statement closures for unsynchronized writes to captured state and captured loop variables\n\n" +
+		"Write shared slices only at indices the goroutine derives itself; accumulate scalars locally; never touch captured maps.",
 	Run: run,
 }
 
@@ -89,8 +59,8 @@ type checker struct {
 	directives lintutil.Directives
 }
 
-// walk finds ParallelFor call sites and go statements, tracking the loop
-// variables of enclosing for/range statements for the capture check.
+// walk finds go statements, tracking the loop variables of enclosing
+// for/range statements for the capture check.
 func (c *checker) walk(n ast.Node, loopVars []types.Object) {
 	if n == nil {
 		return
@@ -123,7 +93,7 @@ func (c *checker) walk(n ast.Node, loopVars []types.Object) {
 	case *ast.GoStmt:
 		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 			c.checkLoopCapture(lit, loopVars)
-			c.checkClosure(lit, "go closure")
+			c.checkClosure(lit)
 		}
 		// Arguments and non-literal callees are walked normally.
 		for _, a := range n.Call.Args {
@@ -131,15 +101,6 @@ func (c *checker) walk(n ast.Node, loopVars []types.Object) {
 		}
 		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 			c.walk(lit.Body, nil)
-		}
-		return
-	case *ast.CallExpr:
-		c.checkShimCaller(n)
-		if lit := c.parallelBody(n); lit != nil {
-			c.checkClosure(lit, "parallel body")
-		}
-		for _, child := range append([]ast.Expr{n.Fun}, n.Args...) {
-			c.walk(child, loopVars)
 		}
 		return
 	case *ast.FuncLit:
@@ -153,74 +114,12 @@ func (c *checker) walk(n ast.Node, loopVars []types.Object) {
 			return true
 		}
 		switch child.(type) {
-		case *ast.ForStmt, *ast.RangeStmt, *ast.GoStmt, *ast.CallExpr, *ast.FuncLit, *ast.CompositeLit:
+		case *ast.ForStmt, *ast.RangeStmt, *ast.GoStmt, *ast.FuncLit:
 			c.walk(child, loopVars)
 			return false
 		}
 		return true
 	})
-}
-
-// callee resolves call's target to its *types.Func, nil when it is not a
-// plain or selector-qualified function reference.
-func (c *checker) callee(call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := c.pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
-}
-
-// parallelBody returns the closure argument when call is one of the
-// linalg.ParallelFor* shims or the engine's bare primitives exec.For /
-// exec.Chunks — in all of them the body closure is the last argument.
-func (c *checker) parallelBody(call *ast.CallExpr) *ast.FuncLit {
-	fn := c.callee(call)
-	if fn == nil {
-		return nil
-	}
-	pkg := fn.Pkg()
-	if pkg == nil {
-		return nil
-	}
-	shim := TargetFuncs[fn.Name()] && lintutil.PathMatches(pkg.Path(), []string{TargetPkgSuffix})
-	engine := EngineFuncs[fn.Name()] && lintutil.PathMatches(pkg.Path(), []string{EnginePkgSuffix})
-	if !shim && !engine {
-		return nil
-	}
-	if len(call.Args) == 0 {
-		return nil
-	}
-	lit, _ := call.Args[len(call.Args)-1].(*ast.FuncLit)
-	return lit
-}
-
-// checkShimCaller reports direct linalg.ParallelFor* calls from kernel
-// packages: their loops must run as exec.Run plans so cancellation, panic
-// capture and the fault sites stay centralized in the engine.
-func (c *checker) checkShimCaller(call *ast.CallExpr) {
-	if !lintutil.PathMatches(c.pass.Pkg.Path(), KernelPkgSuffixes) {
-		return
-	}
-	fn := c.callee(call)
-	if fn == nil || !TargetFuncs[fn.Name()] {
-		return
-	}
-	if pkg := fn.Pkg(); pkg == nil || !lintutil.PathMatches(pkg.Path(), []string{TargetPkgSuffix}) {
-		return
-	}
-	if _, suppressed := c.directives.Suppressed(c.pass.Fset, call.Pos()); suppressed {
-		return
-	}
-	c.pass.Reportf(call.Pos(),
-		"kernel package calls linalg.%s directly; run the loop as an exec.Run plan so the engine owns cancellation, panic capture and fault sites",
-		fn.Name())
 }
 
 // checkLoopCapture reports loop variables referenced (not redeclared) by a
@@ -250,8 +149,8 @@ func (c *checker) checkLoopCapture(lit *ast.FuncLit, loopVars []types.Object) {
 	})
 }
 
-// checkClosure applies the shared-write checks to one parallel closure.
-func (c *checker) checkClosure(lit *ast.FuncLit, kind string) {
+// checkClosure applies the shared-write checks to one go closure.
+func (c *checker) checkClosure(lit *ast.FuncLit) {
 	if c.locksCapturedMutex(lit) {
 		return // closure visibly synchronizes; trust it
 	}
@@ -262,18 +161,18 @@ func (c *checker) checkClosure(lit *ast.FuncLit, kind string) {
 				return true
 			}
 			for _, lhs := range n.Lhs {
-				c.checkWrite(lhs, lit, kind)
+				c.checkWrite(lhs, lit)
 			}
 		case *ast.IncDecStmt:
-			c.checkWrite(n.X, lit, kind)
+			c.checkWrite(n.X, lit)
 		}
 		return true
 	})
 }
 
 // checkWrite reports lhs when it stores through captured state in a way
-// the chunk contract cannot make safe.
-func (c *checker) checkWrite(lhs ast.Expr, lit *ast.FuncLit, kind string) {
+// no goroutine-local index can make safe.
+func (c *checker) checkWrite(lhs ast.Expr, lit *ast.FuncLit) {
 	if _, suppressed := c.directives.Suppressed(c.pass.Fset, lhs.Pos()); suppressed {
 		return
 	}
@@ -281,8 +180,8 @@ func (c *checker) checkWrite(lhs ast.Expr, lit *ast.FuncLit, kind string) {
 	case *ast.Ident:
 		if obj := c.capturedVar(e, lit); obj != nil {
 			c.pass.Reportf(e.Pos(),
-				"%s assigns to captured variable %s (data race); accumulate into a chunk-local and merge after the parallel region, or guard with a mutex",
-				kind, obj.Name())
+				"go closure assigns to captured variable %s (data race); accumulate into a goroutine-local and merge after the join, or guard with a mutex",
+				obj.Name())
 		}
 	case *ast.IndexExpr:
 		root := rootIdent(e.X)
@@ -296,29 +195,29 @@ func (c *checker) checkWrite(lhs ast.Expr, lit *ast.FuncLit, kind string) {
 		if t := c.pass.TypesInfo.TypeOf(e.X); t != nil {
 			if _, isMap := t.Underlying().(*types.Map); isMap {
 				c.pass.Reportf(e.Pos(),
-					"%s writes to captured map %s (maps are never safe for concurrent use); build per-chunk maps and merge, or guard with a mutex",
-					kind, obj.Name())
+					"go closure writes to captured map %s (maps are never safe for concurrent use); build per-goroutine maps and merge, or guard with a mutex",
+					obj.Name())
 				return
 			}
 		}
 		if !c.indexVaries(e.Index, lit) {
 			c.pass.Reportf(e.Pos(),
-				"%s writes to captured %s at an index that never varies within the chunk (all workers hit the same element); derive the index from the chunk bounds or a closure-local loop",
-				kind, obj.Name())
+				"go closure writes to captured %s at an index that never varies within the closure (all goroutines hit the same element); derive the index from an argument or a closure-local loop",
+				obj.Name())
 		}
 	case *ast.SelectorExpr:
 		if root := rootIdent(e); root != nil {
 			if obj := c.capturedVar(root, lit); obj != nil {
 				c.pass.Reportf(e.Pos(),
-					"%s writes to field %s of captured %s (data race unless workers own disjoint structs); guard with a mutex or restructure per chunk",
-					kind, e.Sel.Name, obj.Name())
+					"go closure writes to field %s of captured %s (data race unless goroutines own disjoint structs); guard with a mutex or restructure per goroutine",
+					e.Sel.Name, obj.Name())
 			}
 		}
 	case *ast.StarExpr:
 		if root := rootIdent(e.X); root != nil {
 			if obj := c.capturedVar(root, lit); obj != nil {
 				c.pass.Reportf(e.Pos(),
-					"%s writes through captured pointer %s (data race); point it at chunk-local state instead", kind, obj.Name())
+					"go closure writes through captured pointer %s (data race); point it at goroutine-local state instead", obj.Name())
 			}
 		}
 	}

@@ -10,11 +10,3 @@ import (
 func TestParallelClosures(t *testing.T) {
 	analysistest.Run(t, parafor.Analyzer, "testdata/src/parafor", "fixture.example/parafor")
 }
-
-// TestKernelPackageRules checks the engine-era rules from a package whose
-// import path ends in internal/kernels: the linalg shim ban and the
-// exec.For / exec.Chunks closure checks. exec.Plan callbacks belong to
-// the planrace analyzer and must stay silent here.
-func TestKernelPackageRules(t *testing.T) {
-	analysistest.Run(t, parafor.Analyzer, "testdata/src/kernels", "fixture.example/internal/kernels")
-}

@@ -25,12 +25,12 @@
 //
 // # Write facts
 //
-// Plan bodies routinely call into helpers (dense.AxpyCompact,
-// linalg.MulTNRange, spill buffers) that do the actual stores. The
-// analyzer infers, for every function in the analyzed tree, which
+// Plan bodies routinely call into helpers (dense.AxpyCompact, spill
+// buffers, linalg's row walks) that do the actual stores. The analyzer
+// infers, for every function in the analyzed tree, which
 // slice/map/pointer parameters it writes through and whether those
 // writes are range-partitioned — confined to indices derived from the
-// function's own integer parameters, the way linalg.MulTNRange writes
+// function's own integer parameters, the way linalg's mulTNRange writes
 // only rows [lo, hi). The result is exported as a cross-package fact, so
 // when a plan body in internal/kernels hands a *captured* output
 // directly to a helper from internal/dense, the driver already knows
