@@ -8,6 +8,7 @@
 //	        [-convergence conv.csv] [-metrics out.json] [-trace trace.jsonl] [-pprof :6060]
 //	        [-checkpoint run.ckpt [-checkpoint-every K] [-resume]] <tensor.tns>
 //	symprop ttmc -rank R [-seed S] <tensor.tns>
+//	symprop cp -rank R [-iters N] [-tol T] [-seed S] [-workers W] [-out factor.txt] <tensor.tns>
 //
 // Tensors use the symmetric text format ("sym <order> <dim> <nnz>" header,
 // then 1-based "i1 ... iN value" lines); hypergraph edge lists can be
@@ -97,7 +98,7 @@ func usage() {
           [-out U.txt] [-convergence conv.csv] [-metrics out.json] [-trace trace.jsonl] [-pprof :6060]
           [-checkpoint run.ckpt [-checkpoint-every K] [-resume]] <tensor.tns>
   symprop ttmc -rank R [-seed S] <tensor.tns>
-  symprop cp -rank R [-iters N] [-tol T] [-seed S] <tensor.tns>`)
+  symprop cp -rank R [-iters N] [-tol T] [-seed S] [-workers W] [-out U.txt] <tensor.tns>`)
 }
 
 func loadArg(fs *flag.FlagSet) (*spsym.Tensor, error) {
@@ -324,6 +325,7 @@ func runCP(args []string) error {
 	iters := fs.Int("iters", 100, "maximum ALS sweeps")
 	tol := fs.Float64("tol", 1e-8, "fit-improvement tolerance (0 = run all sweeps)")
 	seed := fs.Int64("seed", 1, "random seed")
+	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS); the factor's bits follow it")
 	out := fs.String("out", "", "write the factor matrix U to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -334,7 +336,7 @@ func runCP(args []string) error {
 	}
 	start := time.Now()
 	res, err := symprop.DecomposeCP(x, symprop.CPOptions{
-		Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed,
+		Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed, Workers: *workers,
 	})
 	if err != nil {
 		return err

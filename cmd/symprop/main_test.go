@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"github.com/symprop/symprop/internal/spsym"
@@ -118,5 +121,37 @@ func TestRunTTMcAndCP(t *testing.T) {
 	}
 	if _, err := os.Stat(uOut); err != nil {
 		t.Errorf("CP factor not written: %v", err)
+	}
+}
+
+// TestRunCPWorkersFixBits: with -workers set, the factor file's bytes do
+// not depend on GOMAXPROCS. The tensor has normal values, so a different
+// worker count would reorder the MTTKRP's sums and show in the bits.
+func TestRunCPWorkersFixBits(t *testing.T) {
+	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 40, NNZ: 400, Seed: 9, Values: spsym.ValueNormal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.tns")
+	if err := x.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var files [][]byte
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		out := filepath.Join(dir, fmt.Sprintf("u%d.txt", procs))
+		if err := runCP([]string{"-rank", "3", "-iters", "20", "-tol", "0", "-workers", "2", "-out", out, path}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, b)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Error("cp -workers 2 wrote different factor files under GOMAXPROCS 1 and 4")
 	}
 }

@@ -509,4 +509,29 @@ func TestFirstNonFinite(t *testing.T) {
 	if i := FirstNonFinite(nil); i != -1 {
 		t.Fatalf("nil slice: got %d, want -1", i)
 	}
+	// A NaN with a payload and ±Inf at every offset of a 9-entry slice:
+	// both the four-entry steps and the tail find it.
+	payloadNaN := math.Float64frombits(0x7ff8_dead_beef_0001)
+	for _, bad := range []float64{payloadNaN, math.Inf(1), math.Inf(-1)} {
+		for at := 0; at < 9; at++ {
+			data := make([]float64, 9)
+			data[at] = bad
+			if i := FirstNonFinite(data); i != at {
+				t.Fatalf("%v at %d of 9: got %d", bad, at, i)
+			}
+		}
+	}
+	// The largest finite value, a subnormal and −0 are finite.
+	finite := []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, math.Copysign(0, -1), 1, 2, 3, 4, 5}
+	if i := FirstNonFinite(finite); i != -1 {
+		t.Fatalf("finite extremes: got %d, want -1", i)
+	}
+	// Of two non-finite entries, in one step or in two, the first is returned.
+	for _, at := range [][2]int{{1, 2}, {2, 6}, {5, 8}} {
+		data := make([]float64, 9)
+		data[at[0]], data[at[1]] = math.Inf(-1), math.NaN()
+		if i := FirstNonFinite(data); i != at[0] {
+			t.Fatalf("non-finite at %d and %d: got %d", at[0], at[1], i)
+		}
+	}
 }

@@ -69,9 +69,25 @@ func Cause(ctx context.Context) error {
 // no allocation); what to *do* about a poisoned output — jittered
 // restarts, breakdown classification — is policy and stays with the
 // caller (see tucker's health sentinels).
+//
+// A float64 is NaN or ±Inf exactly when its eleven exponent bits are all
+// set, so the scan tests those bits, four entries per step, and walks the
+// step that holds a hit to find the first: memory speed on the multi-MB
+// outputs the drivers check every sweep.
 func FirstNonFinite(data []float64) int {
-	for i, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+	const exp = 0x7ff0_0000_0000_0000
+	i := 0
+	for ; i+4 <= len(data); i += 4 {
+		a := math.Float64bits(data[i]) & exp
+		b := math.Float64bits(data[i+1]) & exp
+		c := math.Float64bits(data[i+2]) & exp
+		d := math.Float64bits(data[i+3]) & exp
+		if a == exp || b == exp || c == exp || d == exp {
+			break
+		}
+	}
+	for ; i < len(data); i++ {
+		if math.Float64bits(data[i])&exp == exp {
 			return i
 		}
 	}

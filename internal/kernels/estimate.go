@@ -11,10 +11,11 @@ import (
 // the paper's figures carry — without waiting for a doomed run.
 //
 // The estimates deliberately exclude the owner-computes spill buffers:
-// that allocation is transient, charged against the Guard at kernel entry
-// by reserveSpills, and released when the kernel returns. A refused spill
-// reservation shrinks the worker count until the buffers fit (one worker
-// needs none), so the modeled footprints below decide which
+// that allocation is transient, sized to the foreign rows each schedule
+// leaf's non-zeros touch, charged exactly against the Guard at kernel
+// entry by reserveSpills, and released when the kernel returns. A refused
+// spill reservation shrinks the worker count until the buffers fit (one
+// worker needs none), so the modeled footprints below decide which
 // configurations the harness classifies as OOM.
 
 // EstimateSymPropBytes returns the SymProp S³TTMc footprint: compact

@@ -62,7 +62,7 @@ func NaryTTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*NaryResult, e
 	// Pass 2's spill buffers are reserved before pass 1: when the guard
 	// admits them for fewer workers, both passes run at that count, so the
 	// output is that of an explicit run at it.
-	workers, release := reserveSpills(opts.Guard, x.Dim, r, min(workers, x.NNZ()))
+	workers, sched, release := reserveSpills(opts.Guard, opts.Schedules, x, r, min(workers, x.NNZ()))
 	defer release()
 	core := linalg.NewMatrix(r, int(kronLen))
 
@@ -127,7 +127,7 @@ func NaryTTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*NaryResult, e
 	if x.NNZ() == 0 {
 		return &NaryResult{A: a, CoreFull: core}, nil
 	}
-	err = scatterWorkers(x, opts, workers, a, ownerPass{
+	err = scatterWorkers(opts, sched, a, ownerPass{
 		name: "nary.scatter.owner",
 		emitter: func(_ *exec.Worker, s *sink) func(int) error {
 			kron := make([]float64, core.Cols)

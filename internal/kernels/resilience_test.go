@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -324,4 +325,59 @@ func TestTTMcTCProductStageFaults(t *testing.T) {
 			t.Fatalf("got %v, want context.Canceled", err)
 		}
 	})
+}
+
+// TestGuardBalancesAfterEveryKernel holds every scatter kernel and
+// S3TTMcTC to balanced guard charges: under a 1 GiB budget, Guard.Used()
+// is 0 once the call returns — at one worker and at three, which charge
+// the exact spill buffers, after a cancel inside the owner pass, while
+// the spill buffers are held, and after a refused spill reservation,
+// which shrinks the call to one worker.
+func TestGuardBalancesAfterEveryKernel(t *testing.T) {
+	x, u := normalCase(t, 4, 12, 200, 3, 86, false)
+	tc := scatterKernels[0]
+	tc.name, tc.run = "ttmctc", func(x *spsym.Tensor, u *linalg.Matrix, o Options) (*linalg.Matrix, error) {
+		res, err := S3TTMcTC(x, u, o)
+		if err != nil {
+			return nil, err
+		}
+		return res.A, nil
+	}
+	for _, k := range append(slices.Clone(scatterKernels), tc) {
+		for _, c := range []struct {
+			name    string
+			workers int
+			arm     func() func()
+			wantErr error
+		}{
+			{"workers=1", 1, nil, nil},
+			{"workers=3", 3, nil, nil},
+			{"cancel", 3, func() func() {
+				return faultinject.Arm(faultinject.SiteKernelWorker,
+					faultinject.OnHit(20, func(any) error { return context.Canceled }))
+			}, context.Canceled},
+			{"spills-refused", 3, func() func() {
+				return faultinject.Arm(faultinject.SiteGuardReserve, func(what any) error {
+					if what == "owner-computes spill buffers" {
+						return errors.New("injected rejection")
+					}
+					return nil
+				})
+			}, nil},
+		} {
+			t.Run(k.name+"/"+c.name, func(t *testing.T) {
+				if c.arm != nil {
+					defer c.arm()()
+				}
+				g := memguard.New(1 << 30)
+				_, err := k.run(x, u, Options{Workers: c.workers, Guard: g})
+				if !errors.Is(err, c.wantErr) {
+					t.Fatalf("got %v, want %v", err, c.wantErr)
+				}
+				if used := g.Used(); used != 0 {
+					t.Errorf("guard holds %d bytes after the call returned", used)
+				}
+			})
+		}
+	}
 }

@@ -17,19 +17,23 @@ package kernels
 //     worker's slot-0 emission — and, because IOU tuples are sorted and
 //     tensors cluster, many of the others — lands in rows it owns and is
 //     written lock-free directly into Y.
-//  3. Emissions into rows owned by *another* worker go into a private
-//     per-worker spill buffer; a deterministic reduction pass (rows split
-//     across workers, spill buffers added in worker order) folds the spills
-//     into Y afterwards.
+//  3. Emissions into rows owned by *another* worker go into the leaf's
+//     private spill buffer, which holds one row for each foreign row its
+//     bin's non-zeros index — numbered when the schedule is built, not one
+//     per output row, as Chakaravarthy et al. keep on each process only the
+//     foreign rows its own non-zeros touch. A deterministic reduction pass
+//     (rows split across workers, spill buffers added in worker order)
+//     folds the spills into Y afterwards.
 //
 // Every scatter kernel runs the one loop of steps 2 and 3, ownerPass, and
 // supplies only its per-non-zero emitter.
 //
 // The schedule depends only on (tensor, worker count), so ScheduleCache
 // memoizes it next to the lattice plan cache and the workspace pool:
-// a Tucker run builds it once and reuses it every sweep. When the memory
-// guard cannot hold one spill buffer per worker, reserveSpills shrinks the
-// worker count until they fit; one worker spills nothing.
+// a Tucker run builds it once and reuses it every sweep. The guard is
+// charged exactly the schedule's spill buffers; when it cannot hold them,
+// reserveSpills shrinks the worker count until they fit; one worker spills
+// nothing.
 
 import (
 	"sync"
@@ -50,9 +54,27 @@ import (
 type schedule struct {
 	workers  int
 	dim      int
-	rowStart []int32 // len workers+1; worker w owns rows [rowStart[w], rowStart[w+1])
-	nzStart  []int32 // len workers+1; worker w's bin is nzOrder[nzStart[w]:nzStart[w+1]]
-	nzOrder  []int32 // permutation of [0, nnz), grouped by owner, ascending within
+	rowStart []int32      // len workers+1; worker w owns rows [rowStart[w], rowStart[w+1])
+	nzStart  []int32      // len workers+1; worker w's bin is nzOrder[nzStart[w]:nzStart[w+1]]
+	nzOrder  []int32      // permutation of [0, nnz), grouped by owner, ascending within
+	spills   []spillSlots // len workers; the foreign rows leaf w's bin indexes
+}
+
+// spillSlots numbers the foreign rows one leaf can spill into in ascending
+// row order: slot[r-lo] is row r's spill slot, −1 where the leaf never
+// spills. rows counts the slots; a leaf with none spills nothing.
+type spillSlots struct {
+	lo   int
+	slot []int32
+	rows int
+}
+
+// of returns row r's slot, −1 when the leaf never spills into r.
+func (m *spillSlots) of(r int) int {
+	if i := r - m.lo; i >= 0 && i < len(m.slot) {
+		return int(m.slot[i])
+	}
+	return -1
 }
 
 // ownedRows returns worker w's half-open row range.
@@ -130,7 +152,53 @@ func buildSchedule(x *spsym.Tensor, workers int) *schedule {
 		s.nzOrder[next[o]] = int32(k)
 		next[o]++
 	}
+
+	// Number each leaf's foreign rows: the rows outside its range that its
+	// bin's non-zeros index. Every emitter adds only into a non-zero's own
+	// index values, so these are all the rows the leaf can spill into; as
+	// IOU tuples are sorted they lie past its range, and the last leaf has
+	// none. A non-zero's leading index is its leaf's own row by the binning
+	// above. mark[r] == w+1 records that leaf w indexes foreign row r.
+	s.spills = make([]spillSlots, workers)
+	mark := make([]int32, x.Dim)
+	for w := 0; w < workers; w++ {
+		lo, hi := s.ownedRows(w)
+		first, last := x.Dim, -1
+		for _, k := range s.bin(w) {
+			for _, v := range x.IndexAt(int(k))[1:] {
+				if r := int(v); (r < lo || r >= hi) && mark[r] != int32(w+1) {
+					mark[r] = int32(w + 1)
+					first, last = min(first, r), max(last, r)
+				}
+			}
+		}
+		if last < first {
+			continue
+		}
+		m := &s.spills[w]
+		m.lo, m.slot = first, make([]int32, last-first+1)
+		for r := first; r <= last; r++ {
+			m.slot[r-first] = -1
+			if mark[r] == int32(w+1) {
+				m.slot[r-first] = int32(m.rows)
+				m.rows++
+			}
+		}
+	}
 	return s
+}
+
+// spillBytes is the guard charge of the schedule's spill buffers for
+// cols-wide output rows: one buffer (rows plus bitmap) per leaf that
+// spills, exactly what newSpillSet draws. One worker spills nothing.
+func (s *schedule) spillBytes(cols int) int64 {
+	var total int64
+	for _, m := range s.spills {
+		if m.rows > 0 {
+			total = satBytes(total, spillBytes(int64(m.rows), int64(cols)))
+		}
+	}
+	return total
 }
 
 // ScheduleCache memoizes owner-computes schedules across kernel calls,
@@ -217,10 +285,13 @@ func (c *ScheduleCache) putSpill(bufs []*spillBuffer) {
 	c.mu.Unlock()
 }
 
-// spillBuffer is one worker's private accumulator for emissions into rows
-// it does not own. The touched bitmap lets the reduction skip the (typically
-// many) rows a worker never spilled into without scanning their values.
+// spillBuffer is one leaf's private accumulator for emissions into rows it
+// does not own: one cols-wide row per slot of the leaf's spillSlots, which
+// newSpillSet attaches when it draws the buffer. The touched bitmap, one bit
+// per slot, keeps the reduction to the rows the leaf did spill into, so an
+// all-zero spill row is never folded onto a −0.
 type spillBuffer struct {
+	slots   spillSlots
 	cols    int
 	data    []float64
 	touched []uint64
@@ -234,36 +305,43 @@ func newSpillBuffer(rows, cols int) *spillBuffer {
 	}
 }
 
+// row returns output row i's spill row; i must be one of the leaf's slots.
 func (s *spillBuffer) row(i int) []float64 {
-	return s.data[i*s.cols : (i+1)*s.cols]
+	j := s.slots.of(i)
+	return s.data[j*s.cols : (j+1)*s.cols]
 }
 
 func (s *spillBuffer) has(i int) bool {
-	return s.touched[i>>6]&(1<<uint(i&63)) != 0
+	j := s.slots.of(i)
+	return j >= 0 && s.touched[j>>6]&(1<<uint(j&63)) != 0
 }
 
-// add accumulates scale*src into spill row i.
+// add accumulates scale*src into the spill row of output row i.
 func (s *spillBuffer) add(i int, scale float64, src []float64) {
-	s.touched[i>>6] |= 1 << uint(i&63)
-	dense.AxpyCompact(scale, src, s.row(i))
+	j := s.slots.of(i)
+	s.touched[j>>6] |= 1 << uint(j&63)
+	dense.AxpyCompact(scale, src, s.data[j*s.cols:(j+1)*s.cols])
 }
 
-// spillSet is the per-worker spill buffers of one owner-computes run plus
+// spillSet is the per-leaf spill buffers of one owner-computes run plus
 // the deterministic reduction folding them into the output.
 type spillSet struct {
-	bufs []*spillBuffer
+	bufs []*spillBuffer // nil for a leaf that spills nothing
 }
 
-// newSpillSet draws one buffer per worker, recycled through c when non-nil.
-// Pooled buffers are zero by the reduceInto invariant, so they are ready to
-// accumulate immediately.
-func newSpillSet(c *ScheduleCache, workers, rows, cols int) *spillSet {
-	if workers <= 1 {
+// newSpillSet draws a buffer for every leaf of s that spills, sized to its
+// slots and recycled through c when non-nil. Pooled buffers are zero by the
+// reduceInto invariant, so they are ready to accumulate immediately.
+func newSpillSet(c *ScheduleCache, s *schedule, cols int) *spillSet {
+	if s.workers <= 1 {
 		return nil // a single owner never emits into a foreign row
 	}
-	set := &spillSet{bufs: make([]*spillBuffer, workers)}
-	for w := range set.bufs {
-		set.bufs[w] = c.getSpill(rows, cols)
+	set := &spillSet{bufs: make([]*spillBuffer, s.workers)}
+	for w, m := range s.spills {
+		if m.rows > 0 {
+			set.bufs[w] = c.getSpill(m.rows, cols)
+			set.bufs[w].slots = m
+		}
 	}
 	return set
 }
@@ -297,7 +375,7 @@ func (s *spillSet) reduceInto(y *linalg.Matrix, workers int, c *ScheduleCache, p
 			for i := lo; i < hi; i++ {
 				dst := y.Row(i)
 				for _, sp := range s.bufs {
-					if sp.has(i) {
+					if sp != nil && sp.has(i) {
 						src := sp.row(i)
 						dense.AxpyCompact(1, src, dst)
 						for j := range src {
@@ -313,34 +391,27 @@ func (s *spillSet) reduceInto(y *linalg.Matrix, workers int, c *ScheduleCache, p
 		return err
 	}
 	for _, sp := range s.bufs {
-		for i := range sp.touched {
-			sp.touched[i] = 0
+		if sp != nil {
+			clear(sp.touched)
 		}
 	}
 	c.putSpill(s.bufs)
 	return nil
 }
 
-// spillBytes is the guard charge of an owner-computes run: one rows x cols
-// buffer (plus bitmap) per worker. A single worker spills nothing.
-func spillBytes(rows, cols int64, workers int) int64 {
-	if workers <= 1 {
-		return 0
-	}
+// spillBytes is the footprint of one rows x cols spill buffer and its
+// bitmap, as newSpillBuffer allocates it.
+func spillBytes(rows, cols int64) int64 {
 	if rows > 0 && cols > (1<<62)/rows {
 		return 1 << 62
 	}
-	per := memguard.Float64Bytes(rows*cols) + 8*((rows+63)/64)
-	total := per * int64(workers)
-	if per > 0 && total/per != int64(workers) {
-		return 1 << 62
-	}
-	return total
+	return memguard.Float64Bytes(rows*cols) + 8*((rows+63)/64)
 }
 
 // sink routes one leaf's emissions: a row the leaf owns, in [lo, hi), goes
 // straight into dst, which holds the cols-wide output rows; any other row
-// goes into the leaf's spill buffer.
+// goes into the leaf's spill buffer, which has a slot for every such row
+// its bin indexes.
 type sink struct {
 	lo, hi, cols int
 	dst          []float64
@@ -362,7 +433,7 @@ func (s *sink) add(row int, scale float64, v []float64) {
 // leaf. Each leaf walks its bin in ascending non-zero order, ticks every
 // non-zero and hands it to its worker's emitter, which adds the non-zero's
 // row contributions through the leaf's sink in a fixed order. spills holds
-// one buffer per leaf, nil when the run has one leaf.
+// the leaves' buffers, nil when the run has one leaf.
 //
 // A kernel supplies name, emitter and, optionally, finish (the plan's
 // Finish hook); scatterWorkers fills in the rest.
@@ -402,8 +473,8 @@ func (p *ownerPass) run(opts Options) error {
 }
 
 // scatter is the owner-computes run of a kernel with output y: it
-// resolves the worker count (clamped to the non-zeros, then shrunk until
-// the spill buffers fit the guard) and runs scatterWorkers.
+// resolves the schedule (its worker count clamped to the non-zeros, then
+// shrunk until the spill buffers fit the guard) and runs scatterWorkers.
 func scatter(x *spsym.Tensor, opts Options, y *linalg.Matrix, pass ownerPass) error {
 	nnz := x.NNZ()
 	if nnz == 0 {
@@ -414,43 +485,46 @@ func scatter(x *spsym.Tensor, opts Options, y *linalg.Matrix, pass ownerPass) er
 	if exec.IsCanceled(opts.Ctx) {
 		return exec.Cause(opts.Ctx)
 	}
-	workers, release := reserveSpills(opts.Guard, y.Rows, y.Cols, min(opts.workers(), nnz))
+	_, sched, release := reserveSpills(opts.Guard, opts.Schedules, x, y.Cols, min(opts.workers(), nnz))
 	defer release()
-	return scatterWorkers(x, opts, workers, y, pass)
+	return scatterWorkers(opts, sched, y, pass)
 }
 
-// scatterWorkers draws the (x, workers) schedule and its spill buffers
-// once, runs pass over every leaf, writing into y, and then folds the
-// spills into y with schedule.reduce.
-func scatterWorkers(x *spsym.Tensor, opts Options, workers int, y *linalg.Matrix, pass ownerPass) error {
-	pass.sched = opts.Schedules.get(x, workers)
-	workers = pass.sched.workers // clamped to the row count
+// scatterWorkers draws sched's spill buffers, runs pass over every leaf,
+// writing into y, and then folds the spills into y with schedule.reduce.
+func scatterWorkers(opts Options, sched *schedule, y *linalg.Matrix, pass ownerPass) error {
+	pass.sched = sched
 	pass.dst, pass.cols = y.Data, y.Cols
-	pass.spills = newSpillSet(opts.Schedules, workers, y.Rows, y.Cols)
+	pass.spills = newSpillSet(opts.Schedules, sched, y.Cols)
 	if err := pass.run(opts); err != nil {
 		// The spill buffers may hold partial updates from aborted workers;
 		// skipping reduceInto leaves them to the GC instead of returning
 		// dirty memory to the pool's all-zero free list.
 		return err
 	}
-	return pass.spills.reduceInto(y, workers, opts.Schedules, opts.Exec, opts.Obs)
+	return pass.spills.reduceInto(y, sched.workers, opts.Schedules, opts.Exec, opts.Obs)
 }
 
-// reserveSpills charges the owner-computes spill buffers of a rows x cols
-// output to the guard and returns the worker count the kernel runs with,
-// with the function that releases the charge. A refused reservation is
-// retried with one worker fewer, down to a single worker, which needs no
+// reserveSpills draws x's schedule for the requested worker count from c,
+// charges its spill buffers for cols-wide output rows to the guard, and
+// returns the worker count the kernel runs with, the schedule, and the
+// function that releases the charge. A refused reservation is retried with
+// the schedule of one worker fewer, down to a single worker, which needs no
 // spill buffer: a kernel never fails on spills alone, so which
 // configurations fit the budget depends only on the modeled footprints of
 // estimate.go. The output bits follow the returned worker count. Workers
 // beyond the row count own no rows, so they are neither charged nor kept
 // after a refusal.
-func reserveSpills(g *memguard.Guard, rows, cols, workers int) (int, func()) {
-	for ; workers > 1; workers = min(workers, rows) - 1 {
-		bytes := spillBytes(int64(rows), int64(cols), min(workers, rows))
-		if g.Reserve(bytes, "owner-computes spill buffers") == nil {
-			return workers, func() { g.Release(bytes) }
+func reserveSpills(g *memguard.Guard, c *ScheduleCache, x *spsym.Tensor, cols, workers int) (int, *schedule, func()) {
+	for {
+		s := c.get(x, workers)
+		if s.workers <= 1 {
+			return 1, s, func() {}
 		}
+		bytes := s.spillBytes(cols)
+		if g.Reserve(bytes, "owner-computes spill buffers") == nil {
+			return workers, s, func() { g.Release(bytes) }
+		}
+		workers = s.workers - 1
 	}
-	return 1, func() {}
 }

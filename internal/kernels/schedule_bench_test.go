@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/symprop/symprop/internal/dense"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/obs"
 	"github.com/symprop/symprop/internal/spsym"
@@ -30,21 +31,38 @@ func benchTensor(b *testing.B) (*spsym.Tensor, *linalg.Matrix) {
 // worker counts behind EXPERIMENTS.md §scheduling. The sched=owner-computes
 // name segment predates the removal of the striped-lock ablation and is
 // kept so snapshots compare row for row with the committed BENCH_*.json.
+// The padded-order8 row is the hoqri-walmart benchmark's input and rank,
+// off the fused grid, whose leaves spill into few of the I rows. Every row
+// reports its spill-bytes.
 func BenchmarkS3TTMcScheduling(b *testing.B) {
 	x, u := benchTensor(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("sched=owner-computes/workers=%d", workers), func(b *testing.B) {
+	walmart := walmartStandIn(b, 1)
+	wu := linalg.RandomNormal(walmart.Dim, 10, rand.New(rand.NewSource(8)))
+	for _, c := range []struct {
+		name    string
+		x       *spsym.Tensor
+		u       *linalg.Matrix
+		workers int
+	}{
+		{"sched=owner-computes/workers=1", x, u, 1},
+		{"sched=owner-computes/workers=2", x, u, 2},
+		{"sched=owner-computes/workers=4", x, u, 4},
+		{"sched=owner-computes/workers=8", x, u, 8},
+		{"sched=owner-computes/padded-order8/workers=2", walmart, wu, 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			var scheds ScheduleCache
 			m := obs.New()
-			opts := Options{Workers: workers, Schedules: &scheds, Obs: m}
+			opts := Options{Workers: c.workers, Schedules: &scheds, Obs: m}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := S3TTMcSymProp(x, u, opts); err != nil {
+				if _, err := S3TTMcSymProp(c.x, c.u, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
 			reportPlanMetrics(b, m)
+			reportSpillBytes(b, &scheds, c.x, c.workers, int(dense.Count(c.x.Order-1, c.u.Cols)))
 		})
 	}
 }
@@ -64,8 +82,18 @@ func BenchmarkUCOOScheduling(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			reportSpillBytes(b, &scheds, x, workers, int(dense.Pow64(int64(u.Cols), x.Order-1)))
 		})
 	}
+}
+
+// reportSpillBytes attaches the spill bytes each call drew for its
+// cols-wide output rows, the (x, workers) schedule's exact charge, as a
+// custom benchmark column beside reportPlanMetrics'.
+func reportSpillBytes(b *testing.B, scheds *ScheduleCache, x *spsym.Tensor, workers, cols int) {
+	b.Helper()
+	b.ReportMetric(float64(scheds.get(x, workers).spillBytes(cols)), "spill-bytes")
 }
 
 // BenchmarkS3TTMcFused is the codegen-v2 ablation behind docs/CODEGEN.md:

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/symprop/symprop/internal/dense"
 	"github.com/symprop/symprop/internal/faultinject"
+	"github.com/symprop/symprop/internal/hypergraph"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/obs"
@@ -106,29 +108,38 @@ func TestScheduleCacheMemoizes(t *testing.T) {
 	}
 }
 
-// reserveSpills charges the spill buffers for the largest worker count the
-// guard admits, down to one worker, which needs none.
+// reserveSpills charges the exact spill buffers of the largest worker
+// count the guard admits, down to one worker, which needs none.
 func TestReserveSpills(t *testing.T) {
-	// No guard: the requested count.
-	if w, release := reserveSpills(nil, 100, 10, 4); w != 4 {
-		t.Fatalf("unguarded workers = %d, want 4", w)
+	const cols = 100
+	x, _ := randomCase(t, 3, 40, 200, 2, 19)
+	charge := func(workers int) int64 { return buildSchedule(x, workers).spillBytes(cols) }
+	if c2, c3, c4 := charge(2), charge(3), charge(4); c2 == 0 || c3 <= c2 || c4 <= c2 {
+		t.Fatalf("charges at 2, 3, 4 workers = %d, %d, %d; the shrink case needs 0 < c2 < c3, c4", c2, c3, c4)
+	}
+
+	// No guard: the requested count, its schedule drawn once into the cache.
+	var cache ScheduleCache
+	if w, s, release := reserveSpills(nil, &cache, x, cols, 4); w != 4 || s.workers != 4 || cache.Len() != 1 {
+		t.Fatalf("unguarded = (%d workers, %d leaves, %d cached), want (4, 4, 1)", w, s.workers, cache.Len())
 	} else {
 		release()
 	}
 	// Workers beyond the row count own no rows and are not charged.
+	small, _ := randomCase(t, 3, 3, 10, 2, 19)
 	g := memguard.New(1 << 30)
-	if w, release := reserveSpills(g, 3, 10, 8); w != 8 || g.Used() != spillBytes(3, 10, 3) {
-		t.Fatalf("3 rows = (%d workers, %d bytes), want (8, %d)", w, g.Used(), spillBytes(3, 10, 3))
+	if w, s, release := reserveSpills(g, nil, small, 10, 8); w != 8 || s.workers != 3 || g.Used() != s.spillBytes(10) {
+		t.Fatalf("3 rows = (%d workers, %d leaves, %d bytes), want (8, 3, %d)", w, s.workers, g.Used(), s.spillBytes(10))
 	} else {
 		release()
 	}
 
-	// A budget for two spill buffers shrinks four workers to two, charges
-	// the guard, and the release returns the charge.
-	g = memguard.New(spillBytes(1000, 100, 2) + 1)
-	w, release := reserveSpills(g, 1000, 100, 4)
-	if w != 2 || g.Used() != spillBytes(1000, 100, 2) {
-		t.Fatalf("tight budget = (%d workers, %d bytes), want (2, %d)", w, g.Used(), spillBytes(1000, 100, 2))
+	// A budget for the two-worker schedule's buffers shrinks four workers to
+	// two, charges the guard exactly that, and the release returns it.
+	g = memguard.New(charge(2) + 1)
+	w, s, release := reserveSpills(g, nil, x, cols, 4)
+	if w != 2 || s.workers != 2 || g.Used() != charge(2) {
+		t.Fatalf("tight budget = (%d workers, %d bytes), want (2, %d)", w, g.Used(), charge(2))
 	}
 	release()
 	if g.Used() != 0 {
@@ -137,7 +148,7 @@ func TestReserveSpills(t *testing.T) {
 
 	// A budget too small for any spill buffer runs one worker, uncharged.
 	g = memguard.New(1 << 10)
-	if w, release := reserveSpills(g, 1000, 100, 4); w != 1 || g.Used() != 0 {
+	if w, s, release := reserveSpills(g, nil, x, cols, 4); w != 1 || s.workers != 1 || g.Used() != 0 {
 		t.Fatalf("tiny budget = (%d workers, %d bytes), want (1, 0)", w, g.Used())
 	} else {
 		release()
@@ -151,7 +162,7 @@ func TestReserveSpills(t *testing.T) {
 		return nil
 	})
 	defer disarm()
-	if w, release := reserveSpills(memguard.New(1<<30), 1000, 100, 4); w != 1 {
+	if w, _, release := reserveSpills(memguard.New(1<<30), nil, x, cols, 4); w != 1 {
 		t.Fatalf("rejecting guard = %d workers, want 1", w)
 	} else {
 		release()
@@ -187,7 +198,7 @@ func TestSpillsShrinkToFit(t *testing.T) {
 			}},
 	} {
 		t.Run(k.name, func(t *testing.T) {
-			g := memguard.New(k.fixed + spillBytes(int64(x.Dim), k.cols, fit))
+			g := memguard.New(k.fixed + buildSchedule(x, fit).spillBytes(int(k.cols)))
 			m := obs.New()
 			got, err := k.run(Options{Workers: requested, Guard: g, Obs: m})
 			if err != nil {
@@ -218,38 +229,77 @@ func TestSpillsShrinkToFit(t *testing.T) {
 	}
 }
 
+// A spill buffer's footprint is its rows plus one bitmap bit per row, and
+// a schedule charges exactly one buffer per leaf that spills.
 func TestSpillBytes(t *testing.T) {
-	if b := spillBytes(100, 10, 1); b != 0 {
+	if b, want := spillBytes(100, 10), memguard.Float64Bytes(100*10)+8*((100+63)/64); b != want {
+		t.Errorf("spill bytes = %d, want %d", b, want)
+	}
+	if b := spillBytes(1<<40, 1<<40); b != 1<<62 {
+		t.Errorf("overflowing spill bytes = %d, want saturation", b)
+	}
+	x, _ := randomCase(t, 3, 30, 120, 2, 23)
+	if b := buildSchedule(x, 1).spillBytes(10); b != 0 {
 		t.Errorf("single worker spill bytes = %d, want 0", b)
 	}
-	per := memguard.Float64Bytes(100*10) + 8*((100+63)/64)
-	if b := spillBytes(100, 10, 3); b != 3*per {
-		t.Errorf("spill bytes = %d, want %d", b, 3*per)
+	s := buildSchedule(x, 3)
+	var want int64
+	for _, m := range s.spills {
+		if m.rows > 0 {
+			want += spillBytes(int64(m.rows), 10)
+		}
 	}
-	if b := spillBytes(1<<40, 1<<40, 64); b != 1<<62 {
-		t.Errorf("overflowing spill bytes = %d, want saturation", b)
+	if b := s.spillBytes(10); b != want || b == 0 {
+		t.Errorf("three-worker spill bytes = %d, want %d (non-zero)", b, want)
 	}
 }
 
+// slotsFor numbers the given ascending foreign rows as buildSchedule does.
+func slotsFor(rows ...int) spillSlots {
+	m := spillSlots{lo: rows[0], slot: make([]int32, rows[len(rows)-1]-rows[0]+1)}
+	for i := range m.slot {
+		m.slot[i] = -1
+	}
+	for _, r := range rows {
+		m.slot[r-m.lo] = int32(m.rows)
+		m.rows++
+	}
+	return m
+}
+
 func TestSpillSetReduce(t *testing.T) {
-	if s := newSpillSet(nil, 1, 10, 3); s != nil {
+	if s := newSpillSet(nil, &schedule{workers: 1, spills: make([]spillSlots, 1)}, 3); s != nil {
 		t.Fatal("single-worker spill set should be nil")
 	}
 	var nilSet *spillSet
 	if nilSet.buffer(0) != nil {
 		t.Fatal("nil spill set returned a buffer")
 	}
-	y := linalg.NewMatrix(5, 2)
+	y := linalg.NewMatrix(6, 2)
 	nilSet.reduceInto(y, 2, nil, nil, nil) // must be a no-op
+	// Leaf 0 may spill into rows 1 and 3, leaf 2 into row 1, leaf 1 into
+	// rows 4 and 5; leaf 3 spills nothing and draws no buffer.
+	sched := &schedule{workers: 4, spills: []spillSlots{slotsFor(1, 3), slotsFor(4, 5), slotsFor(1), {}}}
 	var cache ScheduleCache
-	s := newSpillSet(&cache, 3, 5, 2)
+	s := newSpillSet(&cache, sched, 2)
+	if s.buffer(3) != nil {
+		t.Fatal("a leaf without foreign rows drew a spill buffer")
+	}
+	for w, rows := range []int{2, 2, 1} {
+		if got := len(s.buffer(w).data); got != rows*2 {
+			t.Fatalf("leaf %d buffer holds %d values, want %d", w, got, rows*2)
+		}
+	}
 	s.buffer(0).add(1, 2, []float64{1, 1})
 	s.buffer(2).add(1, 1, []float64{0.5, 0})
 	s.buffer(1).add(4, -1, []float64{1, 2})
-	if err := s.reduceInto(y, 3, &cache, nil, nil); err != nil {
+	// Row 3 is a slot of leaf 0 it never spilled into: the reduction skips
+	// it, so y's −0 there keeps its sign.
+	y.Set(3, 0, math.Copysign(0, -1))
+	if err := s.reduceInto(y, 4, &cache, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	want := [][]float64{{0, 0}, {2.5, 2}, {0, 0}, {0, 0}, {-1, -2}}
+	want := [][]float64{{0, 0}, {2.5, 2}, {0, 0}, {0, 0}, {-1, -2}, {0, 0}}
 	for i, row := range want {
 		for j, v := range row {
 			if y.At(i, j) != v {
@@ -257,9 +307,12 @@ func TestSpillSetReduce(t *testing.T) {
 			}
 		}
 	}
+	if !math.Signbit(y.At(3, 0)) {
+		t.Fatal("an untouched spill slot was folded onto a −0")
+	}
 	// Reduction retires the buffers into the cache pool fully zeroed, so
 	// the next set reuses them without reallocating.
-	reused := newSpillSet(&cache, 3, 5, 2)
+	reused := newSpillSet(&cache, sched, 2)
 	for w := 0; w < 3; w++ {
 		buf := reused.buffer(w)
 		for _, v := range buf.data {
@@ -275,6 +328,110 @@ func TestSpillSetReduce(t *testing.T) {
 	}
 	if cache.getSpill(7, 3).cols != 3 {
 		t.Fatal("mismatched shape must allocate a fresh buffer")
+	}
+}
+
+// walmartStandIn is the input of the hoqri-walmart benchmark workload: the
+// walmart-trips planted hypergraph scaled to I = 1,000 and 400 hyperedges,
+// order 8, padded with a dummy node.
+func walmartStandIn(tb testing.TB, seed int64) *spsym.Tensor {
+	tb.Helper()
+	spec, err := hypergraph.Lookup("walmart-trips")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec.Dim, spec.UNNZ = 1000, 400
+	x, err := spec.GenerateTensor(seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return x
+}
+
+// TestSpillBuffersSizedToForeignRows holds each leaf's spill buffer to the
+// foreign rows its bin can touch: exactly one row per distinct index value
+// outside the leaf's range among its non-zeros, numbered in ascending row
+// order, none for the last leaf, and a guard charge equal to the bytes the
+// buffers allocate. On the hoqri-walmart benchmark's stand-in (I = 1,000,
+// order 8, 400 non-zeros) the spill rows stay under a quarter of I, where
+// one buffer per leaf used to hold all of them.
+func TestSpillBuffersSizedToForeignRows(t *testing.T) {
+	padded, _ := paddedCase(t, 8, 16, 150, 6, 85)
+	walmart := walmartStandIn(t, 1)
+	for _, c := range []struct {
+		name    string
+		x       *spsym.Tensor
+		cols    int
+		workers int
+	}{
+		{"order8r6-padded/workers=2", padded, int(dense.Count(7, 6)), 2},
+		{"order8r6-padded/workers=3", padded, int(dense.Count(7, 6)), 3},
+		{"order8r6-padded/workers=4", padded, int(dense.Count(7, 6)), 4},
+		{"walmart-stand-in/workers=2", walmart, int(dense.Count(7, 10)), 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := buildSchedule(c.x, c.workers)
+			if s.workers != c.workers {
+				t.Fatalf("schedule has %d leaves, want %d", s.workers, c.workers)
+			}
+			set := newSpillSet(nil, s, c.cols)
+			var total int
+			var allocated int64
+			for w := 0; w < s.workers; w++ {
+				lo, hi := s.ownedRows(w)
+				foreign := map[int]bool{}
+				for _, k := range s.bin(w) {
+					for _, v := range c.x.IndexAt(int(k)) {
+						if r := int(v); r < lo || r >= hi {
+							foreign[r] = true
+						}
+					}
+				}
+				m := s.spills[w]
+				if m.rows != len(foreign) {
+					t.Errorf("leaf %d has %d spill rows, its bin touches %d foreign rows", w, m.rows, len(foreign))
+				}
+				next := 0
+				for r := 0; r < c.x.Dim; r++ {
+					got := m.of(r)
+					if !foreign[r] {
+						if got != -1 {
+							t.Fatalf("leaf %d: row %d, which its bin never touches, has slot %d", w, r, got)
+						}
+						continue
+					}
+					if got != next {
+						t.Fatalf("leaf %d: foreign row %d has slot %d, want %d (ascending)", w, r, got, next)
+					}
+					next++
+				}
+				buf := set.buffer(w)
+				if (buf == nil) != (len(foreign) == 0) {
+					t.Fatalf("leaf %d: buffer drawn = %v with %d foreign rows", w, buf != nil, len(foreign))
+				}
+				if buf != nil {
+					if len(buf.data) != len(foreign)*c.cols {
+						t.Errorf("leaf %d buffer holds %d values, want %d rows of %d", w, len(buf.data), len(foreign), c.cols)
+					}
+					allocated += 8*int64(len(buf.data)) + 8*int64(len(buf.touched))
+				}
+				total += len(foreign)
+			}
+			if last := s.spills[s.workers-1]; last.rows != 0 {
+				t.Errorf("the last leaf has %d spill rows, want none", last.rows)
+			}
+			g := memguard.New(1 << 40)
+			_, _, release := reserveSpills(g, nil, c.x, c.cols, c.workers)
+			if g.Used() != allocated || allocated != s.spillBytes(c.cols) {
+				t.Errorf("guard charge %d, schedule charge %d, buffers allocate %d bytes", g.Used(), s.spillBytes(c.cols), allocated)
+			}
+			release()
+			if c.x == walmart && 4*total > c.x.Dim {
+				t.Errorf("%d spill rows on I = %d: above a quarter of I", total, c.x.Dim)
+			}
+			t.Logf("%d spill rows, %d bytes (one buffer of all rows per leaf: %d bytes)",
+				total, allocated, int64(s.workers)*spillBytes(int64(c.x.Dim), int64(c.cols)))
+		})
 	}
 }
 

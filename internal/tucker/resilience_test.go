@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"github.com/symprop/symprop/internal/checkpoint"
 	"github.com/symprop/symprop/internal/faultinject"
 	"github.com/symprop/symprop/internal/linalg"
+	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/spsym"
 )
 
@@ -303,6 +305,74 @@ func TestBudgetRetryDegrades(t *testing.T) {
 				t.Errorf("degraded run produced non-orthonormal factor: %v", e)
 			}
 		})
+	}
+}
+
+// TestGuardBalancesAfterEveryDriver holds every driver's guard charges to
+// balance: under a 1 GiB budget, Guard.Used() is 0 once the run returns —
+// at one worker and at three, which charge the exact spill buffers, after a
+// cancel inside the second sweep's scatter pass, while its spill buffers
+// are held, and after a run that takes the one-shot budget retry.
+func TestGuardBalancesAfterEveryDriver(t *testing.T) {
+	x := testTensor(t, 3, 12, 60, 17)
+	for _, d := range resumableDrivers() {
+		scatterPlan := "s3ttmc.owner"
+		if d.name == "hoqri-nary" {
+			scatterPlan = "nary.scatter.owner"
+		}
+		for _, c := range []struct {
+			name    string
+			workers int
+			// arm arms the case's faults, given the run's cancel, and
+			// returns their disarm.
+			arm func(cancel context.CancelFunc) func()
+		}{
+			{"workers=1", 1, nil},
+			{"workers=3", 3, nil},
+			{"cancel", 3, func(cancel context.CancelFunc) func() {
+				var sweep atomic.Int64
+				disarmIter := faultinject.Arm(faultinject.SiteIteration, func(p any) error {
+					sweep.Store(int64(p.(int)))
+					return nil
+				})
+				disarmWorker := faultinject.Arm(faultinject.PlanWorkerSite(scatterPlan), func(any) error {
+					if sweep.Load() == 1 {
+						cancel()
+						return context.Canceled
+					}
+					return nil
+				})
+				return func() { disarmWorker(); disarmIter() }
+			}},
+			{"budget-retry", 3, func(context.CancelFunc) func() {
+				return faultinject.Arm(faultinject.SiteGuardReserve,
+					faultinject.OnHit(1, func(any) error { return errors.New("injected rejection") }))
+			}},
+		} {
+			t.Run(d.name+"/"+c.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if c.arm != nil {
+					defer c.arm(cancel)()
+				}
+				g := memguard.New(1 << 30)
+				res, err := d.run(x, Options{Rank: 3, MaxIters: 4, Seed: 2, Workers: c.workers, Guard: g, Ctx: ctx})
+				switch {
+				case c.name == "cancel":
+					var ce *CanceledError
+					if !errors.As(err, &ce) || ce.Iters != 1 {
+						t.Fatalf("got %v, want a cancel after one sweep", err)
+					}
+				case err != nil:
+					t.Fatal(err)
+				case c.name == "budget-retry" && res.Health.BudgetRetries != 1:
+					t.Fatalf("BudgetRetries = %d, want 1", res.Health.BudgetRetries)
+				}
+				if used := g.Used(); used != 0 {
+					t.Errorf("guard holds %d bytes after the run returned", used)
+				}
+			})
+		}
 	}
 }
 

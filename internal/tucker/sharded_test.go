@@ -126,31 +126,43 @@ func TestShardedResumeAcrossShardCounts(t *testing.T) {
 // TestShardedBudgetMatchesUnsharded: Shards changes no guard charge, so
 // under a tight memory budget a run with Shards takes the same budget
 // retries as the run without and ends on the same factor bits. The
-// budgets sit around 18,784 (HOQRI) and 21,728 (HOOI) bytes, where the
-// runs shrink their spill buffers; at 6,000 bytes HOQRI fits only after
-// its one retry.
+// budgets sit where the exact spill charge shrinks the runs' four
+// requested workers: 10,552, 14,160 and 17,768 bytes are the least that
+// run two, three and four; at 6,000 bytes HOQRI fits only after its one
+// retry. Each driver's list holds a budget that runs fewer than four
+// workers and one that runs four.
 func TestShardedBudgetMatchesUnsharded(t *testing.T) {
 	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 60, NNZ: 900, Seed: 5, Values: spsym.ValueNormal})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const workers = 4
 	for _, c := range []struct {
 		name    string
 		run     func(*spsym.Tensor, Options) (*Result, error)
 		budgets []int64
 	}{
-		{"hoqri", HOQRI, []int64{6000, 16736, 18272, 18784, 19296, 20832}},
-		{"hooi", HOOI, []int64{19680, 21216, 21728, 22240, 23776}},
+		{"hoqri", HOQRI, []int64{6000, 10551, 10552, 14160, 17767, 17768}},
+		{"hooi", HOOI, []int64{10551, 10552, 14159, 14160, 17768}},
 	} {
+		// ran records the worker counts the unsharded runs took.
+		ran := map[int64]bool{}
 		for _, budget := range c.budgets {
 			t.Run(fmt.Sprintf("%s/%d", c.name, budget), func(t *testing.T) {
 				run := func(shards int) (*Result, error) {
-					return c.run(x, Options{Rank: 4, MaxIters: 4, Seed: 3, Workers: 4,
+					return c.run(x, Options{Rank: 4, MaxIters: 4, Seed: 3, Workers: workers,
 						Shards: shards, Guard: memguard.New(budget)})
 				}
 				ref, refErr := run(0)
 				if refErr != nil && !errors.Is(refErr, ErrBudget) {
 					t.Fatal(refErr)
+				}
+				if refErr == nil {
+					for _, pm := range ref.PlanMetrics {
+						if pm.Name == "s3ttmc.owner" && ref.Health.BudgetRetries == 0 {
+							ran[pm.Items/pm.Invocations] = true
+						}
+					}
 				}
 				for _, shards := range []int{2, 4} {
 					res, err := run(shards)
@@ -167,6 +179,14 @@ func TestShardedBudgetMatchesUnsharded(t *testing.T) {
 					mustEqualMatrixBits(t, fmt.Sprintf("shards=%d U", shards), res.U, ref.U)
 				}
 			})
+		}
+		shrunk := false
+		for w := range ran {
+			shrunk = shrunk || w < workers
+		}
+		if !shrunk || !ran[workers] {
+			t.Errorf("%s: budgets ran worker counts %v; the list must cross a shrink point, running fewer than %d and %d",
+				c.name, ran, workers, workers)
 		}
 	}
 }
