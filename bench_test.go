@@ -200,6 +200,9 @@ func BenchmarkFig6Threads(b *testing.B) {
 
 // --- Fig. 7: HOOI vs HOQRI end-to-end -------------------------------------
 
+// BenchmarkFig7Tucker reports each solve's allocations: a run recycles
+// one S³TTMc output across its sweeps, so B/op tracks the drivers' own
+// working sets.
 func BenchmarkFig7Tucker(b *testing.B) {
 	cases := []struct {
 		name               string
@@ -212,6 +215,7 @@ func BenchmarkFig7Tucker(b *testing.B) {
 	for _, c := range cases {
 		x := benchTensor(b, c.order, c.dim, c.nnz, 13)
 		b.Run("HOOI/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := tucker.HOOI(x, tucker.Options{Rank: c.r, MaxIters: 3, Seed: 1}); err != nil {
 					b.Fatal(err)
@@ -219,6 +223,7 @@ func BenchmarkFig7Tucker(b *testing.B) {
 			}
 		})
 		b.Run("HOQRI/"+c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := tucker.HOQRI(x, tucker.Options{Rank: c.r, MaxIters: 3, Seed: 1}); err != nil {
 					b.Fatal(err)

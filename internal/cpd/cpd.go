@@ -70,8 +70,9 @@ func (r *Result) FinalFit() float64 {
 // V = (UᵀU)^{∘(N-1)} (elementwise power of the Gram), then renormalizes
 // columns and refits the weights λ by solving (UᵀU)^{∘N}·λ = b with
 // b_r = X ×₁ u_rᵀ ⋯ ×_N u_rᵀ. M comes from kernels.S3MTTKRP, whose
-// owner-computes schedule is built once per run and whose plan runs on the
-// run's one exec.Pool.
+// owner-computes schedule is built once per run, and both Grams UᵀU from
+// plan cpd.gram; every plan runs on the run's one exec.Pool, and its errors
+// and worker panics come back from Decompose.
 func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 	if x.Order < 2 {
 		return nil, fmt.Errorf("cpd: order %d tensor; need order >= 2", x.Order)
@@ -90,10 +91,12 @@ func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 	res := &Result{NormX2: x.NormSquared()}
 	lambda := make([]float64, r)
 	// One engine pool per run, sized to the worker count (GOMAXPROCS when
-	// unset): every sweep's mttkrp.owner plan reuses its goroutines.
+	// unset): every sweep's mttkrp.owner and cpd.gram plans reuse its
+	// goroutines.
 	pool := exec.NewPool(opts.Workers)
 	defer pool.Close()
 	kopts := kernels.Options{Workers: opts.Workers, Schedules: &kernels.ScheduleCache{}, Exec: pool}
+	cfg := exec.Config{Workers: opts.Workers, Pool: pool}
 
 	for it := 0; it < opts.MaxIters; it++ {
 		// M = S³MTTKRP(X, U), I x R.
@@ -103,7 +106,10 @@ func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 		}
 
 		// V = (UᵀU)^{∘(N-1)}.
-		gram := linalg.MulTN(u, u)
+		gram, err := linalg.RunMulTN(cfg, "cpd.gram", u, u)
+		if err != nil {
+			return nil, fmt.Errorf("cpd: %w", err)
+		}
 		v := hadamardPower(gram, x.Order-1)
 
 		// Solve U·V = M  =>  Vᵀ·Uᵀ = Mᵀ; V is symmetric, so solve V·Uᵀ = Mᵀ.
@@ -115,7 +121,9 @@ func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 		normalizeColumns(u)
 
 		// Refit lambda: (UᵀU)^{∘N} λ = b.
-		gram = linalg.MulTN(u, u)
+		if gram, err = linalg.RunMulTN(cfg, "cpd.gram", u, u); err != nil {
+			return nil, fmt.Errorf("cpd: %w", err)
+		}
 		gN := hadamardPower(gram, x.Order)
 		b := innerWithComponents(x, u)
 		lambda, err = linalg.SolveSPDVector(gN, b)

@@ -226,41 +226,52 @@ func checkGoroutines(t *testing.T) {
 	})
 }
 
-// An error armed at the S³MTTKRP plan's worker site comes back from
-// Decompose, wrapped.
+// cpPlans is the engine plans of a CP sweep: S³MTTKRP and the two Grams.
+var cpPlans = []string{"mttkrp.owner", "cpd.gram"}
+
+// An error armed at a CP plan's worker site comes back from Decompose,
+// wrapped.
 func TestCPFaultInjectedError(t *testing.T) {
 	checkGoroutines(t)
 	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 30, NNZ: 1500, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	injected := errors.New("injected mttkrp error")
-	disarm := faultinject.Arm(faultinject.PlanWorkerSite("mttkrp.owner"),
-		faultinject.OnHit(7, func(any) error { return injected }))
-	defer disarm()
-	if _, err := Decompose(x, Options{Rank: 3, MaxIters: 3, Seed: 1, Workers: 2}); !errors.Is(err, injected) {
-		t.Fatalf("got %v, want the injected error", err)
+	for _, plan := range cpPlans {
+		t.Run(plan, func(t *testing.T) {
+			injected := errors.New("injected " + plan + " error")
+			disarm := faultinject.Arm(faultinject.PlanWorkerSite(plan),
+				faultinject.OnHit(7, func(any) error { return injected }))
+			defer disarm()
+			if _, err := Decompose(x, Options{Rank: 3, MaxIters: 3, Seed: 1, Workers: 2}); !errors.Is(err, injected) {
+				t.Fatalf("got %v, want the injected error", err)
+			}
+		})
 	}
 }
 
-// A panic in an S³MTTKRP worker comes back as kernels.ErrWorkerPanic, not
-// as a process crash.
+// A panic in a CP plan's worker comes back as kernels.ErrWorkerPanic
+// naming the plan, not as a process crash.
 func TestCPWorkerPanicRecovered(t *testing.T) {
 	checkGoroutines(t)
 	x, err := spsym.Random(spsym.RandomOptions{Order: 3, Dim: 30, NNZ: 1500, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	disarm := faultinject.Arm(faultinject.PlanWorkerSite("mttkrp.owner"),
-		faultinject.OnHit(3, func(any) error { panic("injected mttkrp crash") }))
-	defer disarm()
-	_, err = Decompose(x, Options{Rank: 3, MaxIters: 3, Seed: 1, Workers: 2})
-	if !errors.Is(err, kernels.ErrWorkerPanic) {
-		t.Fatalf("got %v, want kernels.ErrWorkerPanic", err)
-	}
-	var wp *kernels.WorkerPanicError
-	if !errors.As(err, &wp) || wp.Plan != "mttkrp.owner" {
-		t.Fatalf("error %v does not unwrap to a panic of plan mttkrp.owner", err)
+	for _, plan := range cpPlans {
+		t.Run(plan, func(t *testing.T) {
+			disarm := faultinject.Arm(faultinject.PlanWorkerSite(plan),
+				faultinject.OnHit(3, func(any) error { panic("injected " + plan + " crash") }))
+			defer disarm()
+			_, err := Decompose(x, Options{Rank: 3, MaxIters: 3, Seed: 1, Workers: 2})
+			if !errors.Is(err, kernels.ErrWorkerPanic) {
+				t.Fatalf("got %v, want kernels.ErrWorkerPanic", err)
+			}
+			var wp *kernels.WorkerPanicError
+			if !errors.As(err, &wp) || wp.Plan != plan {
+				t.Fatalf("error %v does not unwrap to a panic of plan %s", err, plan)
+			}
+		})
 	}
 }
 

@@ -7,6 +7,8 @@
 //   - S3TTMcCSS — the prior state of the art [11], [12]: the same lattice
 //     memoization but with *full* dense intermediates (R^l per K tensor)
 //     and a full Y(1) (I x R^{N-1}); symmetry of the input only.
+//   - S3TTMcInto — the entry behind both, which writes into a
+//     caller-held output: a Tucker run recycles one across its sweeps.
 //   - SPLATT — the general sparse baseline: CSF over the permutation-
 //     expanded non-zero set (internal/csf).
 //   - S3TTMcTC — paper Algorithm 2: S3TTMcSymProp, then CoreProduct and
@@ -19,8 +21,9 @@
 //
 // The sparse kernels parallelize over IOU non-zeros with per-worker lattice
 // workspaces; output accumulation is contention-free (owner-computes
-// scheduling, see schedule.go). The dense stages run linalg's row plans.
-// Every kernel runs as named exec plans under its Options.
+// scheduling, see schedule.go), and the owners also zero their rows of a
+// recycled output. The dense stages run linalg's row plans. Every kernel
+// runs as named exec plans under its Options.
 package kernels
 
 import (
@@ -355,32 +358,45 @@ func latticePass(name string, x *spsym.Tensor, u *linalg.Matrix, opts Options, c
 // S3TTMcSymProp computes the SymProp S³TTMc (paper §III): the chain product
 // Y = X ×₂ Uᵀ … ×_N Uᵀ, returned in the partially symmetric compact
 // unfolding Y_p(1) of shape I x S_{N-1,R} — row k holds the IOU entries of
-// the fully symmetric order-(N-1) slice Y(k, :, …, :).
+// the fully symmetric order-(N-1) slice Y(k, :, …, :). It is S3TTMcInto
+// with no destination.
 func S3TTMcSymProp(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
-	return s3ttmc(x, u, opts, true)
+	return S3TTMcInto(nil, x, u, opts, true)
 }
 
 // S3TTMcCSS computes the same chain product with the prior-art CSS
 // baseline: lattice memoization but full dense intermediates, returning
-// the full unfolding Y(1) of shape I x R^{N-1}.
+// the full unfolding Y(1) of shape I x R^{N-1}. It is S3TTMcInto with no
+// destination.
 func S3TTMcCSS(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
-	return s3ttmc(x, u, opts, false)
+	return S3TTMcInto(nil, x, u, opts, false)
 }
 
-// s3ttmc is the entry of both lattice kernels; compact selects SymProp's
-// compact storage over CSS's full storage. It computes the K lattice of
-// every IOU non-zero and accumulates each top tensor into its output row,
-// scaled by the non-zero's value, under owner-computes scheduling.
-func s3ttmc(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) (*linalg.Matrix, error) {
+// S3TTMcInto is the entry of both lattice kernels: S3TTMcSymProp when
+// compact is set, S3TTMcCSS otherwise. It computes the K lattice of every
+// IOU non-zero and accumulates each top tensor into its output row, scaled
+// by the non-zero's value, under owner-computes scheduling.
+//
+// dst, when non-nil, is the output, overwritten whatever it holds: each
+// owner-computes leaf zeroes its own rows before its first emission, so a
+// Tucker run recycles one output across its sweeps and gets a fresh call's
+// bits. It must have the output's shape (mustOutputShape). A failed call
+// leaves dst partly written. nil allocates the output. Either way the
+// guard is charged the output's bytes for the length of the call.
+func S3TTMcInto(dst *linalg.Matrix, x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) (*linalg.Matrix, error) {
 	if err := validate(x, u); err != nil {
 		return nil, err
 	}
-	recordFusionMiss(opts, compact, x.Order, u.Cols)
+	r := u.Cols
+	cols := tensorSize(x.Order-1, r, compact)
+	if dst != nil {
+		mustOutputShape(dst, x.Dim, cols)
+	}
+	recordFusionMiss(opts, compact, x.Order, r)
 	site, yLabel, wsLabel := "s3ttmc.css", "full Y(1)", "CSS lattice workspaces"
 	if compact {
 		site, yLabel, wsLabel = "s3ttmc.symprop", "compact Y_p(1)", "SymProp lattice workspaces"
 	}
-	r := u.Cols
 	if !compact {
 		treeBytes := cssTreeBytes(x.NNZ(), x.Order, r)
 		if err := opts.Guard.Reserve(treeBytes, "CSS tree-resident K tensors"); err != nil {
@@ -388,7 +404,6 @@ func s3ttmc(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) (*lin
 		}
 		defer opts.Guard.Release(treeBytes)
 	}
-	cols := tensorSize(x.Order-1, r, compact)
 	yBytes := memguard.Float64Bytes(int64(x.Dim) * cols)
 	wsBytes := latticeBytes(x.Order, r, compact) * int64(opts.workers())
 	if err := opts.Guard.Reserve(yBytes, yLabel); err != nil {
@@ -400,8 +415,14 @@ func s3ttmc(x *spsym.Tensor, u *linalg.Matrix, opts Options, compact bool) (*lin
 	}
 	defer opts.Guard.Release(wsBytes)
 
-	y := linalg.NewMatrix(x.Dim, int(cols))
-	if err := scatter(x, opts, y, latticePass("s3ttmc.owner", x, u, opts, compact)); err != nil {
+	pass := latticePass("s3ttmc.owner", x, u, opts, compact)
+	y := dst
+	if y == nil {
+		y = linalg.NewMatrix(x.Dim, int(cols))
+	} else {
+		pass.zero = true
+	}
+	if err := scatter(x, opts, y, pass); err != nil {
 		return nil, err
 	}
 	// Fault-injection point for numeric-health tests: an armed hook may
@@ -444,6 +465,19 @@ func mustCompactShape(yp *linalg.Matrix, order, r int) {
 	if want := dense.Count(order-1, r); int64(yp.Cols) != want {
 		panic(fmt.Sprintf("kernels: ExpandCompactColumns: matrix has %d columns, but order %d rank %d implies %d",
 			yp.Cols, order, r, want))
+	}
+}
+
+// mustOutputShape panics when a caller-supplied S³TTMc destination is not
+// the rows x cols output of the call it is handed to. The shape follows
+// from the tensor, the rank and the layout, which a caller recycling one
+// output across sweeps holds fixed, so a mismatch means it handed over a
+// buffer of another run or layout — a programming bug, not a runtime
+// condition.
+func mustOutputShape(dst *linalg.Matrix, rows int, cols int64) {
+	if dst.Rows != rows || int64(dst.Cols) != cols {
+		panic(fmt.Sprintf("kernels: S3TTMcInto: destination is %dx%d, the output is %dx%d",
+			dst.Rows, dst.Cols, rows, cols))
 	}
 }
 

@@ -505,3 +505,88 @@ func TestExpandCompactColumnsShapeCheck(t *testing.T) {
 	}()
 	ExpandCompactColumns(linalg.NewMatrix(3, 7), 3, 2) // S_{2,2}=3, not 7
 }
+
+// TestReusedOutputMatchesFresh: S3TTMcInto into a recycled destination
+// gives a fresh call's bits whatever the destination held, because each
+// owner-computes leaf clears its own rows before its first emission. It
+// runs SymProp and CSS on the padded order-8 golden fixture (CSS at rank 2,
+// where its full unfolding stays small), on an all-distinct fixture on the
+// fused grid and on a tensor without non-zeros, at workers 1–4, into a
+// destination filled with NaN and into one holding a non-zero pattern.
+func TestReusedOutputMatchesFresh(t *testing.T) {
+	padded, uPadded := paddedCase(t, 8, 16, 150, 6, 85)
+	distinct, uDistinct := normalCase(t, 5, 14, 120, 4, 82, true)
+	empty := spsym.New(4, 9)
+	uEmpty := linalg.RandomNormal(9, 3, rand.New(rand.NewSource(86)))
+	fills := []struct {
+		name string
+		at   func(i int) float64
+	}{
+		{"nan", func(int) float64 { return math.NaN() }},
+		{"pattern", func(i int) float64 { return float64(i%7) - 2.5 }},
+	}
+	for _, c := range []struct {
+		name    string
+		x       *spsym.Tensor
+		u       *linalg.Matrix
+		compact bool
+	}{
+		{"symprop/order8-padded", padded, uPadded, true},
+		{"css/order8-padded-r2", padded, linalg.RandomNormal(padded.Dim, 2, rand.New(rand.NewSource(87))), false},
+		{"symprop/order5-distinct", distinct, uDistinct, true},
+		{"css/order5-distinct", distinct, uDistinct, false},
+		{"symprop/nnz0", empty, uEmpty, true},
+		{"css/nnz0", empty, uEmpty, false},
+	} {
+		for workers := 1; workers <= 4; workers++ {
+			opts := sharedOptions(t, workers)
+			fresh, err := S3TTMcInto(nil, c.x, c.u, opts, c.compact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := linalg.NewMatrix(fresh.Rows, fresh.Cols)
+			for _, fill := range fills {
+				for i := range dst.Data {
+					dst.Data[i] = fill.at(i)
+				}
+				y, err := S3TTMcInto(dst, c.x, c.u, opts, c.compact)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if y != dst {
+					t.Fatalf("%s/workers=%d/%s: the output is not the destination", c.name, workers, fill.name)
+				}
+				for i, v := range y.Data {
+					if math.Float64bits(v) != math.Float64bits(fresh.Data[i]) {
+						t.Fatalf("%s/workers=%d/%s: entry %d is %v, a fresh call's is %v",
+							c.name, workers, fill.name, i, v, fresh.Data[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestS3TTMcIntoShapeCheck: a destination of another shape is a caller's
+// bug and panics before the kernel writes anything.
+func TestS3TTMcIntoShapeCheck(t *testing.T) {
+	x, u := randomCase(t, 3, 6, 20, 2, 88)
+	for _, c := range []struct {
+		name    string
+		dst     *linalg.Matrix
+		compact bool
+	}{
+		{"rows", linalg.NewMatrix(5, 3), true},         // I = 6
+		{"compact-cols", linalg.NewMatrix(6, 4), true}, // S_{2,2} = 3
+		{"full-cols", linalg.NewMatrix(6, 3), false},   // R^2 = 4
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("mismatched destination should panic with a clear message")
+				}
+			}()
+			S3TTMcInto(c.dst, x, u, Options{}, c.compact)
+		})
+	}
+}

@@ -26,7 +26,9 @@ package kernels
 //     folds the spills into Y afterwards.
 //
 // Every scatter kernel runs the one loop of steps 2 and 3, ownerPass, and
-// supplies only its per-non-zero emitter.
+// supplies only its per-non-zero emitter. When the output is recycled from
+// an earlier call (S3TTMcInto), each leaf first zeroes the rows it owns,
+// so the zeroing is split across the workers the same way as the writes.
 //
 // The schedule depends only on (tensor, worker count), so ScheduleCache
 // memoizes it next to the lattice plan cache and the workspace pool:
@@ -436,13 +438,20 @@ func (s *sink) add(row int, scale float64, v []float64) {
 // the leaves' buffers, nil when the run has one leaf.
 //
 // A kernel supplies name, emitter and, optionally, finish (the plan's
-// Finish hook); scatterWorkers fills in the rest.
+// Finish hook) and zero; scatterWorkers fills in the rest.
 type ownerPass struct {
 	name   string
 	sched  *schedule
 	dst    []float64
 	cols   int
 	spills *spillSet
+	// zero makes each leaf clear its own rows of dst before its first
+	// emission: set for a recycled output, whose rows hold the last call's
+	// values. The leaves' ranges cover every row and a leaf writes dst
+	// only inside its own, the spills being folded after the join, so no
+	// row is written before its owner has cleared it. A fresh
+	// linalg.NewMatrix is zero already.
+	zero bool
 	// emitter builds the emitter of worker w's leaf, on w's goroutine,
 	// before the leaf's first non-zero.
 	emitter func(w *exec.Worker, s *sink) func(k int) error
@@ -458,6 +467,9 @@ func (p *ownerPass) run(opts Options) error {
 		Body: func(wk *exec.Worker, leaf, _ int) error {
 			s := &sink{cols: p.cols, dst: p.dst, spill: p.spills.buffer(leaf)}
 			s.lo, s.hi = p.sched.ownedRows(leaf)
+			if p.zero {
+				clear(p.dst[s.lo*p.cols : s.hi*p.cols])
+			}
 			emit := p.emitter(wk, s)
 			for _, k := range p.sched.bin(leaf) {
 				if err := wk.Tick(int(k)); err != nil {
@@ -478,6 +490,9 @@ func (p *ownerPass) run(opts Options) error {
 func scatter(x *spsym.Tensor, opts Options, y *linalg.Matrix, pass ownerPass) error {
 	nnz := x.NNZ()
 	if nnz == 0 {
+		if pass.zero {
+			clear(y.Data) // no leaf runs to clear its rows
+		}
 		return nil
 	}
 	// Cheap early exit before the schedule is built or spill bytes are

@@ -26,8 +26,11 @@ func PermCounts(order, r int) []float64 {
 	return actual.([]float64)
 }
 
-// TCResult bundles the outputs of S3TTMcTC. A is the matrix handed to QR
-// in HOQRI; Yp and Cp are reused by the Tucker drivers for the objective.
+// TCResult bundles the outputs of S3TTMcTC: A, the matrix HOQRI
+// orthonormalizes, with the Yp and Cp it was formed from. Its callers are
+// the public symprop.S3TTMcTC, the figure harness and bench.Verify; the
+// Tucker drivers run the three stages themselves, one per step of a sweep,
+// writing Yp into the run's one output buffer.
 type TCResult struct {
 	// A = Y(1)·C(1)ᵀ, shape I x R (paper Algorithm 2).
 	A *linalg.Matrix

@@ -15,7 +15,7 @@ import (
 // obsPlanPrefixes mirrors the registered kernel plan names (the set
 // tools/obscheck gates on). Every name a driver reports must fall in it.
 var obsPlanPrefixes = []string{
-	"s3ttmc.", "ucoo.", "nary.", "splatt.ttmc", "ttmctc.", "schedule.reduce", "svd.",
+	"s3ttmc.", "ucoo.", "nary.", "splatt.ttmc", "ttmctc.", "schedule.reduce", "svd.", "health.",
 }
 
 func assertRegisteredPlans(t *testing.T, pms []obs.PlanMetrics) {

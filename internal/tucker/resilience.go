@@ -334,11 +334,63 @@ func (rs *runState) runTTMc(u *linalg.Matrix, run func() (*linalg.Matrix, error)
 	return y, nil
 }
 
-// nonFinite returns the index of the first NaN or Inf entry, or -1. The
-// scan itself lives in the engine (exec.FirstNonFinite) next to the other
-// output-health mechanisms; the repair policy stays here.
+// nonFinite returns the index of the first NaN or Inf entry of a factor,
+// or -1. The scan itself lives in the engine (exec.FirstNonFinite) next to
+// the other output-health mechanisms; the repair policy stays here.
 func nonFinite(m *linalg.Matrix) int {
 	return exec.FirstNonFinite(m.Data)
+}
+
+// scanPlan is the engine plan of the kernel-output scan (scanOutput).
+const scanPlan = "health.scan"
+
+// scanBlock is the row block the output scan ticks once per.
+const scanBlock = 8
+
+// scanOutput returns the index of the first NaN or Inf entry of the kernel
+// output y, or -1, scanning y as plan health.scan under cfg: one
+// contiguous row band per worker, walked in scanBlock-row blocks with one
+// Tick each. A worker stops at the first hit in its band; the bands
+// ascend with the slot, so the lowest slot's hit is the entry the serial
+// exec.FirstNonFinite returns. Factors (I x R) are scanned serially by
+// nonFinite.
+func scanOutput(cfg exec.Config, y *linalg.Matrix) (int, error) {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	hits := make([]int, max(1, min(workers, y.Rows)))
+	for w := range hits {
+		hits[w] = -1
+	}
+	err := exec.Run(cfg, exec.Plan{
+		Name:       scanPlan,
+		Items:      y.Rows,
+		Workers:    len(hits),
+		CheckEvery: 1,
+		Body: func(w *exec.Worker, lo, hi int) error {
+			for r0 := lo; r0 < hi; r0 += scanBlock {
+				if err := w.Tick(r0); err != nil {
+					return err
+				}
+				r1 := min(r0+scanBlock, hi)
+				if i := exec.FirstNonFinite(y.Data[r0*y.Cols : r1*y.Cols]); i >= 0 {
+					hits[w.Index] = r0*y.Cols + i
+					return nil
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return -1, err
+	}
+	for _, i := range hits {
+		if i >= 0 {
+			return i, nil
+		}
+	}
+	return -1, nil
 }
 
 // jitterOrthonormal zeroes non-finite entries of u, perturbs every entry
@@ -359,32 +411,50 @@ func jitterOrthonormal(u *linalg.Matrix, seed int64, iter int) *linalg.Matrix {
 }
 
 // healthyTTMc runs a kernel under the full sentinel policy: budget retry,
-// then a NaN/Inf scan of the output. A non-finite output triggers one
-// jittered restart of the factor and a recompute; a second non-finite
-// output is ErrNumericBreakdown. Returns the output and the (possibly
-// jittered) factor actually used.
+// then a NaN/Inf scan of the output on the run's workers (scanOutput). A
+// non-finite output triggers one jittered restart of the factor and a
+// recompute, into the same output buffer; a second non-finite output is
+// ErrNumericBreakdown. Returns the output and the (possibly jittered)
+// factor actually used.
 func (rs *runState) healthyTTMc(it int, u *linalg.Matrix,
 	run func(*linalg.Matrix) (*linalg.Matrix, error)) (*linalg.Matrix, *linalg.Matrix, error) {
-	y, err := rs.runTTMc(u, func() (*linalg.Matrix, error) { return run(u) })
+	y, i, err := rs.scannedTTMc(u, run)
 	if err != nil {
 		return nil, nil, err
 	}
-	i := nonFinite(y)
 	if i < 0 {
 		return y, u, nil
 	}
 	rs.res.Health.JitterRestarts++
 	rs.event("iteration %d: non-finite kernel output at entry %d; jittered restart", it, i)
 	u = jitterOrthonormal(u, rs.opts.Seed, it)
-	y, err = rs.runTTMc(u, func() (*linalg.Matrix, error) { return run(u) })
+	y, j, err := rs.scannedTTMc(u, run)
 	if err != nil {
 		return nil, nil, err
 	}
-	if j := nonFinite(y); j >= 0 {
+	if j >= 0 {
 		return nil, nil, fmt.Errorf("tucker: iteration %d: kernel output still non-finite at entry %d after jittered restart: %w",
 			it, j, ErrNumericBreakdown)
 	}
 	return y, u, nil
+}
+
+// scannedTTMc runs one kernel call under the budget policy (runTTMc) and
+// scans its output on the run's kernel configuration, returning the output
+// and the index of its first non-finite entry, or -1. A scan that fails is
+// typed like a kernel failure of u.
+func (rs *runState) scannedTTMc(u *linalg.Matrix,
+	run func(*linalg.Matrix) (*linalg.Matrix, error)) (*linalg.Matrix, int, error) {
+	y, err := rs.runTTMc(u, func() (*linalg.Matrix, error) { return run(u) })
+	if err != nil {
+		return nil, -1, err
+	}
+	k := rs.kopts
+	i, err := scanOutput(exec.Config{Ctx: k.Ctx, Workers: k.Workers, Pool: k.Exec, Metrics: k.Obs}, y)
+	if err != nil {
+		return nil, -1, rs.wrapKernelErr(u, err)
+	}
+	return y, i, nil
 }
 
 // healthyFactor applies the sentinel to a freshly updated factor (post-SVD

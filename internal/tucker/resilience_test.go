@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/symprop/symprop/internal/checkpoint"
+	"github.com/symprop/symprop/internal/exec"
 	"github.com/symprop/symprop/internal/faultinject"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
@@ -425,6 +426,51 @@ func TestPersistentNaNBreaksDown(t *testing.T) {
 				t.Fatalf("got %v, want ErrNumericBreakdown", err)
 			}
 		})
+	}
+}
+
+// TestScanOutputBandEdges: the kernel-output scan (plan health.scan)
+// returns the index the serial exec.FirstNonFinite returns. At workers 1–3
+// it poisons one entry at a time on the first and the last entry of each
+// worker's row band, and also poisons two bands at once (the lower band's
+// entry must win), on a shape whose bands are uneven and span several
+// scanBlock-row blocks.
+func TestScanOutputBandEdges(t *testing.T) {
+	const rows, cols = 37, 5
+	y := linalg.NewMatrix(rows, cols)
+	for i := range y.Data {
+		y.Data[i] = float64(i) - 40.5
+	}
+	clean := append([]float64(nil), y.Data...)
+	for workers := 1; workers <= 3; workers++ {
+		pool := exec.NewPool(workers)
+		cfg := exec.Config{Workers: workers, Pool: pool}
+		check := func(what string, poisoned ...int) {
+			t.Helper()
+			copy(y.Data, clean)
+			for k, i := range poisoned {
+				y.Data[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[k%3]
+			}
+			got, err := scanOutput(cfg, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := exec.FirstNonFinite(y.Data); got != want {
+				t.Errorf("workers=%d, %s: scan returned %d, the serial scan %d", workers, what, got, want)
+			}
+		}
+		check("clean")
+		for w := 0; w < workers; w++ {
+			lo, hi := exec.ChunkRange(rows, workers, w)
+			first, last := lo*cols, hi*cols-1
+			check(fmt.Sprintf("first entry of band %d", w), first)
+			check(fmt.Sprintf("last entry of band %d", w), last)
+			if w > 0 {
+				prevLo, _ := exec.ChunkRange(rows, workers, w-1)
+				check(fmt.Sprintf("last entries of bands %d and %d", w, w-1), last, prevLo*cols+cols-1)
+			}
+		}
+		pool.Close()
 	}
 }
 

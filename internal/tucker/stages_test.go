@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -16,22 +17,30 @@ import (
 )
 
 // stagePlans is the engine plans each driver's sweep runs after its
-// S³TTMc: every driver but HOQRI-nary forms its core as ttmctc.cp (Algorithm
-// 2's core stage), HOQRI forms A as ttmctc.a, and HOOI's SVD step (Algorithm
-// 3) runs svd.expand, in HOOI only, and svd.gram, in HOOI and HOOI-CSS.
+// S³TTMc: every driver scans the kernel output as health.scan, every driver
+// but HOQRI-nary forms its core as ttmctc.cp (Algorithm 2's core stage),
+// HOQRI forms A as ttmctc.a, and HOOI's SVD step (Algorithm 3) runs
+// svd.expand, in HOOI only, and svd.gram, in HOOI and HOOI-CSS.
 func stagePlans(driver string) []string {
 	switch driver {
 	case "hoqri-nary":
-		return nil
+		return []string{scanPlan}
 	case "hoqri":
-		return []string{"ttmctc.cp", "ttmctc.a"}
+		return []string{scanPlan, "ttmctc.cp", "ttmctc.a"}
 	case "hooi":
-		return []string{"ttmctc.cp", "svd.expand", "svd.gram"}
+		return []string{scanPlan, "ttmctc.cp", "svd.expand", "svd.gram"}
 	case "hooi-css":
-		return []string{"ttmctc.cp", "svd.gram"}
+		return []string{scanPlan, "ttmctc.cp", "svd.gram"}
 	default:
-		return []string{"ttmctc.cp"}
+		return []string{scanPlan, "ttmctc.cp"}
 	}
+}
+
+// finalCorePlan reports whether plan also runs in the final-core pass of
+// the HOQRI family, which rebuilds the last factor's core: its kernel
+// output's scan and its core product.
+func finalCorePlan(driver, plan string) bool {
+	return strings.HasPrefix(driver, "hoqri") && (plan == scanPlan || plan == "ttmctc.cp")
 }
 
 func planInvocations(pms []obs.PlanMetrics, name string) int64 {
@@ -58,9 +67,10 @@ func TestDriversRunTheStagePlans(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, plan := range stagePlans(d.name) {
-					// HOQRI forms one more core, for the final factor.
+					// The HOQRI family forms one more core, for the final
+					// factor.
 					want := int64(res.Iters)
-					if plan == "ttmctc.cp" && d.name == "hoqri" {
+					if finalCorePlan(d.name, plan) {
 						want++
 					}
 					if got := planInvocations(res.PlanMetrics, plan); got != want {
@@ -164,7 +174,7 @@ func TestStageCancelResumes(t *testing.T) {
 		}
 		for _, plan := range stagePlans(name) {
 			last := n - 1
-			if plan == "ttmctc.cp" && name == "hoqri" {
+			if finalCorePlan(name, plan) {
 				last = n
 			}
 			for k := 0; k <= last; k++ {

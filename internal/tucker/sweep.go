@@ -22,6 +22,11 @@ type env struct {
 	opts  *Options
 	kopts kernels.Options
 	p     []float64 // permutation counts of the compact core's columns
+	// y is the run's one S³TTMc output, nil until the first chain call:
+	// every sweep and the final-core rebuild write into it, so a sweep's
+	// chain output is dead once its svd, core and qr steps have returned.
+	// Nothing the run returns or saves refers to it.
+	y *linalg.Matrix
 }
 
 // core is Algorithm 2's core stage C = Uᵀ·Y (plan ttmctc.cp), the core
@@ -33,7 +38,19 @@ func (e *env) core(u, y *linalg.Matrix) (*linalg.Matrix, error) {
 // symProp is the SymProp S³TTMc, the chain of HOOI, HOQRI and randomized
 // HOOI: Y_p(1) in the compact I x S_{N-1,R} layout.
 func (e *env) symProp(u *linalg.Matrix) (*linalg.Matrix, error) {
-	return kernels.S3TTMcSymProp(e.x, u, e.kopts)
+	return e.ttmc(u, true)
+}
+
+// ttmc runs the SymProp (compact) or CSS S³TTMc into the run's output e.y,
+// allocating it on the first call. A failed call leaves e.y partly
+// written; the next call overwrites all of it.
+func (e *env) ttmc(u *linalg.Matrix, compact bool) (*linalg.Matrix, error) {
+	y, err := kernels.S3TTMcInto(e.y, e.x, u, e.kopts, compact)
+	if err != nil {
+		return nil, err
+	}
+	e.y = y
+	return y, nil
 }
 
 // step is one algorithm's part of a sweep. Every sweep computes

@@ -252,23 +252,28 @@ func HOOI(x *spsym.Tensor, opts Options) (*Result, error) {
 	return run(x, opts, step{
 		algo:  "hooi",
 		chain: (*env).symProp,
-		svd: func(e *env, _ int, yp *linalg.Matrix) (*linalg.Matrix, error) {
-			r := e.opts.Rank
-			fullBytes := memguard.Float64Bytes(int64(yp.Rows) * dense.Pow64(int64(r), e.x.Order-1))
-			if err := e.opts.Guard.Reserve(fullBytes, "HOOI full Y(1) for SVD"); err != nil {
-				// No degradation retry here: the dominant reservation is the
-				// full unfolding, which no worker count shrinks.
-				return nil, err
-			}
-			defer e.opts.Guard.Release(fullBytes)
-			yFull, err := kernels.SVDExpand(yp, e.x.Order, r, e.kopts)
-			if err != nil {
-				return nil, err
-			}
-			return leadingLeftSingular(e, yFull)
-		},
-		core: (*env).core, // C_p(1) = Uᵀ·Y_p(1)
+		svd:   hooiSVD,
+		core:  (*env).core, // C_p(1) = Uᵀ·Y_p(1)
 	})
+}
+
+// hooiSVD is HOOI's factor update: the leading left singular vectors of
+// the full unfolding Y(1), expanded from yp for the step and dropped after
+// it.
+func hooiSVD(e *env, _ int, yp *linalg.Matrix) (*linalg.Matrix, error) {
+	r := e.opts.Rank
+	fullBytes := memguard.Float64Bytes(int64(yp.Rows) * dense.Pow64(int64(r), e.x.Order-1))
+	if err := e.opts.Guard.Reserve(fullBytes, "HOOI full Y(1) for SVD"); err != nil {
+		// No degradation retry here: the dominant reservation is the full
+		// unfolding, which no worker count shrinks.
+		return nil, err
+	}
+	defer e.opts.Guard.Release(fullBytes)
+	yFull, err := kernels.SVDExpand(yp, e.x.Order, r, e.kopts)
+	if err != nil {
+		return nil, err
+	}
+	return leadingLeftSingular(e, yFull)
 }
 
 // HOQRI runs the Higher-Order QR Iteration (paper Algorithm 4) with the

@@ -21,7 +21,7 @@ func HOOICSS(x *spsym.Tensor, opts Options) (*Result, error) {
 	return run(x, opts, step{
 		algo: "hooi-css",
 		chain: func(e *env, u *linalg.Matrix) (*linalg.Matrix, error) {
-			return kernels.S3TTMcCSS(e.x, u, e.kopts)
+			return e.ttmc(u, false)
 		},
 		svd: func(e *env, _ int, yFull *linalg.Matrix) (*linalg.Matrix, error) {
 			return leadingLeftSingular(e, yFull)

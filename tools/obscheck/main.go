@@ -47,6 +47,7 @@ import (
 // this list — exactly the drift this tool exists to catch.
 var registeredPlanPrefixes = []string{
 	"s3ttmc.", "ucoo.", "nary.", "splatt.ttmc", "ttmctc.", "schedule.reduce", "mttkrp.", "svd.", "linalg.",
+	"health.", "cpd.",
 }
 
 // registeredCounterPrefixes mirrors the control-plane counter families:
