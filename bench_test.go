@@ -250,17 +250,30 @@ func BenchmarkFig8Phases(b *testing.B) {
 			}
 		}
 	})
+	// The dense phases time the stage plans the drivers run, on zero
+	// Options: GOMAXPROCS workers on transient goroutines.
 	b.Run("TimesCore", func(b *testing.B) {
 		p := kernels.PermCounts(x.Order-1, r)
 		for i := 0; i < b.N; i++ {
-			cp := linalg.MulTN(u, yp)
-			_ = linalg.MulNTWeighted(yp, cp, p)
+			cp, err := kernels.CoreProduct(u, yp, kernels.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := kernels.TimesCore(yp, cp, p, kernels.Options{}); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("SVDViaGram", func(b *testing.B) {
-		full := kernels.ExpandCompactColumns(yp, x.Order, r)
 		for i := 0; i < b.N; i++ {
-			g := linalg.MulNT(full, full)
+			full, err := kernels.SVDExpand(yp, x.Order, r, kernels.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := kernels.SVDGram(full, kernels.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			if _, err := linalg.TopEigenvectors(g, r); err != nil {
 				b.Fatal(err)
 			}

@@ -240,7 +240,7 @@ func runSubmit(args []string) error {
 	}
 	// Inline the tensor in the canonical text form, whatever format the
 	// local file uses — the server never needs to see this filesystem.
-	x, err := spsym.LoadAuto(tensorPath)
+	x, err := spsym.Load(tensorPath)
 	if err != nil {
 		return err
 	}

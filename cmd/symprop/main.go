@@ -3,7 +3,7 @@
 // Usage:
 //
 //	symprop info <tensor.tns>
-//	symprop decompose -rank R [-algo hoqri|hooi] [-iters N] [-tol T]
+//	symprop decompose -rank R [-algo hoqri|hooi|hooi-randomized] [-iters N] [-tol T]
 //	        [-hosvd] [-seed S] [-workers W] [-out factor.txt]
 //	        [-convergence conv.csv] [-metrics out.json] [-trace trace.jsonl] [-pprof :6060]
 //	        [-checkpoint run.ckpt [-checkpoint-every K] [-resume]] <tensor.tns>
@@ -11,8 +11,9 @@
 //	symprop cp -rank R [-iters N] [-tol T] [-seed S] [-workers W] [-out factor.txt] <tensor.tns>
 //
 // Tensors use the symmetric text format ("sym <order> <dim> <nnz>" header,
-// then 1-based "i1 ... iN value" lines); hypergraph edge lists can be
-// converted with symprop-gen.
+// then 1-based "i1 ... iN value" lines) or the binary format of
+// symprop.SaveTensorBinary, told apart by its magic bytes; hypergraph edge
+// lists can be converted with symprop-gen.
 //
 // Observability (docs/OBSERVABILITY.md): -metrics writes the run's
 // aggregated per-plan engine counters as JSON, -trace streams one JSON
@@ -94,7 +95,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   symprop info <tensor.tns>
-  symprop decompose -rank R [-algo hoqri|hooi] [-iters N] [-tol T] [-hosvd] [-seed S] [-workers W]
+  symprop decompose -rank R [-algo hoqri|hooi|hooi-randomized] [-iters N] [-tol T] [-hosvd] [-seed S] [-workers W]
           [-out U.txt] [-convergence conv.csv] [-metrics out.json] [-trace trace.jsonl] [-pprof :6060]
           [-checkpoint run.ckpt [-checkpoint-every K] [-resume]] <tensor.tns>
   symprop ttmc -rank R [-seed S] <tensor.tns>
@@ -169,7 +170,7 @@ func runInfo(args []string) error {
 func runDecompose(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("decompose", flag.ExitOnError)
 	rank := fs.Int("rank", 4, "Tucker rank R")
-	algo := fs.String("algo", "hoqri", "algorithm: hoqri or hooi")
+	algo := fs.String("algo", "hoqri", "algorithm: hoqri, hooi or hooi-randomized")
 	iters := fs.Int("iters", 50, "maximum iterations")
 	tol := fs.Float64("tol", 1e-6, "relative objective tolerance (0 = run all iterations)")
 	hosvd := fs.Bool("hosvd", false, "initialize with HOSVD instead of randomly")
@@ -223,6 +224,8 @@ func runDecompose(ctx context.Context, args []string) error {
 		opts.Algorithm = symprop.HOQRI
 	case "hooi":
 		opts.Algorithm = symprop.HOOI
+	case "hooi-randomized":
+		opts.Algorithm = symprop.HOOIRandomized
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}

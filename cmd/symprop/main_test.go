@@ -63,8 +63,45 @@ func TestRunDecompose(t *testing.T) {
 	if err := runDecompose(context.Background(), []string{"-rank", "2", "-algo", "hooi", "-iters", "2", "-shards", "4", path}); err != nil {
 		t.Fatal(err)
 	}
+	if err := runDecompose(context.Background(), []string{"-rank", "2", "-algo", "hooi-randomized", "-iters", "2", path}); err != nil {
+		t.Fatal(err)
+	}
 	if err := runDecompose(context.Background(), []string{"-rank", "2", "-algo", "bogus", path}); err == nil {
 		t.Error("unknown algorithm should fail")
+	}
+}
+
+// TestRunDecomposeBinaryTensor: the commands read the binary format the
+// library writes, and decompose -out writes the same factor bytes from the
+// binary and the text copy of one tensor.
+func TestRunDecomposeBinaryTensor(t *testing.T) {
+	txt := tensorFile(t)
+	x, err := spsym.Load(txt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "x.bin")
+	if err := x.SaveBinary(bin); err != nil {
+		t.Fatal(err)
+	}
+	if err := runInfo([]string{bin}); err != nil {
+		t.Fatal(err)
+	}
+	var files [][]byte
+	for i, path := range []string{txt, bin} {
+		out := filepath.Join(dir, fmt.Sprintf("u%d.txt", i))
+		if err := runDecompose(context.Background(), []string{"-rank", "3", "-iters", "3", "-workers", "2", "-out", out, path}); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, b)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Error("decompose wrote different factor files for the text and the binary copy of one tensor")
 	}
 }
 

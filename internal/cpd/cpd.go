@@ -96,7 +96,7 @@ func Decompose(x *spsym.Tensor, opts Options) (*Result, error) {
 	pool := exec.NewPool(opts.Workers)
 	defer pool.Close()
 	kopts := kernels.Options{Workers: opts.Workers, Schedules: &kernels.ScheduleCache{}, Exec: pool}
-	cfg := exec.Config{Workers: opts.Workers, Pool: pool}
+	cfg := kopts.ExecConfig()
 
 	for it := 0; it < opts.MaxIters; it++ {
 		// M = S³MTTKRP(X, U), I x R.

@@ -264,13 +264,6 @@ func (t *SymTensor) Set(v float64, idx ...int) {
 	t.Data[Rank(s, t.Dim)] = v
 }
 
-// NumEntries returns the compact entry count S_{order,dim}.
-func (t *SymTensor) NumEntries() int { return len(t.Data) }
-
-// FullSize returns dim^order, the entry count of the expanded tensor,
-// saturating at math.MaxInt64.
-func (t *SymTensor) FullSize() int64 { return Pow64(int64(t.Dim), t.Order) }
-
 // Pow64 returns base^exp for non-negative exp, saturating at math.MaxInt64.
 func Pow64(base int64, exp int) int64 {
 	result := int64(1)

@@ -165,7 +165,7 @@ func (s *Spool) LoadManifest(id string) (*Manifest, error) {
 
 // LoadTensor reads the job's spooled tensor.
 func (s *Spool) LoadTensor(id string) (*spsym.Tensor, error) {
-	return spsym.LoadAuto(s.TensorPath(id))
+	return spsym.Load(s.TensorPath(id))
 }
 
 // Remove deletes a job's directory (terminal jobs only; the Manager

@@ -73,7 +73,7 @@ func NaryTTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*NaryResult, e
 	// core — and everything computed from it in pass 2 — is
 	// bitwise-reproducible for a given worker count.
 	partials := make([]*linalg.Matrix, workers)
-	err := exec.Run(opts.execConfig(), exec.Plan{
+	err := exec.Run(opts.ExecConfig(), exec.Plan{
 		Name:    "nary.core",
 		Items:   x.NNZ(),
 		Workers: workers,

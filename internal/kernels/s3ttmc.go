@@ -88,8 +88,9 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// execConfig bundles the engine inputs of one kernel call.
-func (o Options) execConfig() exec.Config {
+// ExecConfig is the engine configuration of a kernel call under o, which
+// a driver's own dense plans (the output scan, CP's Gram) run under too.
+func (o Options) ExecConfig() exec.Config {
 	return exec.Config{Ctx: o.Ctx, Workers: o.workers(), Pool: o.Exec, Metrics: o.Obs}
 }
 
@@ -484,20 +485,31 @@ func mustOutputShape(dst *linalg.Matrix, rows int, cols int64) {
 // ExpandCompactColumns expands a partially symmetric compact unfolding
 // Y_p(1) (I x S_{order-1,r}) to the full unfolding Y(1) (I x r^{order-1}),
 // realizing the expansion matrix E of paper Property 2
-// (dense.ExpansionTable). It is SVDExpand on zero Options: GOMAXPROCS
-// transient goroutines, with a worker panic re-raised by linalg.Must.
+// (dense.ExpansionTable), on the calling goroutine.
 func ExpandCompactColumns(yp *linalg.Matrix, order, r int) *linalg.Matrix {
-	return linalg.Must(SVDExpand(yp, order, r, Options{}))
+	out, gather := expansion(yp, order, r)
+	gather(0, yp.Rows)
+	return out
 }
 
 // SVDExpand is the first stage of HOOI's SVD step (paper Algorithm 3): the
 // expansion of ExpandCompactColumns, run as plan "svd.expand" over Y(1)'s
 // rows under opts. HOOI reserves the full unfolding before calling it.
 func SVDExpand(yp *linalg.Matrix, order, r int, opts Options) (*linalg.Matrix, error) {
+	out, gather := expansion(yp, order, r)
+	if err := linalg.RunRows(opts.ExecConfig(), "svd.expand", yp.Rows, gather); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// expansion allocates the full unfolding that the compact yp expands to
+// and returns it with the row gather that fills its rows [lo, hi).
+func expansion(yp *linalg.Matrix, order, r int) (*linalg.Matrix, func(lo, hi int)) {
 	mustCompactShape(yp, order, r)
 	ranks := dense.ExpansionTable(order-1, r)
 	out := linalg.NewMatrix(yp.Rows, len(ranks))
-	err := linalg.RunRows(opts.execConfig(), "svd.expand", yp.Rows, func(lo, hi int) {
+	return out, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			src := yp.Row(i)
 			dst := out.Row(i)
@@ -505,11 +517,7 @@ func SVDExpand(yp *linalg.Matrix, order, r int, opts Options) (*linalg.Matrix, e
 				dst[lin] = src[rk]
 			}
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
 }
 
 // SVDGram is the second stage of HOOI's SVD step, shared by HOOI and
@@ -519,7 +527,7 @@ func SVDExpand(yp *linalg.Matrix, order, r int, opts Options) (*linalg.Matrix, e
 // cols x cols yᵀ·y (linalg.RunMulTN). The caller reserves the Gram.
 func SVDGram(y *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
 	if y.Rows <= y.Cols {
-		return linalg.RunMulNT(opts.execConfig(), "svd.gram", y, y)
+		return linalg.RunMulNT(opts.ExecConfig(), "svd.gram", y, y)
 	}
-	return linalg.RunMulTN(opts.execConfig(), "svd.gram", y, y)
+	return linalg.RunMulTN(opts.ExecConfig(), "svd.gram", y, y)
 }

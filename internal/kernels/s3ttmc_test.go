@@ -9,8 +9,11 @@ import (
 
 	"github.com/symprop/symprop/internal/css"
 	"github.com/symprop/symprop/internal/dense"
+	"github.com/symprop/symprop/internal/exec"
+	"github.com/symprop/symprop/internal/faultinject"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
+	"github.com/symprop/symprop/internal/obs"
 	"github.com/symprop/symprop/internal/spsym"
 )
 
@@ -388,6 +391,43 @@ func TestExpandCompactColumnsSmall(t *testing.T) {
 	for i, w := range want {
 		if full.Data[i] != w {
 			t.Fatalf("ExpandCompactColumns = %v, want %v", full.Data, want)
+		}
+	}
+}
+
+// TestOneCallProductsRunNoPlan: ExpandCompactColumns, the one-call twin of
+// plan svd.expand, runs on the calling goroutine. With a process-wide
+// collector installed and a hook armed at kernels.worker it records no
+// plan and fires no hook, and it equals SVDExpand bit for bit on pools of
+// 1–4 goroutines. linalg's test of the same name covers the dense
+// products.
+func TestOneCallProductsRunNoPlan(t *testing.T) {
+	const order, r = 4, 3
+	yp := linalg.RandomNormal(37, int(dense.Count(order-1, r)), rand.New(rand.NewSource(8)))
+	m := obs.New()
+	obs.SetGlobal(m)
+	count, hits := faultinject.Counter()
+	disarm := faultinject.Arm(faultinject.SiteKernelWorker, count)
+	one := ExpandCompactColumns(yp, order, r)
+	disarm()
+	obs.SetGlobal(nil)
+	if n := hits(); n != 0 {
+		t.Errorf("ExpandCompactColumns fired kernels.worker %d times, want 0", n)
+	}
+	for _, pm := range m.Snapshot() {
+		t.Errorf("ExpandCompactColumns ran plan %s", pm.Name)
+	}
+	for workers := 1; workers <= 4; workers++ {
+		pool := exec.NewPool(workers)
+		got, err := SVDExpand(yp, order, r, Options{Workers: workers, Exec: pool})
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range got.Data {
+			if math.Float64bits(v) != math.Float64bits(one.Data[k]) {
+				t.Fatalf("workers=%d: SVDExpand entry %d is %v, ExpandCompactColumns' %v", workers, k, v, one.Data[k])
+			}
 		}
 	}
 }

@@ -459,7 +459,7 @@ type ownerPass struct {
 }
 
 func (p *ownerPass) run(opts Options) error {
-	return exec.Run(opts.execConfig(), exec.Plan{
+	return exec.Run(opts.ExecConfig(), exec.Plan{
 		Name:      p.name,
 		Partition: exec.PerWorker,
 		Workers:   p.sched.workers,

@@ -39,7 +39,7 @@ func NewSPLATT(x *spsym.Tensor, guard *memguard.Guard) (*SPLATT, error) {
 // (cancellation, panic capture, fault sites — the "splatt.ttmc" plan),
 // producing the full unfolded Y(1) of shape I x R^{N-1}.
 func (s *SPLATT) TTMc(u *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
-	y, err := s.tree.TTMcMode1(u, s.guard, opts.execConfig())
+	y, err := s.tree.TTMcMode1(u, s.guard, opts.ExecConfig())
 	if err != nil {
 		return nil, err
 	}

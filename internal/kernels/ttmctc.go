@@ -103,12 +103,12 @@ func S3TTMcTC(x *spsym.Tensor, u *linalg.Matrix, opts Options) (*TCResult, error
 //
 // It reserves nothing: S3TTMcTC charges the guard once for both stages.
 func CoreProduct(u, y *linalg.Matrix, opts Options) (*linalg.Matrix, error) {
-	return linalg.RunMulTN(opts.execConfig(), "ttmctc.cp", u, y)
+	return linalg.RunMulTN(opts.ExecConfig(), "ttmctc.cp", u, y)
 }
 
 // TimesCore is step 3 of Algorithm 2, A = Y_p(1)·diag(p)·C_p(1)ᵀ, run as
 // plan "ttmctc.a" over A's rows: the matrix whose orthonormalization is
 // HOQRI's next factor. Like CoreProduct it reserves nothing.
 func TimesCore(yp, cp *linalg.Matrix, p []float64, opts Options) (*linalg.Matrix, error) {
-	return linalg.RunMulNTWeighted(opts.execConfig(), "ttmctc.a", yp, cp, p)
+	return linalg.RunMulNTWeighted(opts.ExecConfig(), "ttmctc.a", yp, cp, p)
 }

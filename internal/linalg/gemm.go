@@ -3,25 +3,27 @@ package linalg
 import "github.com/symprop/symprop/internal/exec"
 
 // This file implements the GEMM variants the Tucker drivers use. Each
-// product parallelizes over output rows as an execution-engine plan
-// (parallel.go): a one-call product on GOMAXPROCS transient goroutines, a
-// Run* product under the caller's exec.Config. Each product's row walk
-// exists once, as the unexported *Range function the plan runs, built on
-// the register-blocked micro-kernels in microkernel.go: Mul and MulTN
+// product's row walk exists once, as the unexported *Range function, built
+// on the register-blocked micro-kernels in microkernel.go: Mul and MulTN
 // stream K in gemmKC panels through axpy8 (eight source rows folded into
 // one destination pass, stepping down to axpy4 and scalar on the K tail),
 // while the dot-shaped variants MulNT and MulNTWeighted walk 4x2 output
 // tiles of running row-dot sums. Row-major layout keeps every inner loop
 // on contiguous memory; tails smaller than a tile fall back to the scalar
-// helpers, which preserve the naive loops' semantics exactly. Every output
-// row's sum is independent of the rows around it, so no split of the rows
-// across workers moves a bit.
+// helpers, which preserve the naive loops' semantics exactly. A one-call
+// product (Mul, MulTN, MulNT, MulNTWeighted) walks all its rows on the
+// calling goroutine; a Run* product runs the same walk as an
+// execution-engine plan under the caller's exec.Config (parallel.go).
+// Every output row's sum is independent of the rows around it, so no split
+// of the rows across workers moves a bit, and each one-call product equals
+// its Run* twin.
 
-// Mul returns C = A·B.
+// Mul returns C = A·B, on the calling goroutine.
 func Mul(a, b *Matrix) *Matrix {
 	mustShape(a.Cols == b.Rows, "linalg: Mul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	c := NewMatrix(a.Rows, b.Cols)
-	return Must(c, RunRows(exec.Config{}, "linalg.mul", c.Rows, func(lo, hi int) { mulRange(c, a, b, lo, hi) }))
+	mulRange(c, a, b, 0, c.Rows)
+	return c
 }
 
 // mulRange computes rows [lo, hi) of C = A·B into c. K panels are
@@ -59,20 +61,26 @@ func mulRange(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MulTN returns C = Aᵀ·B (C is a.Cols x b.Cols). Splitting the shared K
-// dimension across workers with private accumulators would race (or force a
-// reduction), so it instead parallelizes over output rows: each worker owns
-// a contiguous band of C's rows (columns of A) and streams through the rows
-// of A and B once per K panel of each 8-row block of its band.
+// MulTN returns C = Aᵀ·B (C is a.Cols x b.Cols), on the calling goroutine.
 func MulTN(a, b *Matrix) *Matrix {
-	return Must(RunMulTN(exec.Config{}, "linalg.multn", a, b))
+	c, _ := mulTN(serialRows, a, b) // serialRows returns no error
+	return c
 }
 
-// RunMulTN is MulTN run as plan name under cfg (RunRows).
+// RunMulTN is MulTN run as plan name under cfg (RunRows). Splitting the
+// shared K dimension across workers with private accumulators would race
+// (or force a reduction), so it parallelizes over output rows instead:
+// each worker owns a contiguous band of C's rows (columns of A) and
+// streams through the rows of A and B once per K panel of each 8-row block
+// of its band.
 func RunMulTN(cfg exec.Config, name string, a, b *Matrix) (*Matrix, error) {
+	return mulTN(planRows(cfg, name), a, b)
+}
+
+func mulTN(run rowsFunc, a, b *Matrix) (*Matrix, error) {
 	mustShape(a.Rows == b.Rows, "linalg: MulTN shape mismatch %dx%d ᵀ· %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	c := NewMatrix(a.Cols, b.Cols)
-	if err := RunRows(cfg, name, c.Rows, func(lo, hi int) { mulTNRange(c, a, b, lo, hi) }); err != nil {
+	if err := run(c.Rows, func(lo, hi int) { mulTNRange(c, a, b, lo, hi) }); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -122,10 +130,11 @@ func mulTNRange(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// MulNT returns C = A·Bᵀ (C is a.Rows x b.Rows). Both operands stream
-// row-contiguously; output is computed in 4x2 tiles of row-dot products,
-// then a scalar column tail and scalar rows, so each loaded row element of
-// B serves four dots and every entry is one running sum over ascending k.
+// MulNT returns C = A·Bᵀ (C is a.Rows x b.Rows), on the calling
+// goroutine. Both operands stream row-contiguously; output is computed in
+// 4x2 tiles of row-dot products, then a scalar column tail and scalar
+// rows, so each loaded row element of B serves four dots and every entry
+// is one running sum over ascending k.
 //
 // Called as MulNT(a, a) it is the Gram A·Aᵀ, and only the tiles that start
 // at or right of each row tile's first row are computed; the strict upper
@@ -133,7 +142,8 @@ func mulTNRange(c, a, b *Matrix, lo, hi int) {
 // ascending k through the same kernels, and IEEE products commute, so the
 // mirrored c[j][i] is bitwise the c[i][j] the full walk would produce.
 func MulNT(a, b *Matrix) *Matrix {
-	return Must(RunMulNT(exec.Config{}, "linalg.mulnt", a, b))
+	c, _ := mulNT(serialRows, a, b) // serialRows returns no error
+	return c
 }
 
 // RunMulNT is MulNT run as plan name under cfg. Its workers claim
@@ -141,10 +151,14 @@ func MulNT(a, b *Matrix) *Matrix {
 // contiguous bands would hand one worker three quarters of the triangle.
 // The mirror runs after the join.
 func RunMulNT(cfg exec.Config, name string, a, b *Matrix) (*Matrix, error) {
+	return mulNT(func(n int, rows func(lo, hi int)) error { return runTiles(cfg, name, n, rows) }, a, b)
+}
+
+func mulNT(run rowsFunc, a, b *Matrix) (*Matrix, error) {
 	mustShape(a.Cols == b.Cols, "linalg: MulNT shape mismatch %dx%d · %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols)
 	c := NewMatrix(a.Rows, b.Rows)
 	gram := a == b
-	if err := runTiles(cfg, name, a.Rows, func(lo, hi int) { mulNTRange(c, a, b, gram, lo, hi) }); err != nil {
+	if err := run(a.Rows, func(lo, hi int) { mulNTRange(c, a, b, gram, lo, hi) }); err != nil {
 		return nil, err
 	}
 	if gram {
@@ -191,20 +205,25 @@ func mulNTRange(c, a, b *Matrix, gram bool, lo, hi int) {
 	}
 }
 
-// MulNTWeighted returns C = A·diag(w)·Bᵀ, the workhorse of paper Property 3
-// (A = Y_p(1)·diag(p)·C_p(1)ᵀ, HOQRI's times-core step). HOOI does not use
-// it: its Gram is MulNT over the expanded full unfolding. len(w) must equal
-// a.Cols == b.Cols.
+// MulNTWeighted returns C = A·diag(w)·Bᵀ, on the calling goroutine: the
+// workhorse of paper Property 3 (A = Y_p(1)·diag(p)·C_p(1)ᵀ, HOQRI's
+// times-core step). HOOI does not use it: its Gram is MulNT over the
+// expanded full unfolding. len(w) must equal a.Cols == b.Cols.
 func MulNTWeighted(a, b *Matrix, w []float64) *Matrix {
-	return Must(RunMulNTWeighted(exec.Config{}, "linalg.mulntw", a, b, w))
+	c, _ := mulNTWeighted(serialRows, a, b, w) // serialRows returns no error
+	return c
 }
 
 // RunMulNTWeighted is MulNTWeighted run as plan name under cfg (RunRows).
 func RunMulNTWeighted(cfg exec.Config, name string, a, b *Matrix, w []float64) (*Matrix, error) {
+	return mulNTWeighted(planRows(cfg, name), a, b, w)
+}
+
+func mulNTWeighted(run rowsFunc, a, b *Matrix, w []float64) (*Matrix, error) {
 	mustShape(a.Cols == b.Cols && len(w) == a.Cols,
 		"linalg: MulNTWeighted shape mismatch %dx%d, %dx%d, |w|=%d", a.Rows, a.Cols, b.Rows, b.Cols, len(w))
 	c := NewMatrix(a.Rows, b.Rows)
-	if err := RunRows(cfg, name, c.Rows, func(lo, hi int) { mulNTWeightedRange(c, a, b, w, lo, hi) }); err != nil {
+	if err := run(c.Rows, func(lo, hi int) { mulNTWeightedRange(c, a, b, w, lo, hi) }); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -9,10 +9,13 @@ import (
 // The GEMM ablation behind EXPERIMENTS.md §gemm: every variant is measured
 // in its register-blocked form (impl=blocked, the live code in gemm.go) and
 // against the pre-blocking one-level loops (impl=naive, preserved in
-// gemm_test.go as the golden reference). Square operands; the 256 and 512
+// gemm_test.go as the golden reference). Both run on one goroutine, since
+// the one-call products walk all their rows on the caller's, so their
+// ratio measures the blocking alone. Square operands; the 256 and 512
 // points are the acceptance sizes, 64 shows the small-operand regime the
 // Tucker drivers mostly live in. The shape= rows are the dense products that
-// dominate a perfbench workload, at that workload's operand shapes.
+// dominate a perfbench workload, at that workload's operand shapes, also on
+// one goroutine; the drivers run them as plans on the run's workers.
 var gemmBenchSizes = []int{64, 256, 512}
 
 func benchPair(n int) (*Matrix, *Matrix, []float64) {

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"github.com/symprop/symprop/internal/exec"
+	"github.com/symprop/symprop/internal/faultinject"
+	"github.com/symprop/symprop/internal/obs"
 )
 
 // Golden references: the pre-blocking one-level loops, so the
@@ -363,5 +365,72 @@ func TestRangeKernelsBandSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBits(fmt.Sprintf("column-side Gram on %d goroutines", n), got, colGram)
+	}
+}
+
+// TestOneCallProductsRunNoPlan: the one-call products Mul, MulTN, MulNT
+// (general and Gram) and MulNTWeighted run on the calling goroutine. With
+// a process-wide collector installed and a hook armed at kernels.worker
+// they record no plan and fire no hook, and each equals its Run* twin (for
+// Mul, its walk under RunRows) bit for bit on pools of 1–4 goroutines.
+func TestOneCallProductsRunNoPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, b := RandomNormal(37, 19, rng), RandomNormal(19, 11, rng)
+	at, c := RandomNormal(19, 37, rng), RandomNormal(23, 19, rng)
+	w := make([]float64, 19)
+	for i := range w {
+		w[i] = rng.Float64() + 0.5
+	}
+	products := []struct {
+		name string
+		one  func() *Matrix
+		twin func(exec.Config) (*Matrix, error)
+	}{
+		{"Mul", func() *Matrix { return Mul(a, b) }, func(cfg exec.Config) (*Matrix, error) {
+			out := NewMatrix(a.Rows, b.Cols)
+			return out, RunRows(cfg, "test.mul", out.Rows, func(lo, hi int) { mulRange(out, a, b, lo, hi) })
+		}},
+		{"MulTN", func() *Matrix { return MulTN(at, b) },
+			func(cfg exec.Config) (*Matrix, error) { return RunMulTN(cfg, "test.multn", at, b) }},
+		{"MulNT", func() *Matrix { return MulNT(a, c) },
+			func(cfg exec.Config) (*Matrix, error) { return RunMulNT(cfg, "test.mulnt", a, c) }},
+		{"MulNT Gram", func() *Matrix { return MulNT(a, a) },
+			func(cfg exec.Config) (*Matrix, error) { return RunMulNT(cfg, "test.gram", a, a) }},
+		{"MulNTWeighted", func() *Matrix { return MulNTWeighted(a, c, w) },
+			func(cfg exec.Config) (*Matrix, error) { return RunMulNTWeighted(cfg, "test.mulntw", a, c, w) }},
+	}
+
+	m := obs.New()
+	obs.SetGlobal(m)
+	count, hits := faultinject.Counter()
+	disarm := faultinject.Arm(faultinject.SiteKernelWorker, count)
+	ones := make([]*Matrix, len(products))
+	for i, p := range products {
+		ones[i] = p.one()
+	}
+	disarm()
+	obs.SetGlobal(nil)
+	if n := hits(); n != 0 {
+		t.Errorf("the one-call products fired kernels.worker %d times, want 0", n)
+	}
+	for _, pm := range m.Snapshot() {
+		t.Errorf("a one-call product ran plan %s", pm.Name)
+	}
+
+	for workers := 1; workers <= 4; workers++ {
+		pool := exec.NewPool(workers)
+		for i, p := range products {
+			got, err := p.twin(exec.Config{Workers: workers, Pool: pool})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, v := range got.Data {
+				if math.Float64bits(v) != math.Float64bits(ones[i].Data[k]) {
+					t.Fatalf("%s: the one-call product's entry %d is %v, its twin's at %d workers %v",
+						p.name, k, ones[i].Data[k], workers, v)
+				}
+			}
+		}
+		pool.Close()
 	}
 }

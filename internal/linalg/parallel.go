@@ -7,12 +7,26 @@ import (
 	"github.com/symprop/symprop/internal/exec"
 )
 
-// The dense products run as execution-engine plans (internal/exec). A
-// caller that threads a run's exec.Config through RunMulTN, RunMulNT or
-// RunMulNTWeighted gets the run's worker count, pool, cancellation,
-// plan-scoped fault sites, panic capture and per-plan metrics; the
-// one-call products Mul, MulTN, MulNT and MulNTWeighted run the same plans
-// on a zero Config, on GOMAXPROCS transient goroutines.
+// The dense products run in parallel only as execution-engine plans
+// (internal/exec) under a caller's exec.Config: RunRows and the Run*
+// products get the run's worker count, pool, cancellation, plan-scoped
+// fault sites, panic capture and per-plan metrics. The one-call products
+// walk the same rows on the calling goroutine, as QRThin and SymEig do.
+
+// rowsFunc runs rows(lo, hi) over the output rows [0, n): the one thing a
+// one-call product and its Run* twin do differently.
+type rowsFunc func(n int, rows func(lo, hi int)) error
+
+// serialRows is the one-call products' rowsFunc. It returns no error.
+func serialRows(n int, rows func(lo, hi int)) error {
+	rows(0, n)
+	return nil
+}
+
+// planRows is RunRows under cfg as a rowsFunc.
+func planRows(cfg exec.Config, name string) rowsFunc {
+	return func(n int, rows func(lo, hi int)) error { return RunRows(cfg, name, n, rows) }
+}
 
 // rowBlock is the row granularity of the dense plans: a worker ticks
 // (polls for cancellation and fires the fault sites) once per rowBlock
@@ -69,17 +83,4 @@ func runTiles(cfg exec.Config, name string, n int, rows func(lo, hi int)) error 
 			}
 		},
 	})
-}
-
-// Must returns m, re-raising err as a panic. It backs the one-call
-// products (Mul, MulTN, MulNT, MulNTWeighted, kernels.ExpandCompactColumns),
-// whose plans run on a zero exec.Config: nothing cancels such a run, so
-// its only errors are a worker panic the engine captured, which is a bug
-// and is re-raised on the caller, and an error returned by a fault hook a
-// test armed at the generic worker site.
-func Must(m *Matrix, err error) *Matrix {
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

@@ -19,6 +19,8 @@ type MatVec func(x, out []float64)
 // G = X(1)·X(1)ᵀ admits a cheap matrix-free product through the non-zero
 // remainder groups, so the leading singular vectors cost
 // O(sweeps · group-entries) instead of the O(I³) dense eigendecomposition.
+// It runs on the calling goroutine, as QRThin and SymEig do, and reaches
+// no engine plan.
 func SubspaceIteration(op MatVec, dim, r, sweeps int, seed int64) ([]float64, *Matrix, error) {
 	if r < 1 || r > dim {
 		return nil, nil, fmt.Errorf("linalg: subspace rank %d out of [1,%d]", r, dim)

@@ -125,26 +125,6 @@ func (t *Tensor) SaveBinary(path string) error {
 	return f.Close()
 }
 
-// LoadBinary reads a tensor from the named binary file.
-func LoadBinary(path string) (*Tensor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
-// LoadAuto reads either format from the named file (ReadAuto).
-func LoadAuto(path string) (*Tensor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadAuto(f)
-}
-
 // ReadAuto reads either format, sniffing the binary format's magic bytes.
 func ReadAuto(r io.Reader) (*Tensor, error) {
 	br := bufio.NewReader(r)

@@ -71,7 +71,7 @@ func TestBinaryRejectsCorruptPayload(t *testing.T) {
 	}
 }
 
-func TestLoadAutoBothFormats(t *testing.T) {
+func TestLoadBothFormats(t *testing.T) {
 	dir := t.TempDir()
 	ts, _ := Random(RandomOptions{Order: 3, Dim: 8, NNZ: 12, Seed: 3})
 
@@ -84,7 +84,7 @@ func TestLoadAutoBothFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, path := range []string{binPath, txtPath} {
-		got, err := LoadAuto(path)
+		got, err := Load(path)
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
@@ -92,15 +92,19 @@ func TestLoadAutoBothFormats(t *testing.T) {
 			t.Fatalf("%s: nnz %d, want %d", path, got.NNZ(), ts.NNZ())
 		}
 	}
-	if _, err := LoadAuto(filepath.Join(dir, "missing")); err == nil {
+	if _, err := Load(filepath.Join(dir, "missing")); err == nil {
 		t.Error("missing file must fail")
 	}
-	if _, err := LoadBinary(txtPath); err == nil {
-		t.Error("text file through LoadBinary must fail")
+	var text bytes.Buffer
+	if err := ts.Write(&text); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadBinary(&text); err == nil {
+		t.Error("text through ReadBinary must fail")
 	}
 }
 
-func TestLoadAutoTinyTextFile(t *testing.T) {
+func TestLoadTinyTextFile(t *testing.T) {
 	// A text file shorter than the 8-byte magic must still parse (or fail
 	// as text), not crash the sniffer.
 	dir := t.TempDir()
@@ -108,7 +112,7 @@ func TestLoadAutoTinyTextFile(t *testing.T) {
 	if err := writeFile(path, "sym 2 2 0\n"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadAuto(path)
+	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,14 +107,15 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 	return t, nil
 }
 
-// Load reads a tensor from the named file.
+// Load reads a tensor from the named file in either format, the text
+// format of Save or the binary format of SaveBinary (ReadAuto).
 func Load(path string) (*Tensor, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadFrom(f)
+	return ReadAuto(f)
 }
 
 // Save writes t to the named file.

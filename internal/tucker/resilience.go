@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"github.com/symprop/symprop/internal/checkpoint"
@@ -344,51 +345,36 @@ func nonFinite(m *linalg.Matrix) int {
 // scanPlan is the engine plan of the kernel-output scan (scanOutput).
 const scanPlan = "health.scan"
 
-// scanBlock is the row block the output scan ticks once per.
-const scanBlock = 8
-
 // scanOutput returns the index of the first NaN or Inf entry of the kernel
-// output y, or -1, scanning y as plan health.scan under cfg: one
-// contiguous row band per worker, walked in scanBlock-row blocks with one
-// Tick each. A worker stops at the first hit in its band; the bands
-// ascend with the slot, so the lowest slot's hit is the entry the serial
+// output y, or -1, scanning y as plan health.scan under cfg
+// (linalg.RunRows: one row band per worker, one Tick per 8-row block).
+// Each block's first hit lowers a shared minimum, and a block that starts
+// at or past the minimum is skipped, so the result is the entry the serial
 // exec.FirstNonFinite returns. Factors (I x R) are scanned serially by
 // nonFinite.
 func scanOutput(cfg exec.Config, y *linalg.Matrix) (int, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	hits := make([]int, max(1, min(workers, y.Rows)))
-	for w := range hits {
-		hits[w] = -1
-	}
-	err := exec.Run(cfg, exec.Plan{
-		Name:       scanPlan,
-		Items:      y.Rows,
-		Workers:    len(hits),
-		CheckEvery: 1,
-		Body: func(w *exec.Worker, lo, hi int) error {
-			for r0 := lo; r0 < hi; r0 += scanBlock {
-				if err := w.Tick(r0); err != nil {
-					return err
-				}
-				r1 := min(r0+scanBlock, hi)
-				if i := exec.FirstNonFinite(y.Data[r0*y.Cols : r1*y.Cols]); i >= 0 {
-					hits[w.Index] = r0*y.Cols + i
-					return nil
-				}
+	var first atomic.Int64
+	first.Store(math.MaxInt64)
+	err := linalg.RunRows(cfg, scanPlan, y.Rows, func(lo, hi int) {
+		if int64(lo*y.Cols) >= first.Load() {
+			return
+		}
+		i := exec.FirstNonFinite(y.Data[lo*y.Cols : hi*y.Cols])
+		if i < 0 {
+			return
+		}
+		for hit := int64(lo*y.Cols + i); ; {
+			cur := first.Load()
+			if hit >= cur || first.CompareAndSwap(cur, hit) {
+				return
 			}
-			return nil
-		},
+		}
 	})
 	if err != nil {
 		return -1, err
 	}
-	for _, i := range hits {
-		if i >= 0 {
-			return i, nil
-		}
+	if hit := first.Load(); hit < math.MaxInt64 {
+		return int(hit), nil
 	}
 	return -1, nil
 }
@@ -449,8 +435,7 @@ func (rs *runState) scannedTTMc(u *linalg.Matrix,
 	if err != nil {
 		return nil, -1, err
 	}
-	k := rs.kopts
-	i, err := scanOutput(exec.Config{Ctx: k.Ctx, Workers: k.Workers, Pool: k.Exec, Metrics: k.Obs}, y)
+	i, err := scanOutput(rs.kopts.ExecConfig(), y)
 	if err != nil {
 		return nil, -1, rs.wrapKernelErr(u, err)
 	}

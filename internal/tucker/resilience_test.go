@@ -12,6 +12,7 @@ import (
 	"github.com/symprop/symprop/internal/checkpoint"
 	"github.com/symprop/symprop/internal/exec"
 	"github.com/symprop/symprop/internal/faultinject"
+	"github.com/symprop/symprop/internal/kernels"
 	"github.com/symprop/symprop/internal/linalg"
 	"github.com/symprop/symprop/internal/memguard"
 	"github.com/symprop/symprop/internal/spsym"
@@ -434,7 +435,7 @@ func TestPersistentNaNBreaksDown(t *testing.T) {
 // it poisons one entry at a time on the first and the last entry of each
 // worker's row band, and also poisons two bands at once (the lower band's
 // entry must win), on a shape whose bands are uneven and span several
-// scanBlock-row blocks.
+// 8-row blocks.
 func TestScanOutputBandEdges(t *testing.T) {
 	const rows, cols = 37, 5
 	y := linalg.NewMatrix(rows, cols)
@@ -471,6 +472,71 @@ func TestScanOutputBandEdges(t *testing.T) {
 			}
 		}
 		pool.Close()
+	}
+}
+
+// TestWorkerFaultHitsReturnErrors arms an error, and then a panic, at
+// every kernels.worker hit of a randomized HOOI run in turn, at workers 1
+// and 2, and at every hit of the matrix-free HOSVD start: each must come
+// back as an error (the armed one, or kernels.ErrWorkerPanic), never as a
+// panic. The subspace iteration behind both runs its dense products on
+// the calling goroutine, so every hit lies in a plan of the run's config;
+// the matrix-free HOSVD start, whose operator is serial too, reaches none.
+func TestWorkerFaultHitsReturnErrors(t *testing.T) {
+	x, wide := testTensor(t, 4, 40, 300, 61), testTensor(t, 4, 200, 300, 62)
+	type faultRun struct {
+		name string
+		run  func() error
+	}
+	runs := []faultRun{{"hosvd-matrix-free", func() error {
+		// dim 200 needs a 320,000-byte Gram, which this guard refuses,
+		// so HOSVDInit takes its matrix-free path.
+		_, err := HOSVDInit(wide, 3, memguard.New(100_000))
+		return err
+	}}}
+	for _, workers := range []int{1, 2} {
+		runs = append(runs, faultRun{fmt.Sprintf("hooi-randomized/workers=%d", workers), func() error {
+			_, err := HOOIRandomized(x, Options{Rank: 3, MaxIters: 2, Seed: 5, Workers: workers})
+			return err
+		}})
+	}
+	// returned runs f, reporting a panic out of it as a test failure.
+	returned := func(what string, f func() error) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s: panicked: %v", what, r)
+			}
+		}()
+		return f()
+	}
+	boom := errors.New("injected worker fault")
+	for _, c := range runs {
+		count, hits := faultinject.Counter()
+		disarm := faultinject.Arm(faultinject.SiteKernelWorker, count)
+		err := c.run()
+		disarm()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		n := hits()
+		t.Logf("%s: %d kernels.worker hits", c.name, n)
+		for hit := int64(1); hit <= n; hit++ {
+			what := fmt.Sprintf("%s, hit %d of %d", c.name, hit, n)
+			disarm := faultinject.Arm(faultinject.SiteKernelWorker,
+				faultinject.OnHit(hit, func(any) error { return boom }))
+			err := returned(what, c.run)
+			disarm()
+			if !errors.Is(err, boom) {
+				t.Errorf("%s: got %v, want the injected error", what, err)
+			}
+			disarm = faultinject.Arm(faultinject.SiteKernelWorker,
+				faultinject.OnHit(hit, func(any) error { panic("injected worker crash") }))
+			err = returned(what, c.run)
+			disarm()
+			if !errors.Is(err, kernels.ErrWorkerPanic) {
+				t.Errorf("%s: got %v, want kernels.ErrWorkerPanic", what, err)
+			}
+		}
 	}
 }
 

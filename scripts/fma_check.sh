@@ -9,8 +9,9 @@
 # cross-builds cmd/symprop for arm64 and disassembles the linked kernels:
 #
 #   - linalg.dot4x2 and linalg.dotW4x2, the 4x2 register tiles;
-#   - linalg.mulNTRange and linalg.mulNTWeightedRange, the row walks the
-#     MulNT and MulNTWeighted plans run, which inline the scalar tails.
+#   - linalg.mulNTRange and linalg.mulNTWeightedRange, the row walks of
+#     MulNT and MulNTWeighted and of their plans, which inline the scalar
+#     tails.
 #
 # It fails on any FMADDD, FMSUBD, FNMADDD or FNMSUBD among them, and also
 # when one of the symbols is missing, so that a renamed or inlined kernel

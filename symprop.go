@@ -109,7 +109,7 @@ func NewTensor(order, dim int) *Tensor { return spsym.New(order, dim) }
 // LoadTensor reads a tensor file in either the symmetric text format
 // ("sym <order> <dim> <nnz>" header, then 1-based "i1 ... iN value" lines)
 // or the binary format written by SaveTensorBinary, sniffing the header.
-func LoadTensor(path string) (*Tensor, error) { return spsym.LoadAuto(path) }
+func LoadTensor(path string) (*Tensor, error) { return spsym.Load(path) }
 
 // SaveTensorBinary writes t in the compact binary format, which loads an
 // order of magnitude faster than text for large tensors.

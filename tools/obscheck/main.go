@@ -46,7 +46,7 @@ import (
 // metrics entry outside this set means a plan was renamed without updating
 // this list — exactly the drift this tool exists to catch.
 var registeredPlanPrefixes = []string{
-	"s3ttmc.", "ucoo.", "nary.", "splatt.ttmc", "ttmctc.", "schedule.reduce", "mttkrp.", "svd.", "linalg.",
+	"s3ttmc.", "ucoo.", "nary.", "splatt.ttmc", "ttmctc.", "schedule.reduce", "mttkrp.", "svd.",
 	"health.", "cpd.",
 }
 
